@@ -17,6 +17,7 @@ from .coupling import SingularBodyUpdate
 from .exact import DomainError
 from .harness import (
     RunConfig,
+    format_json,
     format_table,
     run_mode,
     write_csv_table,
@@ -104,7 +105,7 @@ def _emit(report: dict, cfg: RunConfig) -> None:
             write_json_report(cfg.out, report)
             print(f"wrote {cfg.out}")
         else:
-            write_json_report("/dev/stdout", report)
+            sys.stdout.write(format_json(report))
 
 
 def _summarize(report: dict) -> None:

@@ -4,12 +4,18 @@ The body at the origin sees interface stresses built from the fluid cells
 next to it; the parameter alpha interpolates between the traditional
 coupling (alpha = 0: raw fluid stress) and the characteristic projection
 (alpha = z: the incoming characteristic is replaced using the body
-velocity).  With edge values (v_e, sigma_e) taken either from the first
-interior cell (first order) or from the two-cell extrapolant
-(3 u_1 - u_2)/2 (second order):
+velocity).  With s = Grid1D.outward (+1 right, -1 left) and edge values
+(v_e, sigma_e) taken from the edge extrapolant w1 u_1 + w2 u_2 of the
+interior cells counted from the body:
 
-    left side:   sigma_I = sigma_e + alpha (v_body - v_e)
-    right side:  sigma_I = sigma_e + alpha (v_e - v_body)
+    sigma_I = sigma_e + s alpha (v_e - v_body)
+
+The paper's two algorithms are one partitioned step at two orders.  The
+order selects the interior stepper and a scheme record (SCHEMES):
+
+    order  interior      edge (w1, w2)  body/position theta   ghost
+    1      upwind        (1, 0)         1 (backward Euler)    v_g = v_b
+    2      Lax-Wendroff  (3/2, -1/2)    1/2 (trapezoidal)     v_g = 2 v_b - v_1
 
 The body velocity update is implicit in the interface stresses, which keeps
 the partitioned loop stable for any mass ratio; the algebra reduces to a
@@ -19,6 +25,7 @@ scalar solve per step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .materials import FluidField1D, FluidMaterial
 from .schemes import lax_wendroff_step, upwind_step
@@ -29,83 +36,42 @@ class SingularBodyUpdate(ValueError):
     body with alpha = 0 on both sides)."""
 
 
-def _edge_values(field: FluidField1D, order: int) -> tuple[float, float]:
-    """(v_e, sigma_e) at the body edge: nearest cell (order 1) or the
-    second-order extrapolant (3 u_1 - u_2)/2 (order 2)."""
-    j1 = field.grid.body_cell_index(1)
-    if order == 1:
-        return field.v[j1], field.sigma[j1]
-    j2 = field.grid.body_cell_index(2)
-    return (
-        1.5 * field.v[j1] - 0.5 * field.v[j2],
-        1.5 * field.sigma[j1] - 0.5 * field.sigma[j2],
-    )
+class Scheme(NamedTuple):
+    """Order-dependent parts of the partitioned step."""
+
+    edge: tuple[float, float]  # weights (w1, w2) of the edge extrapolant
+    theta: float               # body and position update: 1 backward Euler, 1/2 trapezoidal
+    reflect: float             # ghost = (1 + r) interface value - r cell 1
+
+
+SCHEMES = {1: Scheme((1.0, 0.0), 1.0, 0.0), 2: Scheme((1.5, -0.5), 0.5, 1.0)}
 
 
 def _edge_flux(field: FluidField1D, alpha: float, order: int) -> float:
-    """Edge extrapolant of the per-cell combination
-
-        sigma + alpha v   (right side)      alpha v - sigma   (left side)
-
-    i.e. the side's contribution to the net force on the body before the
+    """Edge extrapolant of the per-cell combination s sigma + alpha v, i.e.
+    the side's contribution to the net force on the body before the
     -alpha v_body part.  Combining per cell first makes pure outgoing
     radiation cancel bit-exactly, so quiescent decay stays geometric to the
     last ulp."""
-    sgn = 1.0 if field.grid.side == "right" else -1.0
-    j1 = field.grid.body_cell_index(1)
-    phi1 = sgn * field.sigma[j1] + alpha * field.v[j1]
-    if order == 1:
-        return phi1
-    j2 = field.grid.body_cell_index(2)
-    phi2 = sgn * field.sigma[j2] + alpha * field.v[j2]
-    return 1.5 * phi1 - 0.5 * phi2
+    g, s = field.grid.ghost_index, field.grid.outward
+    v, sigma = field.v, field.sigma
+    phi = s * sigma.item(g + s) + alpha * v.item(g + s)
+    w1, w2 = SCHEMES[order].edge
+    if w2:
+        phi = w1 * phi + w2 * (s * sigma.item(g + 2 * s) + alpha * v.item(g + 2 * s))
+    return phi
 
 
-def _interface_stress(field, v_body, alpha, order):
-    v_e, sigma_e = _edge_values(field, order)
-    if field.grid.side == "left":
-        return sigma_e + alpha * (v_body - v_e)
-    return sigma_e + alpha * (v_e - v_body)
+def interface_stress(field: FluidField1D, v_body: float, alpha: float, order: int) -> float:
+    """sigma_I = sigma_e + s alpha (v_e - v_body), from the same per-cell
+    combination the body solve uses."""
+    s = field.grid.outward
+    return s * (_edge_flux(field, alpha, order) - alpha * v_body)
 
 
-def interface_stress_first_order(field: FluidField1D, v_body: float, alpha: float) -> float:
-    return _interface_stress(field, v_body, alpha, order=1)
-
-
-def interface_stress_second_order(field: FluidField1D, v_body: float, alpha: float) -> float:
-    return _interface_stress(field, v_body, alpha, order=2)
-
-
-def solve_body_backward_euler(
+def solve_body(
     left: FluidField1D,
     right: FluidField1D,
-    m_body: float,
-    v_body: float,
-    dt: float,
-    alpha_left: float,
-    alpha_right: float,
-) -> float:
-    """Backward-Euler body velocity with first-order interface stresses.
-
-    Solving m (v' - v)/dt = sigma_I_right(v') - sigma_I_left(v') for v':
-
-        v' = [m v + dt (sigma_R1 + aR vR1 - sigma_L1 + aL vL1)] / [m + dt (aL + aR)]
-
-    where (vL1, sigma_L1), (vR1, sigma_R1) are the interior cells adjacent
-    to the body at the new time level.
-    """
-    denom = m_body + dt * (alpha_left + alpha_right)
-    if denom <= 0.0:
-        raise SingularBodyUpdate(
-            f"m + dt*(alpha_L + alpha_R) = {denom:.3g} <= 0; massless bodies need alpha > 0"
-        )
-    flux = _edge_flux(right, alpha_right, 1) + _edge_flux(left, alpha_left, 1)
-    return (m_body * v_body + dt * flux) / denom
-
-
-def solve_body_trapezoidal(
-    left_new: FluidField1D,
-    right_new: FluidField1D,
     left_old: FluidField1D,
     right_old: FluidField1D,
     m_body: float,
@@ -113,52 +79,42 @@ def solve_body_trapezoidal(
     dt: float,
     alpha_left: float,
     alpha_right: float,
+    order: int,
 ) -> float:
-    """Trapezoidal body velocity with second-order interface stresses.
+    """Theta-method body velocity from the interface stresses.
 
-    Both time levels contribute edge extrapolants; the implicit alpha terms
-    move to the left-hand side:
+    Solving m (v' - v)/dt = theta F(v', new) + (1 - theta) F(v, old) with
+    F = sigma_I_right - sigma_I_left = Phi - (aL + aR) v, Phi the sum of
+    both sides' edge fluxes, for v':
 
-        (m + dt(aL+aR)/2) v' = (m - dt(aL+aR)/2) v
-            + (dt/2) [ (ErS' + ErS) - (ElS' + ElS) ]
-            + (dt/2) [ aR (ErV' + ErV) + aL (ElV' + ElV) ]
+        (m + theta dt (aL+aR)) v' = (m - (1-theta) dt (aL+aR)) v
+                                    + dt [theta Phi' + (1-theta) Phi]
 
-    assembled per side/time level as _edge_flux combinations (identical
-    algebra, exact cancellation for outgoing radiation).
+    Backward Euler (theta = 1, order 1) never reads the old fields.
     """
-    denom = m_body + 0.5 * dt * (alpha_left + alpha_right)
+    theta = SCHEMES[order].theta
+    a_sum = alpha_left + alpha_right
+    denom = m_body + theta * dt * a_sum
     if denom <= 0.0:
         raise SingularBodyUpdate(
-            f"m + dt*(alpha_L + alpha_R)/2 = {denom:.3g} <= 0; massless bodies need alpha > 0"
+            f"m + {theta:g}*dt*(alpha_L + alpha_R) = {denom:.3g} <= 0; "
+            "massless bodies need alpha > 0"
         )
-    flux = (
-        _edge_flux(right_new, alpha_right, 2)
-        + _edge_flux(right_old, alpha_right, 2)
-        + _edge_flux(left_new, alpha_left, 2)
-        + _edge_flux(left_old, alpha_left, 2)
-    )
-    rhs = (m_body - 0.5 * dt * (alpha_left + alpha_right)) * v_body + 0.5 * dt * flux
-    return rhs / denom
+    flux = theta * (_edge_flux(right, alpha_right, order) + _edge_flux(left, alpha_left, order))
+    if theta < 1.0:
+        flux += (1.0 - theta) * (
+            _edge_flux(right_old, alpha_right, order) + _edge_flux(left_old, alpha_left, order)
+        )
+    return ((m_body - (1.0 - theta) * dt * a_sum) * v_body + dt * flux) / denom
 
 
-def fill_ghost_first_order(field: FluidField1D, v_body: float, sigma_interface: float) -> FluidField1D:
-    """Ghost takes the interface values directly: v_g = v_b, sigma_g = sigma_I."""
-    out = field.copy()
-    g = field.grid.ghost_index
-    out.v[g] = v_body
-    out.sigma[g] = sigma_interface
-    return out
-
-
-def fill_ghost_second_order(field: FluidField1D, v_body: float, sigma_interface: float) -> FluidField1D:
-    """Ghost reflects the adjacent cell through the interface values:
-    v_g = 2 v_b - v_1, sigma_g = 2 sigma_I - sigma_1."""
-    out = field.copy()
-    g = field.grid.ghost_index
-    j1 = field.grid.body_cell_index(1)
-    out.v[g] = 2.0 * v_body - field.v[j1]
-    out.sigma[g] = 2.0 * sigma_interface - field.sigma[j1]
-    return out
+def fill_ghost(field: FluidField1D, v_body: float, sigma_interface: float, order: int) -> None:
+    """Set the ghost, in place, to the interface values (order 1) or to the
+    reflection of cell 1 through them (order 2): g = (1 + r) I - r u_1."""
+    r = SCHEMES[order].reflect
+    g, s = field.grid.ghost_index, field.grid.outward
+    field.v[g] = (1.0 + r) * v_body - r * field.v.item(g + s)
+    field.sigma[g] = (1.0 + r) * sigma_interface - r * field.sigma.item(g + s)
 
 
 def fill_interface_ghosts(
@@ -168,22 +124,11 @@ def fill_interface_ghosts(
     alpha_left: float,
     alpha_right: float,
     order: int,
-) -> tuple[FluidField1D, FluidField1D]:
+) -> None:
     """Compute interface stresses from the current interiors and set both
-    ghost cells.  Used at startup and after each body solve."""
-    if order == 1:
-        sl = interface_stress_first_order(left, v_body, alpha_left)
-        sr = interface_stress_first_order(right, v_body, alpha_right)
-        return (
-            fill_ghost_first_order(left, v_body, sl),
-            fill_ghost_first_order(right, v_body, sr),
-        )
-    sl = interface_stress_second_order(left, v_body, alpha_left)
-    sr = interface_stress_second_order(right, v_body, alpha_right)
-    return (
-        fill_ghost_second_order(left, v_body, sl),
-        fill_ghost_second_order(right, v_body, sr),
-    )
+    ghost cells in place.  Used at startup and after each body solve."""
+    for f, alpha in ((left, alpha_left), (right, alpha_right)):
+        fill_ghost(f, v_body, interface_stress(f, v_body, alpha, order), order)
 
 
 @dataclass
@@ -207,12 +152,15 @@ class CoupledState:
         order: int,
         x_body: float = 0.0,
     ) -> "CoupledState":
-        """State with ghost cells made consistent with the interior data."""
-        l, r = fill_interface_ghosts(left, right, v_body, alpha_left, alpha_right, order)
-        return cls(l, r, v_body, x_body, 0.0)
+        """State with ghost cells made consistent with the interior data
+        (the given fields are copied, not changed)."""
+        left, right = left.copy(), right.copy()
+        fill_interface_ghosts(left, right, v_body, alpha_left, alpha_right, order)
+        return cls(left, right, v_body, x_body, 0.0)
 
 
-def step_algorithm1(
+def partitioned_step(
+    order: int,
     state: CoupledState,
     mat_left: FluidMaterial,
     mat_right: FluidMaterial,
@@ -223,47 +171,26 @@ def step_algorithm1(
     far_left: tuple[float, float] | None = None,
     far_right: tuple[float, float] | None = None,
 ) -> CoupledState:
-    """First-order partitioned step: upwind interiors, backward-Euler body,
-    first-order ghost fill, backward-Euler position update."""
-    left_new = upwind_step(state.left, mat_left, dt, far_left)
-    right_new = upwind_step(state.right, mat_right, dt, far_right)
-    v_new = solve_body_backward_euler(
-        left_new, right_new, m_body, state.v_body, dt, alpha_left, alpha_right
+    """One partitioned step: interior update of both fluids, theta-method
+    body solve, ghost fill, and theta-method position update."""
+    stepper = upwind_step if order == 1 else lax_wendroff_step
+    left = stepper(state.left, mat_left, dt, far_left)
+    right = stepper(state.right, mat_right, dt, far_right)
+    v_new = solve_body(
+        left, right, state.left, state.right,
+        m_body, state.v_body, dt, alpha_left, alpha_right, order,
     )
-    left_new, right_new = fill_interface_ghosts(
-        left_new, right_new, v_new, alpha_left, alpha_right, order=1
-    )
-    return CoupledState(
-        left_new, right_new, v_new, state.x_body + dt * v_new, state.t + dt
-    )
+    fill_interface_ghosts(left, right, v_new, alpha_left, alpha_right, order)
+    theta = SCHEMES[order].theta
+    x_new = state.x_body + dt * (theta * v_new + (1.0 - theta) * state.v_body)
+    return CoupledState(left, right, v_new, x_new, state.t + dt)
 
 
-def step_algorithm2(
-    state: CoupledState,
-    mat_left: FluidMaterial,
-    mat_right: FluidMaterial,
-    m_body: float,
-    dt: float,
-    alpha_left: float,
-    alpha_right: float,
-    far_left: tuple[float, float] | None = None,
-    far_right: tuple[float, float] | None = None,
-) -> CoupledState:
-    """Second-order partitioned step: Lax-Wendroff interiors, trapezoidal
-    body, second-order ghost fill, trapezoidal position update."""
-    left_new = lax_wendroff_step(state.left, mat_left, dt, far_left)
-    right_new = lax_wendroff_step(state.right, mat_right, dt, far_right)
-    v_new = solve_body_trapezoidal(
-        left_new, right_new, state.left, state.right,
-        m_body, state.v_body, dt, alpha_left, alpha_right,
-    )
-    left_new, right_new = fill_interface_ghosts(
-        left_new, right_new, v_new, alpha_left, alpha_right, order=2
-    )
-    return CoupledState(
-        left_new,
-        right_new,
-        v_new,
-        state.x_body + 0.5 * dt * (state.v_body + v_new),
-        state.t + dt,
-    )
+def step_algorithm1(*args, **kwargs) -> CoupledState:
+    """Algorithm 1 (upwind, backward Euler): `partitioned_step` at order 1."""
+    return partitioned_step(1, *args, **kwargs)
+
+
+def step_algorithm2(*args, **kwargs) -> CoupledState:
+    """Algorithm 2 (Lax-Wendroff, trapezoidal): `partitioned_step` at order 2."""
+    return partitioned_step(2, *args, **kwargs)

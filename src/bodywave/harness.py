@@ -106,14 +106,6 @@ class RunConfig:
             raise ValueError(f"unknown config keys: {unknown}")
         return cls(**data)
 
-    @classmethod
-    def from_json(cls, path: str) -> "RunConfig":
-        with open(path) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("config file must hold a JSON object")
-        return cls.from_dict(data)
-
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
@@ -555,6 +547,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
@@ -566,10 +560,14 @@ def _config_echo_lines(config: dict) -> list[str]:
     return [f"# {key} = {config[key]}" for key in sorted(config)]
 
 
+def format_json(report: dict) -> str:
+    """Report as indented, key-sorted JSON text ending in a newline."""
+    return json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+
+
 def write_json_report(path: str, report: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(_jsonable(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(format_json(report))
 
 
 def write_csv_table(path: str, rows: list[dict], config: dict) -> None:

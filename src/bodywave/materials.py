@@ -15,6 +15,7 @@ bulk modulus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,39 +73,42 @@ class Grid1D:
     def n_points(self) -> int:
         return self.n_cells + 1
 
-    @property
+    @cached_property
+    def outward(self) -> int:
+        """+1 where x grows away from the body (right side), -1 on the left.
+
+        `arr[::outward]` views an array from the body outward: ghost at
+        index 0, k-th interior cell at index k, far end last.
+        """
+        return -1 if self.side == "left" else 1
+
+    @cached_property
     def ghost_index(self) -> int:
         return self.n_cells if self.side == "left" else 0
 
     @property
     def far_index(self) -> int:
-        return 0 if self.side == "left" else self.n_cells
+        return self.n_cells - self.ghost_index
 
     @property
     def interior(self) -> slice:
         """Slice selecting interior (non-ghost) cells, in array order."""
-        if self.side == "left":
-            return slice(0, self.n_cells)
-        return slice(1, self.n_cells + 1)
+        return slice(0, self.n_cells) if self.side == "left" else slice(1, self.n_cells + 1)
 
     def body_cell_index(self, k: int = 1) -> int:
         """Array index of the k-th interior cell counted from the body."""
         if not 1 <= k <= self.n_cells:
             raise ValueError(f"k must be in [1, n_cells], got {k}")
-        return self.n_cells - k if self.side == "left" else k
+        return self.ghost_index + self.outward * k
 
     @property
     def interface_x(self) -> float:
-        return -self.body_half_width if self.side == "left" else self.body_half_width
+        return self.outward * self.body_half_width
 
     def cell_centers(self) -> np.ndarray:
         """Centers of all cells (ghost included), in array order."""
-        w2 = self.body_half_width
-        if self.side == "left":
-            i = np.arange(-self.n_cells, 1)  # i = 0 is the ghost
-            return -w2 + (i + 0.5) * self.dx
-        i = np.arange(0, self.n_cells + 1)
-        return w2 + (i - 0.5) * self.dx
+        k = np.arange(self.n_points)  # cells counted from the body, ghost k = 0
+        return (self.interface_x + self.outward * (k - 0.5) * self.dx)[:: self.outward]
 
 
 @dataclass

@@ -1,20 +1,24 @@
 """Interior update schemes for the 1D linear acoustic half-line.
 
-Both steppers advance the characteristic pair (a, b):
+Both steppers advance the characteristic pair (a, b) on arrays viewed from
+the body outward (`Grid1D.outward`), so one code path serves both sides:
+the ghost is at index 0, the outgoing family (a on the right, b on the
+left) arrives from cell k-1 and the incoming family from cell k+1.  With
+lam = c dt/dx, u the outgoing and w the incoming family:
 
-    upwind:        a' = a - lam (a - a_W),   b' = b + lam (b_E - b)
-    Lax-Wendroff:  a' = a - (lam/2)(a_E - a_W) + (lam^2/2)(a_E - 2a + a_W)
-                   b' = b + (lam/2)(b_E - b_W) + (lam^2/2)(b_E - 2b + b_W)
+    upwind:        u' = u - lam (u - u_{k-1}),   w' = w + lam (w_{k+1} - w)
+    Lax-Wendroff:  x' = x -+ (lam/2)(x_{k+1} - x_{k-1})
+                         + (lam^2/2)(x_{k+1} - 2x + x_{k-1})   (- for u, + for w)
 
-with lam = c dt/dx and E/W the physical east/west neighbors.  a moves toward
-+x and b toward -x, so on each side exactly one stencil arm reaches past the
-far end of the grid; the virtual cell there either copies the last cell
+One virtual cell past the far end of the grid either copies the last cell
 (zeroth-order extrapolation, the default) or takes caller-supplied values.
 The ghost cell at the body is read but never written: interface couplers own
 it.  Steppers are pure -- they return a new field.
 """
 
 from __future__ import annotations
+
+from math import isfinite
 
 import numpy as np
 
@@ -26,7 +30,7 @@ class CflViolation(ValueError):
 
 
 def _courant(field: FluidField1D, mat: FluidMaterial, dt: float) -> float:
-    if not (dt > 0.0 and np.isfinite(dt)):
+    if not (dt > 0.0 and isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     lam = mat.c * dt / field.grid.dx
     if lam > 1.0 + 1e-12:
@@ -34,79 +38,56 @@ def _courant(field: FluidField1D, mat: FluidMaterial, dt: float) -> float:
     return lam
 
 
-def _rebuild(field, mat, a_new, b_new):
-    """New field from updated characteristics, ghost restored bit-exactly."""
-    out = FluidField1D.from_characteristics(field.grid, mat, a_new, b_new)
-    g = field.grid.ghost_index
+def _upwind(x, lam):
+    """Upwind update, in place, of the (outgoing, incoming) rows of `x`."""
+    x[0, 1:-1] = x[0, 1:-1] - lam * (x[0, 1:-1] - x[0, :-2])
+    x[1, 1:-1] = x[1, 1:-1] + lam * (x[1, 2:] - x[1, 1:-1])
+
+
+def _lax_wendroff(x, lam):
+    """Lax-Wendroff update, in place, of the (outgoing, incoming) rows of `x`."""
+    half, half2 = 0.5 * lam, 0.5 * lam * lam
+    prev, ctr, nxt = x[:, :-2], x[:, 1:-1], x[:, 2:]
+    x[:, 1:-1] = ctr + np.array([[-half], [half]]) * (nxt - prev) + half2 * (nxt - 2.0 * ctr + prev)
+
+
+def _step(kernel, field, mat, dt, far_values):
+    """Run `kernel` on the characteristics viewed from the body outward and
+    map the result back to a field in physical order, ghost restored
+    bit-exactly.
+
+    The kernel updates cells 1..n of a (2, n + 2) array: row 0 holds the
+    outgoing family, row 1 the incoming one, column 0 the ghost and column
+    n + 1 the virtual far cell.  a moves +x, so it is outgoing on the right
+    and incoming on the left; `phys` views (a, b) in physical order.
+    """
+    lam = _courant(field, mat, dt)
+    grid = field.grid
+    s = grid.outward
+    x = np.empty((2, grid.n_cells + 2))
+    phys = x[::s, :-1][:, ::s]
+    phys[0], phys[1] = field.to_characteristics(mat)
+    if far_values is None:
+        x[:, -1] = x[:, -2]
+    else:
+        v_far, sigma_far = far_values
+        k = 1.0 / (2.0 * mat.c * mat.z)
+        x[::s, -1] = (sigma_far - mat.z * v_far) * k, (sigma_far + mat.z * v_far) * k
+    kernel(x, lam)
+    out = FluidField1D.from_characteristics(grid, mat, phys[0], phys[1])
+    g = grid.ghost_index
     out.v[g] = field.v[g]
     out.sigma[g] = field.sigma[g]
     return out
 
 
-def _characteristics_with_far(field, mat, far_values):
-    """(a, b) plus the virtual far-cell pair (a_far, b_far)."""
-    a, b = field.to_characteristics(mat)
-    if far_values is None:
-        j = field.grid.far_index
-        return a, b, a[j], b[j]
-    v_far, sigma_far = far_values
-    s = 1.0 / (2.0 * mat.c * mat.z)
-    return a, b, (sigma_far - mat.z * v_far) * s, (sigma_far + mat.z * v_far) * s
-
-
-def upwind_step(
-    field: FluidField1D,
-    mat: FluidMaterial,
-    dt: float,
-    far_values: tuple[float, float] | None = None,
-) -> FluidField1D:
+def upwind_step(field: FluidField1D, mat: FluidMaterial, dt: float,
+                far_values: tuple[float, float] | None = None) -> FluidField1D:
     """First-order upwind step of the interior cells."""
-    lam = _courant(field, mat, dt)
-    a, b, a_far, b_far = _characteristics_with_far(field, mat, far_values)
-    n = field.grid.n_cells
-    a_new, b_new = a.copy(), b.copy()
-    if field.grid.side == "left":
-        # ghost at index n; far end at index 0
-        a_w = np.concatenate(([a_far], a[: n - 1]))
-        a_new[:n] = a[:n] - lam * (a[:n] - a_w)
-        b_new[:n] = b[:n] + lam * (b[1 : n + 1] - b[:n])
-    else:
-        # ghost at index 0; far end at index n
-        a_new[1:] = a[1:] - lam * (a[1:] - a[:-1])
-        b_e = np.concatenate((b[2:], [b_far]))
-        b_new[1:] = b[1:] + lam * (b_e - b[1:])
-    return _rebuild(field, mat, a_new, b_new)
+    return _step(_upwind, field, mat, dt, far_values)
 
 
-def lax_wendroff_step(
-    field: FluidField1D,
-    mat: FluidMaterial,
-    dt: float,
-    far_values: tuple[float, float] | None = None,
-) -> FluidField1D:
+def lax_wendroff_step(field: FluidField1D, mat: FluidMaterial, dt: float,
+                      far_values: tuple[float, float] | None = None) -> FluidField1D:
     """Second-order Lax-Wendroff step of the interior cells."""
-    lam = _courant(field, mat, dt)
-    a, b, a_far, b_far = _characteristics_with_far(field, mat, far_values)
-    n = field.grid.n_cells
-    a_new, b_new = a.copy(), b.copy()
-
-    if field.grid.side == "left":
-        interior = slice(0, n)
-        a_pad = np.concatenate(([a_far], a))
-        b_pad = np.concatenate(([b_far], b))
-        shift = 1  # padded on the west end
-    else:
-        interior = slice(1, n + 1)
-        a_pad = np.concatenate((a, [a_far]))
-        b_pad = np.concatenate((b, [b_far]))
-        shift = 0
-
-    idx = np.arange(interior.start, interior.stop) + shift
-    for arr, pad, sign in ((a_new, a_pad, -1.0), (b_new, b_pad, +1.0)):
-        ctr, east, west = pad[idx], pad[idx + 1], pad[idx - 1]
-        arr[interior] = (
-            ctr
-            + sign * 0.5 * lam * (east - west)
-            + 0.5 * lam * lam * (east - 2.0 * ctr + west)
-        )
-    return _rebuild(field, mat, a_new, b_new)
+    return _step(_lax_wendroff, field, mat, dt, far_values)

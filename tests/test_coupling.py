@@ -11,12 +11,9 @@ import pytest
 from bodywave.coupling import (
     CoupledState,
     SingularBodyUpdate,
-    fill_ghost_first_order,
-    fill_ghost_second_order,
-    interface_stress_first_order,
-    interface_stress_second_order,
-    solve_body_backward_euler,
-    solve_body_trapezoidal,
+    fill_ghost,
+    interface_stress,
+    solve_body,
     step_algorithm1,
     step_algorithm2,
 )
@@ -44,10 +41,10 @@ def test_interface_stress_first_order_values():
     vb, alpha = 0.37, 1.9
     jl = fl.grid.body_cell_index(1)
     jr = fr.grid.body_cell_index(1)
-    assert interface_stress_first_order(fl, vb, alpha) == pytest.approx(
+    assert interface_stress(fl, vb, alpha, 1) == pytest.approx(
         fl.sigma[jl] + alpha * (vb - fl.v[jl]), rel=1e-15
     )
-    assert interface_stress_first_order(fr, vb, alpha) == pytest.approx(
+    assert interface_stress(fr, vb, alpha, 1) == pytest.approx(
         fr.sigma[jr] + alpha * (fr.v[jr] - vb), rel=1e-15
     )
 
@@ -61,73 +58,70 @@ def test_interface_stress_second_order_uses_extrapolant():
         es = 1.5 * f.sigma[j1] - 0.5 * f.sigma[j2]
         sgn = 1.0 if f.grid.side == "right" else -1.0
         expect = es + alpha * sgn * (ev - vb)
-        assert interface_stress_second_order(f, vb, alpha) == pytest.approx(expect, rel=1e-14)
+        assert interface_stress(f, vb, alpha, 2) == pytest.approx(expect, rel=1e-14)
 
 
 def test_alpha_zero_returns_raw_edge_stress():
     fl, fr = _pair()
     j = fl.grid.body_cell_index(1)
-    assert interface_stress_first_order(fl, 123.0, 0.0) == fl.sigma[j]
+    assert interface_stress(fl, 123.0, 0.0, 1) == fl.sigma[j]
+
+
+def _check_body_solve(order, theta, new_seed, old_seed, m, vb, dt, al, ar, tol):
+    """The theta-method residual, built from interface_stress alone, is
+    zero at the solved velocity; old fields enter at the old velocity."""
+    fl_new, fr_new = _pair(seed_shift=new_seed)
+    fl_old, fr_old = _pair(seed_shift=old_seed)
+
+    def force(left, right, v):
+        return interface_stress(right, v, ar, order) - interface_stress(left, v, al, order)
+
+    def residual(v_new):
+        return m * (v_new - vb) - dt * (
+            theta * force(fl_new, fr_new, v_new) + (1.0 - theta) * force(fl_old, fr_old, vb)
+        )
+
+    got = solve_body(fl_new, fr_new, fl_old, fr_old, m, vb, dt, al, ar, order)
+    assert got == pytest.approx(_linear_root(residual), rel=1e-13)
+    assert abs(residual(got)) < tol
 
 
 def test_backward_euler_solve_matches_linear_oracle():
-    fl, fr = _pair()
-    m, vb, dt, al, ar = 0.73, 0.11, 0.004, 1.3, 0.0
-
-    def residual(v_new):
-        s_r = interface_stress_first_order(fr, v_new, ar)
-        s_l = interface_stress_first_order(fl, v_new, al)
-        return m * (v_new - vb) - dt * (s_r - s_l)
-
-    got = solve_body_backward_euler(fl, fr, m, vb, dt, al, ar)
-    assert got == pytest.approx(_linear_root(residual), rel=1e-13)
-    assert abs(residual(got)) < 1e-14
+    _check_body_solve(1, 1.0, 0, 0, m=0.73, vb=0.11, dt=0.004, al=1.3, ar=0.0, tol=1e-14)
 
 
 def test_trapezoidal_solve_matches_compositional_oracle():
-    fl_new, fr_new = _pair(seed_shift=1)
-    fl_old, fr_old = _pair(seed_shift=2)
-    m, vb, dt, al, ar = 0.2, -0.4, 0.01, 1.7, 2.4
-
-    def force(left, right, v):
-        return interface_stress_second_order(right, v, ar) - interface_stress_second_order(left, v, al)
-
-    def residual(v_new):
-        return m * (v_new - vb) - 0.5 * dt * (
-            force(fl_new, fr_new, v_new) + force(fl_old, fr_old, vb)
-        )
-
-    got = solve_body_trapezoidal(fl_new, fr_new, fl_old, fr_old, m, vb, dt, al, ar)
-    assert got == pytest.approx(_linear_root(residual), rel=1e-13)
-    assert abs(residual(got)) < 1e-13
+    _check_body_solve(2, 0.5, 1, 2, m=0.2, vb=-0.4, dt=0.01, al=1.7, ar=2.4, tol=1e-13)
 
 
 def test_singular_body_update_raised():
     fl, fr = _pair()
-    with pytest.raises(SingularBodyUpdate):
-        solve_body_backward_euler(fl, fr, 0.0, 1.0, 0.01, 0.0, 0.0)
-    with pytest.raises(SingularBodyUpdate):
-        solve_body_trapezoidal(fl, fr, fl, fr, 0.0, 1.0, 0.01, 0.0, 0.0)
-    # massless is fine once alpha > 0
-    solve_body_backward_euler(fl, fr, 0.0, 1.0, 0.01, 1.0, 1.0)
+    for order in (1, 2):
+        with pytest.raises(SingularBodyUpdate):
+            solve_body(fl, fr, fl, fr, 0.0, 1.0, 0.01, 0.0, 0.0, order)
+        # massless is fine once alpha > 0
+        solve_body(fl, fr, fl, fr, 0.0, 1.0, 0.01, 1.0, 1.0, order)
 
 
 def test_ghost_fill_first_order_sets_interface_values():
-    fl, _ = _pair()
-    out = fill_ghost_first_order(fl, 0.9, -1.1)
-    g = fl.grid.ghost_index
-    assert out.v[g] == 0.9 and out.sigma[g] == -1.1
-    interior = fl.grid.interior
-    assert np.array_equal(out.v[interior], fl.v[interior])
+    for f in _pair():
+        out = f.copy()
+        fill_ghost(out, 0.9, -1.1, 1)
+        g = f.grid.ghost_index
+        assert out.v[g] == 0.9 and out.sigma[g] == -1.1
+        interior = f.grid.interior
+        assert np.array_equal(out.v[interior], f.v[interior])
 
 
 def test_ghost_fill_second_order_reflects_through_interface():
-    _, fr = _pair()
     vb, si = 0.25, 2.0
-    out = fill_ghost_second_order(fr, vb, si)
-    g, j1 = fr.grid.ghost_index, fr.grid.body_cell_index(1)
-    assert 0.5 * (out.v[g] + out.v[j1]) == pytest.approx(vb, rel=1e-15)
-    assert 0.5 * (out.sigma[g] + out.sigma[j1]) == pytest.approx(si, rel=1e-15)
+    for f in _pair():
+        out = f.copy()
+        fill_ghost(out, vb, si, 2)
+        g, j1 = f.grid.ghost_index, f.grid.body_cell_index(1)
+        assert 0.5 * (out.v[g] + out.v[j1]) == pytest.approx(vb, rel=1e-15)
+        assert 0.5 * (out.sigma[g] + out.sigma[j1]) == pytest.approx(si, rel=1e-15)
+        assert np.array_equal(out.v[f.grid.interior], f.v[f.grid.interior])
 
 
 @pytest.mark.parametrize("m_body", [1.0, 1e-3])
@@ -228,7 +222,46 @@ def test_initial_state_ghosts_consistent():
     fl, fr = _pair()
     st = CoupledState.initial(fl, fr, 0.5, 1.0, 2.0, order=2)
     for f, alpha in ((st.left, 1.0), (st.right, 2.0)):
-        si = interface_stress_second_order(f, 0.5, alpha)
+        si = interface_stress(f, 0.5, alpha, 2)
         g, j1 = f.grid.ghost_index, f.grid.body_cell_index(1)
         assert 0.5 * (f.sigma[g] + f.sigma[j1]) == pytest.approx(si, rel=1e-13)
         assert 0.5 * (f.v[g] + f.v[j1]) == pytest.approx(0.5, rel=1e-13)
+
+
+def _mirror_field(f):
+    """x -> -x: the field on the other side, arrays reversed, v negated."""
+    other = "left" if f.grid.side == "right" else "right"
+    grid = Grid1D(other, f.grid.n_cells, f.grid.dx, f.grid.body_half_width)
+    return FluidField1D(grid, -f.v[::-1], f.sigma[::-1].copy())
+
+
+def _mirror(state):
+    return CoupledState(_mirror_field(state.right), _mirror_field(state.left),
+                        -state.v_body, -state.x_body, state.t)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("alpha_scale", [0.0, 1.0])
+def test_step_commutes_with_mirror_reflection(order, alpha_scale):
+    """Reflecting x -> -x (swap sides, reverse arrays, negate v and v_body,
+    keep sigma, swap materials, alphas and far values) commutes with one
+    partitioned step."""
+    matl, matr = FluidMaterial(1.0, np.sqrt(2.0)), FluidMaterial(2.5, np.sqrt(3.0))
+    al, ar = alpha_scale * matl.z, alpha_scale * matr.z
+    fl, fr = _pair(n=10, seed_shift=3)
+    state = CoupledState(fl, fr, 0.3, 0.05, 0.2)
+    far_l, far_r = (0.4, -0.7), (-0.2, 0.9)
+    m, dt = 0.6, 0.8 * fl.grid.dx / matr.c
+    stepper = step_algorithm1 if order == 1 else step_algorithm2
+
+    out = _mirror(stepper(state, matl, matr, m, dt, al, ar, far_l, far_r))
+    got = stepper(_mirror(state), matr, matl, m, dt, ar, al,
+                  (-far_r[0], far_r[1]), (-far_l[0], far_l[1]))
+    scale = max(np.max(np.abs(f)) for f in (fl.v, fl.sigma, fr.v, fr.sigma))
+    for a, b in ((got.left, out.left), (got.right, out.right)):
+        assert a.grid == b.grid
+        assert np.max(np.abs(a.v - b.v)) <= 1e-14 * scale
+        assert np.max(np.abs(a.sigma - b.sigma)) <= 1e-14 * scale
+    assert abs(got.v_body - out.v_body) <= 1e-14 * scale
+    assert abs(got.x_body - out.x_body) <= 1e-14 * scale
+    assert got.t == out.t

@@ -11,8 +11,9 @@ The files under tests/golden/ hold, for the reference setup:
 
 Tolerances: error norms 1e-10 relative, final body values 1e-10 relative
 or 1e-13 absolute (massless runs end near a zero crossing of v_body), field
-states 1e-13 of the field's largest magnitude, stability verdicts and predictions
-identical, measured growth rates 1e-12 relative.
+states and the raw state's v_body 1e-13 of the largest field magnitude,
+stability verdicts and predictions identical, measured growth rates 1e-12
+relative.
 
 Regenerate (only when a change of output is intended and explained) with
 
@@ -127,8 +128,11 @@ def test_raw_state_matches_golden(order):
         w, g = np.array(want[name]), np.array(got[name])
         assert g.shape == w.shape
         assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), name
-    for name in ("v_body", "x_body", "t"):
-        assert _close(got[name], want[name], 1e-10, 1e-13), name
+    # the body is nearly at rest by now: v_body is held to the velocity field's scale
+    v_scale = max(np.max(np.abs(want["left_v"])), np.max(np.abs(want["right_v"])))
+    assert abs(got["v_body"] - want["v_body"]) <= 1e-13 * v_scale
+    for name in ("x_body", "t"):
+        assert _close(got[name], want[name], 1e-10), name
 
 
 def test_stability_sweep_matches_golden():

@@ -1,12 +1,18 @@
 """Experiment harness and CLI: configs, reports, tables, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bodywave.cli import main
+import bodywave
+
+from bodywave.cli import build_parser, config_from_args, main
 from bodywave.harness import (
     RunConfig,
     format_table,
@@ -63,7 +69,8 @@ def test_config_json_round_trip(tmp_path):
     cfg = RunConfig(mode="converge1d", scheme="first", mass=1e-3, levels=3)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
-    assert RunConfig.from_json(str(path)) == cfg
+    args = build_parser().parse_args(["converge", "--config", str(path)])
+    assert config_from_args(args) == cfg
 
 
 def test_alphas_per_coupling():
@@ -204,6 +211,7 @@ def test_write_json_report_parses_back(tmp_path):
     loaded = json.loads(path.read_text())
     assert loaded["config"]["n_cells"] == 16
     assert loaded["errors"]["v_max"] == pytest.approx(rep["errors"]["v_max"])
+    assert loaded["diverged"] is False  # a bool, not 0
 
 
 def test_format_table_rendering():
@@ -244,6 +252,32 @@ def test_cli_unknown_config_key_exits_2(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"bogus": 1}))
     assert main(["simulate", "--config", str(cfg_path)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", "{not json", None])
+def test_cli_bad_config_file_exits_2(tmp_path, capsys, content):
+    cfg_path = tmp_path / "cfg.json"
+    if content is not None:
+        cfg_path.write_text(content)
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_json_to_stdout_appends_to_redirected_file(tmp_path):
+    """`bodywave simulate >> log.txt` keeps what log.txt already held."""
+    log = tmp_path / "log.txt"
+    log.write_text("earlier line\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(bodywave.__file__).parents[1]))
+    with open(log, "a") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bodywave.cli", "simulate", "--cells", "16", "--tfinal", "0.05"],
+            stdout=fh, env=env, timeout=120,
+        )
+    assert proc.returncode == 0
+    text = log.read_text()
+    assert text.startswith("earlier line\n")
+    report = json.JSONDecoder().raw_decode(text[len("earlier line\n"):])[0]
+    assert report["config"]["n_cells"] == 16 and report["diverged"] is False
 
 
 def test_cli_numerical_failure_exits_3(capsys):
