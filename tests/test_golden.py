@@ -7,17 +7,22 @@ The files under tests/golden/ hold, for the reference setup:
   coupling (m = 1), n = 100 cells per side;
 - `states.json`: the raw coupled state after 300 steps of each algorithm at
   n = 400, m = 1e-3, projection coupling;
-- `stability.json`: the stability sweep rows at m = 1e-3, seed 5.
+- `stability.json`: the stability sweep rows at m = 1e-3, seed 5;
+- `addedmass.json`: the `addedmass --shape all --resolution 512` table rows;
+- `rb3d.json`: the `rb3d` DIRK3 histories at m = 0 and m = 0.5.
 
 Tolerances: error norms 1e-10 relative, final body values 1e-10 relative
 or 1e-13 absolute (massless runs end near a zero crossing of v_body), field
 states and the raw state's v_body 1e-13 of the largest field magnitude,
 stability verdicts and predictions identical, measured growth rates 1e-12
-relative.
+relative, added-mass table values 1e-12 of the largest |value| of their
+shape with identical `ok` flags, rigid-body histories 1e-12 of each
+series' largest magnitude (the axes' orthogonality drift against the unit
+scale of the axes themselves).
 
 Regenerate (only when a change of output is intended and explained) with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [file.json ...]
 """
 
 import json
@@ -36,7 +41,12 @@ from bodywave import (
     step_algorithm1,
     step_algorithm2,
 )
-from bodywave.harness import run_simulation, run_stability_sweep
+from bodywave.harness import (
+    run_addedmass_table,
+    run_rigidbody_demo,
+    run_simulation,
+    run_stability_sweep,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -48,6 +58,9 @@ SIM_CASES = [
 ]
 STATE_N, STATE_STEPS, STATE_MASS = 400, 300, 1e-3
 SWEEP_MASS, SWEEP_SEED = 1e-3, 5
+TABLE_RESOLUTION = 512
+RB3D_MASSES = (0.0, 0.5)
+RB3D_SERIES = ("t", "x", "v", "omega", "e_drift")
 
 
 def _sim_key(scheme, coupling, mass):
@@ -95,6 +108,22 @@ def state_outputs() -> dict:
 def stability_outputs() -> dict:
     rep = run_stability_sweep(RunConfig(mode="stability_sweep", mass=SWEEP_MASS, seed=SWEEP_SEED))
     return {"rows": rep["rows"], "all_agree": rep["all_agree"]}
+
+
+def addedmass_outputs() -> dict:
+    rep = run_addedmass_table(
+        RunConfig(mode="addedmass_table", shape="all", resolution=TABLE_RESOLUTION))
+    keep = ("shape", "params", "entry", "value", "ok")
+    return {"rows": [{k: row[k] for k in keep} for row in rep["rows"]], "all_ok": rep["all_ok"]}
+
+
+def rb3d_outputs_for(mass) -> dict:
+    hist = run_rigidbody_demo(RunConfig(mode="rigidbody3d_demo", mass=mass))["history"]
+    return {k: hist[k] for k in RB3D_SERIES}
+
+
+def rb3d_outputs() -> dict:
+    return {f"m={mass!r}": rb3d_outputs_for(mass) for mass in RB3D_MASSES}
 
 
 def _load(name):
@@ -150,9 +179,45 @@ def test_stability_sweep_matches_golden():
             assert _close(g["measured_rate"], w["measured_rate"], 1e-12), (g, w)
 
 
+def test_addedmass_table_matches_golden():
+    want = _load("addedmass.json")
+    got = addedmass_outputs()
+    assert got["all_ok"] == want["all_ok"]
+    assert [(r["shape"], r["params"], r["entry"]) for r in got["rows"]] == \
+        [(r["shape"], r["params"], r["entry"]) for r in want["rows"]]
+    scale = {}
+    for w in want["rows"]:
+        scale[w["shape"]] = max(scale.get(w["shape"], 0.0), abs(w["value"]))
+    for g, w in zip(got["rows"], want["rows"]):
+        assert g["ok"] == w["ok"], (g, w)
+        assert abs(g["value"] - w["value"]) <= 1e-12 * scale[w["shape"]], (g, w)
+
+
+@pytest.mark.parametrize("mass", RB3D_MASSES)
+def test_rb3d_history_matches_golden(mass):
+    want = _load("rb3d.json")[f"m={mass!r}"]
+    got = rb3d_outputs_for(mass)
+    for name in RB3D_SERIES:
+        w, g = np.array(want[name]), np.array(got[name])
+        assert g.shape == w.shape, name
+        scale = 1.0 if name == "e_drift" else np.max(np.abs(w))
+        assert np.max(np.abs(g - w)) <= 1e-12 * scale, name
+
+
+GOLDEN_BUILDERS = {
+    "simulate.json": simulate_outputs,
+    "states.json": state_outputs,
+    "stability.json": stability_outputs,
+    "addedmass.json": addedmass_outputs,
+    "rb3d.json": rb3d_outputs,
+}
+
+
 if __name__ == "__main__":
+    import sys
+
     GOLDEN.mkdir(exist_ok=True)
-    for name, build in (("simulate.json", simulate_outputs), ("states.json", state_outputs),
-                        ("stability.json", stability_outputs)):
-        (GOLDEN / name).write_text(json.dumps(build(), indent=1, sort_keys=True) + "\n")
+    for name in sys.argv[1:] or GOLDEN_BUILDERS:
+        text = json.dumps(GOLDEN_BUILDERS[name](), indent=1, sort_keys=True) + "\n"
+        (GOLDEN / name).write_text(text)
         print(f"wrote {GOLDEN / name}")
