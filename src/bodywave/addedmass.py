@@ -7,10 +7,11 @@ arm factor Yn = y x n (y = r - center):
     A^vv = | z_f n n^T ds          A^vw = | z_f n (Yn)^T ds
     A^wv = | z_f (Yn) n^T ds       A^ww = | z_f (Yn)(Yn)^T ds
 
-assembled into a 6x6 composite that is symmetric positive semi-definite.
-Planar shapes embed in 3D with n3 = y3 = 0, so a single assembly path
-serves both; closed forms exist for axis-aligned boxes, circles and
-spheres.
+assembled into a 6x6 composite, the weighted Gram product of the 6-vector
+field g = [n ; Yn], which is symmetric positive semi-definite.  The
+quadrature nodes come as one record of arrays.  Planar shapes embed in 3D
+with n3 = y3 = 0, so a single assembly path serves both; closed forms
+exist for axis-aligned boxes, circles and spheres.
 """
 
 from __future__ import annotations
@@ -130,14 +131,23 @@ class Starfish:
 
 
 @dataclass(frozen=True)
-class SurfaceSample:
-    """One quadrature node: position, outward unit normal, local impedance
-    and arclength/area weight."""
+class SurfaceQuadrature:
+    """Quadrature nodes as arrays: positions and outward unit normals (n, 3),
+    local impedance z_f and arclength/area weights (n,)."""
 
-    position: np.ndarray  # (3,)
-    normal: np.ndarray  # (3,), |n| = 1
-    z_f: float
-    weight: float
+    positions: np.ndarray
+    normals: np.ndarray
+    z_f: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        if np.any(self.weights <= 0.0):
+            raise DegenerateGeometry("non-positive quadrature weight")
+        norms = np.linalg.norm(self.normals, axis=1)
+        assert np.all(np.abs(norms - 1.0) < 1e-10), "normals not unit length"
+
+    def __len__(self) -> int:
+        return len(self.weights)
 
 
 # -- sampling -----------------------------------------------------------------
@@ -145,22 +155,9 @@ class SurfaceSample:
 
 def _impedance_values(impedance_fn, positions: np.ndarray) -> np.ndarray:
     if impedance_fn is None:
-        return np.ones(len(positions))
-    if np.isscalar(impedance_fn):
-        return np.full(len(positions), float(impedance_fn))
-    z = np.asarray(impedance_fn(positions), dtype=float)
-    return np.broadcast_to(z, (len(positions),)).copy()
-
-
-def _pack(positions, normals, z, weights):
-    if np.any(weights <= 0.0):
-        raise DegenerateGeometry("non-positive quadrature weight")
-    norms = np.linalg.norm(normals, axis=1)
-    assert np.all(np.abs(norms - 1.0) < 1e-10), "normals not unit length"
-    return [
-        SurfaceSample(positions[i], normals[i], z[i], weights[i])
-        for i in range(len(weights))
-    ]
+        impedance_fn = 1.0
+    z = impedance_fn(positions) if callable(impedance_fn) else float(impedance_fn)
+    return np.broadcast_to(np.asarray(z, dtype=float), (len(positions),)).copy()
 
 
 def _curve_samples(positions2, tangents2, n):
@@ -221,13 +218,17 @@ def _sample_parametric_curve(shape: ParametricCurve2D, n: int):
     return _curve_samples(pos, tan, n)
 
 
+def _theta_u_grid(n: int):
+    """Flattened theta x u nodes and weights: periodic trapezoid in theta
+    over [0, 2 pi), Gauss-Legendre in u over (-1, 1)."""
+    u, gw = leggauss(n)
+    TH, U = np.meshgrid(2.0 * np.pi * np.arange(n) / n, u, indexing="ij")
+    return TH.ravel(), U.ravel(), np.outer(np.full(n, 2.0 * np.pi / n), gw).ravel()
+
+
 def _sample_ellipsoid(shape: Ellipsoid, n: int):
     a, b, c = shape.a, shape.b, shape.c
-    th = 2.0 * np.pi * np.arange(n) / n
-    u, gw = leggauss(n)
-    TH, U = np.meshgrid(th, u, indexing="ij")
-    TH, U = TH.ravel(), U.ravel()
-    W = np.outer(np.full(n, 2.0 * np.pi / n), gw).ravel()
+    TH, U, W = _theta_u_grid(n)
     rt = np.sqrt(1.0 - U * U)
     pos = np.column_stack([a * rt * np.cos(TH), b * rt * np.sin(TH), c * U])
     # cross(d_theta, d_u) = (b c rt cos, a c rt sin, a b u): outward
@@ -239,11 +240,7 @@ def _sample_ellipsoid(shape: Ellipsoid, n: int):
 
 
 def _sample_parametric_surface(shape: ParametricSurface3D, n: int):
-    th = 2.0 * np.pi * np.arange(n) / n
-    u, gw = leggauss(n)
-    TH, U = np.meshgrid(th, u, indexing="ij")
-    TH, U = TH.ravel(), U.ravel()
-    W = np.outer(np.full(n, 2.0 * np.pi / n), gw).ravel()
+    TH, U, W = _theta_u_grid(n)
     h = 1e-6
     pos = np.asarray(shape.fn(TH, U), dtype=float)
     d_th = (np.asarray(shape.fn(TH + h, U)) - np.asarray(shape.fn(TH - h, U))) / (2 * h)
@@ -291,8 +288,15 @@ def _sample_prism(shape: Prism, n: int):
     return np.vstack(pos), np.vstack(nrm), np.concatenate(wts)
 
 
-def sample_surface(shape, impedance_fn=None, resolution: int = 64) -> list:
-    """Quadrature nodes covering the body surface.
+_SAMPLERS = {
+    Ellipse: _sample_ellipse, Starfish: _sample_starfish, Rectangle: _sample_rectangle,
+    ParametricCurve2D: _sample_parametric_curve, Ellipsoid: _sample_ellipsoid,
+    ParametricSurface3D: _sample_parametric_surface, Prism: _sample_prism,
+}
+
+
+def sample_surface(shape, impedance_fn=None, resolution: int = 64) -> SurfaceQuadrature:
+    """Quadrature nodes covering the body surface, as one record of arrays.
 
     resolution means: samples along a closed curve; Gauss points per edge
     (rectangle) or per face dimension (prism); theta x u points per
@@ -302,26 +306,14 @@ def sample_surface(shape, impedance_fn=None, resolution: int = 64) -> list:
     """
     if resolution < 8:
         raise ValueError(f"resolution must be >= 8, got {resolution}")
-    if isinstance(shape, Ellipse):
-        pos, nrm, wts = _sample_ellipse(shape, resolution)
-    elif isinstance(shape, Starfish):
-        pos, nrm, wts = _sample_starfish(shape, resolution)
-    elif isinstance(shape, ParametricCurve2D):
-        pos, nrm, wts = _sample_parametric_curve(shape, resolution)
-    elif isinstance(shape, Ellipsoid):
-        pos, nrm, wts = _sample_ellipsoid(shape, resolution)
-    elif isinstance(shape, ParametricSurface3D):
-        pos, nrm, wts = _sample_parametric_surface(shape, resolution)
-    elif isinstance(shape, Rectangle):
-        pos, nrm, wts = _sample_rectangle(shape, resolution)
-    elif isinstance(shape, Prism):
-        pos, nrm, wts = _sample_prism(shape, resolution)
-    else:
+    sampler = next((f for kind, f in _SAMPLERS.items() if isinstance(shape, kind)), None)
+    if sampler is None:
         raise UnsupportedShape(f"cannot sample {type(shape).__name__}")
+    pos, nrm, wts = sampler(shape, resolution)
     z = _impedance_values(impedance_fn, pos)
     if np.any(z < 0.0):
         raise ValueError("impedance must be >= 0")
-    return _pack(pos, nrm, z, wts)
+    return SurfaceQuadrature(pos, nrm, z, wts)
 
 
 # -- tensor assembly ----------------------------------------------------------
@@ -329,44 +321,39 @@ def sample_surface(shape, impedance_fn=None, resolution: int = 64) -> list:
 
 @dataclass(frozen=True)
 class AddedMassTensors:
-    """The four 3x3 blocks and their 6x6 composite."""
+    """The 6x6 composite [[A^vv, A^vw], [A^wv, A^ww]], held read-only; the
+    four 3x3 blocks are views of it."""
 
-    avv: np.ndarray
-    avw: np.ndarray
-    awv: np.ndarray
-    aww: np.ndarray
     composite: np.ndarray
 
     def __post_init__(self):
-        scale = max(np.max(np.abs(self.composite)), 1e-300)
-        for m in (self.avv, self.aww):
-            assert np.max(np.abs(m - m.T)) <= 1e-10 * scale
-        assert np.max(np.abs(self.awv - self.avw.T)) <= 1e-10 * scale
+        comp = np.array(self.composite, dtype=float)
+        assert comp.shape == (6, 6)
+        comp.flags.writeable = False
+        object.__setattr__(self, "composite", comp)
+        scale = max(np.max(np.abs(comp)), 1e-300)
+        assert np.max(np.abs(comp - comp.T)) <= 1e-10 * scale, "composite not symmetric"
+
+    avv = property(lambda self: self.composite[:3, :3])
+    avw = property(lambda self: self.composite[:3, 3:])
+    awv = property(lambda self: self.composite[3:, :3])
+    aww = property(lambda self: self.composite[3:, 3:])
 
     @classmethod
     def from_blocks(cls, avv, avw, awv, aww) -> "AddedMassTensors":
-        comp = np.block([[avv, avw], [awv, aww]])
-        return cls(avv, avw, awv, aww, comp)
+        return cls(np.block([[avv, avw], [awv, aww]]))
 
 
-def added_mass_tensors(samples: list, origin=None) -> AddedMassTensors:
-    """Assemble the tensors from surface samples (pairwise summation, so
-    the result is reproducible to ~1e-10 independent of sample order).
-    Moment arms are measured from origin (default: the coordinate origin);
-    pass the body center when the samples live in world coordinates."""
-    if len(samples) == 0:
+def added_mass_tensors(quad: SurfaceQuadrature, origin=None) -> AddedMassTensors:
+    """Assemble the composite as the weighted Gram product G^T diag(z_f w) G
+    with rows g = [n, y x n].  Moment arms y = r - origin are measured from
+    origin (default: the coordinate origin); pass the body center when the
+    nodes live in world coordinates."""
+    if len(quad) == 0:
         raise ValueError("no surface samples")
-    pos = np.array([s.position for s in samples])
-    nrm = np.array([s.normal for s in samples])
-    zw = np.array([s.z_f * s.weight for s in samples])
-    if origin is not None:
-        pos = pos - np.asarray(origin, dtype=float)
-    yn = np.cross(pos, nrm)
-    avv = np.sum(zw[:, None, None] * nrm[:, :, None] * nrm[:, None, :], axis=0)
-    avw = np.sum(zw[:, None, None] * nrm[:, :, None] * yn[:, None, :], axis=0)
-    awv = np.sum(zw[:, None, None] * yn[:, :, None] * nrm[:, None, :], axis=0)
-    aww = np.sum(zw[:, None, None] * yn[:, :, None] * yn[:, None, :], axis=0)
-    return AddedMassTensors.from_blocks(avv, avw, awv, aww)
+    y = quad.positions if origin is None else quad.positions - np.asarray(origin, dtype=float)
+    g = np.hstack([quad.normals, np.cross(y, quad.normals)])
+    return AddedMassTensors(g.T @ ((quad.z_f * quad.weights)[:, None] * g))
 
 
 def added_mass_analytic(shape, z_f: float = 1.0) -> AddedMassTensors:

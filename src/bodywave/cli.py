@@ -94,7 +94,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_dict(data)
 
 
-def _emit(report: dict, cfg: RunConfig) -> None:
+def _emit(report: dict, cfg: RunConfig):
+    """Write the report; return the stream left for the summary lines
+    (stderr when the JSON report itself went to stdout)."""
     if "rows" in report:
         print(format_table(report["rows"]))
         if cfg.out:
@@ -106,21 +108,23 @@ def _emit(report: dict, cfg: RunConfig) -> None:
             print(f"wrote {cfg.out}")
         else:
             sys.stdout.write(format_json(report))
+            return sys.stderr
+    return sys.stdout
 
 
-def _summarize(report: dict) -> None:
+def _summarize(report: dict, stream) -> None:
     if "rates" in report:
         rates = ", ".join(f"{k}={v:.3f}" for k, v in report["rates"].items())
-        print(f"fitted rates: {rates}")
+        print(f"fitted rates: {rates}", file=stream)
     if "all_agree" in report:
-        print(f"prediction/measurement agreement: {report['all_agree']}")
+        print(f"prediction/measurement agreement: {report['all_agree']}", file=stream)
     if "all_ok" in report:
-        print(f"all reference checks passed: {report['all_ok']}")
+        print(f"all reference checks passed: {report['all_ok']}", file=stream)
     if "errors" in report:
         errs = ", ".join(f"{k}={v:.3e}" for k, v in report["errors"].items())
-        print(f"errors vs exact solution: {errs}")
+        print(f"errors vs exact solution: {errs}", file=stream)
     if "max_e_drift" in report:
-        print(f"max axes orthogonality drift: {report['max_e_drift']:.3e}")
+        print(f"max axes orthogonality drift: {report['max_e_drift']:.3e}", file=stream)
 
 
 def main(argv=None) -> int:
@@ -139,8 +143,7 @@ def main(argv=None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     try:
-        _emit(report, cfg)
-        _summarize(report)
+        _summarize(report, _emit(report, cfg))
     except BrokenPipeError:
         # downstream closed the pipe (e.g. `bodywave ... | head`); point
         # stdout at devnull so the interpreter's exit flush stays quiet

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
-from math import ceil, pi, sqrt
+from math import ceil, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -506,8 +506,7 @@ def run_addedmass_table(cfg: RunConfig) -> dict:
 
 def run_rigidbody_demo(cfg: RunConfig) -> dict:
     """Short DIRK3 integration of an ellipsoid with sinusoidal forcing."""
-    samples = sample_surface(Ellipsoid(1.0, 1.0, 2.0), 1.0, 32)
-    tensors = added_mass_tensors(samples)
+    tensors = added_mass_tensors(sample_surface(Ellipsoid(1.0, 1.0, 2.0), 1.0, 32))
     inertia = BodyInertia(cfg.mass, np.eye(3))
 
     def provider(t):
@@ -549,8 +548,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
         return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
+    if isinstance(obj, (np.floating, float)):  # strict JSON: non-finite -> null
+        return float(obj) if isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
@@ -561,8 +560,9 @@ def _config_echo_lines(config: dict) -> list[str]:
 
 
 def format_json(report: dict) -> str:
-    """Report as indented, key-sorted JSON text ending in a newline."""
-    return json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+    """Report as strict (no NaN/Infinity), indented, key-sorted JSON text
+    ending in a newline."""
+    return json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json_report(path: str, report: dict) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import polar
 
-from .addedmass import AddedMassTensors, added_mass_tensors
+from .addedmass import AddedMassTensors, SurfaceQuadrature, added_mass_tensors
 
 
 class SingularStage(RuntimeError):
@@ -123,7 +123,7 @@ class PartialForcing:
 
 
 def partial_forcing_from_surface(
-    samples: list,
+    quad: SurfaceQuadrature,
     p_f: np.ndarray,
     v_f: np.ndarray,
     f_b: np.ndarray,
@@ -132,19 +132,16 @@ def partial_forcing_from_surface(
 ) -> PartialForcing:
     """Quadrature of F~ = int(-p_f n + z_f (n.v_f) n) ds + f_b and the
     matching torque with moment arm y = r - x_b; p_f, v_f are the fluid
-    pressure/velocity per sample."""
+    pressure/velocity per node."""
     p_f = np.asarray(p_f, dtype=float)
     v_f = np.asarray(v_f, dtype=float)
-    assert p_f.shape == (len(samples),) and v_f.shape == (len(samples), 3)
-    nrm = np.array([s.normal for s in samples])
-    pos = np.array([s.position for s in samples])
-    z = np.array([s.z_f for s in samples])
-    w = np.array([s.weight for s in samples])
-    strength = (-p_f + z * np.sum(nrm * v_f, axis=1)) * w  # (-p + z n.v) per node
+    assert p_f.shape == (len(quad),) and v_f.shape == (len(quad), 3)
+    nrm = quad.normals
+    strength = (-p_f + quad.z_f * np.sum(nrm * v_f, axis=1)) * quad.weights  # (-p + z n.v) w
     f_tilde = np.sum(strength[:, None] * nrm, axis=0) + np.asarray(f_b, dtype=float)
-    y = pos - state.x
+    y = quad.positions - state.x
     t_tilde = np.sum(strength[:, None] * np.cross(y, nrm), axis=0) + np.asarray(g_b, dtype=float)
-    return PartialForcing(f_tilde, t_tilde, added_mass_tensors(samples, origin=state.x))
+    return PartialForcing(f_tilde, t_tilde, added_mass_tensors(quad, origin=state.x))
 
 
 def force_and_torque(state: RigidBodyState3D, forcing: PartialForcing):
@@ -153,45 +150,6 @@ def force_and_torque(state: RigidBodyState3D, forcing: PartialForcing):
     force = -t.avv @ state.v - t.avw @ state.omega + forcing.f_tilde
     torque = -t.awv @ state.v - t.aww @ state.omega + forcing.t_tilde
     return force, torque
-
-
-@dataclass(frozen=True)
-class StateSlope:
-    """Time derivative of a rigid-body state; E here is a slope, so no
-    orthogonality constraint applies."""
-
-    x: np.ndarray
-    v: np.ndarray
-    omega: np.ndarray
-    E: np.ndarray
-
-    def __post_init__(self):
-        for name in ("x", "v", "omega", "E"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        assert self.x.shape == self.v.shape == self.omega.shape == (3,)
-        assert self.E.shape == (3, 3)
-
-
-def added_mass_rhs_residual(
-    state_dot: StateSlope,
-    state: RigidBodyState3D,
-    forcing: PartialForcing,
-    inertia: BodyInertia,
-) -> np.ndarray:
-    """Residual of the added-mass Newton-Euler system, 18 components:
-    position (3), momentum (3), angular momentum (3), axes (9)."""
-    t = forcing.tensors
-    w_mat = cross_matrix(state.omega)
-    r_x = state_dot.x - state.v
-    r_v = inertia.mass * state_dot.v + t.avv @ state.v + t.avw @ state.omega - forcing.f_tilde
-    r_w = (
-        inertia.A @ state_dot.omega
-        + t.awv @ state.v
-        + (t.aww + w_mat @ inertia.A) @ state.omega
-        - forcing.t_tilde
-    )
-    r_e = state_dot.E - w_mat @ state.E
-    return np.concatenate([r_x, r_v, r_w, r_e.ravel()])
 
 
 # -- DIRK integration ---------------------------------------------------------
@@ -256,24 +214,27 @@ class DIRKTableau:
 
 
 def _solve_stage(inertia, forcing, gamma_dt, v_base, omega_base):
-    """Newton solve for the stage slopes (k_v, k_w) of the momentum rows."""
+    """Newton solve for the stage slopes k = (k_v, k_w) of the momentum rows
+
+        diag(m I, A) k + A_m u + (0, w x A w) - (F~, T~) = 0,
+
+    u = (v_base, omega_base) + gamma_dt k = (v, w), A_m the 6x6 composite."""
     t = forcing.tensors
     m, A = inertia.mass, inertia.A
+    u_base = np.concatenate([v_base, omega_base])
+    forcing_6 = np.concatenate([forcing.f_tilde, forcing.t_tilde])
     k = np.zeros(6)
 
     def residual_and_jacobian(k):
-        vel = v_base + gamma_dt * k[:3]
-        omg = omega_base + gamma_dt * k[3:]
-        g_v = m * k[:3] + t.avv @ vel + t.avw @ omg - forcing.f_tilde
-        g_w = A @ k[3:] + t.awv @ vel + t.aww @ omg + np.cross(omg, A @ omg) - forcing.t_tilde
-        jac = np.zeros((6, 6))
-        jac[:3, :3] = m * np.eye(3) + gamma_dt * t.avv
-        jac[:3, 3:] = gamma_dt * t.avw
-        jac[3:, :3] = gamma_dt * t.awv
-        jac[3:, 3:] = A + gamma_dt * (
-            t.aww + cross_matrix(omg) @ A - cross_matrix(A @ omg)
-        )
-        return np.concatenate([g_v, g_w]), jac
+        u = u_base + gamma_dt * k
+        omg = u[3:]
+        g = t.composite @ u - forcing_6
+        g[:3] += m * k[:3]
+        g[3:] += A @ k[3:] + np.cross(omg, A @ omg)
+        jac = gamma_dt * t.composite
+        jac[:3, :3] += m * np.eye(3)
+        jac[3:, 3:] += A + gamma_dt * (cross_matrix(omg) @ A - cross_matrix(A @ omg))
+        return g, jac
 
     g, jac = residual_and_jacobian(k)
     cond = np.linalg.cond(jac)

@@ -272,16 +272,16 @@ def test_criterion_08_property_suite_fixed_seed():
     # PSD quadratic form equals the weighted normal-velocity integral
     psd_ok = True
     for shape in shapes(3):
-        samples = sample_surface(shape, impedance(), 48)
-        t = added_mass_tensors(samples)
+        q = sample_surface(shape, impedance(), 48)
+        t = added_mass_tensors(q)
         scale = np.max(np.abs(t.composite))
         for _ in range(3):
             u = rng.standard_normal(6)
             quad = u @ t.composite @ u
             direct = sum(
-                s.z_f * s.weight
-                * float(s.normal @ (u[:3] + np.cross(u[3:], s.position))) ** 2
-                for s in samples
+                q.z_f[i] * q.weights[i]
+                * float(q.normals[i] @ (u[:3] + np.cross(u[3:], q.positions[i]))) ** 2
+                for i in range(len(q))
             )
             psd_ok &= abs(quad - direct) <= 1e-10 * scale * (u @ u)
             psd_ok &= quad >= -1e-10 * scale * (u @ u)

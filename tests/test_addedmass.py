@@ -15,6 +15,7 @@ from bodywave.addedmass import (
     Prism,
     Rectangle,
     Starfish,
+    SurfaceQuadrature,
     UnsupportedShape,
     added_mass_analytic,
     added_mass_tensors,
@@ -22,28 +23,29 @@ from bodywave.addedmass import (
 )
 
 
-def _total_weight(samples):
-    return sum(s.weight for s in samples)
+def _total_weight(quad):
+    return quad.weights.sum()
 
 
 # -- sampling -----------------------------------------------------------------
 
 
 def test_circle_circumference():
-    samples = sample_surface(Ellipse(1.3, 1.3), 1.0, 64)
-    assert abs(_total_weight(samples) - 2.0 * np.pi * 1.3) < 1e-10
+    quad = sample_surface(Ellipse(1.3, 1.3), 1.0, 64)
+    assert len(quad) == 64
+    assert abs(_total_weight(quad) - 2.0 * np.pi * 1.3) < 1e-10
 
 
 def test_rectangle_perimeter_exact():
-    samples = sample_surface(Rectangle(1.0, 2.5), 1.0, 16)
-    assert abs(_total_weight(samples) - 2.0 * (1.0 + 2.5)) < 1e-13
+    quad = sample_surface(Rectangle(1.0, 2.5), 1.0, 16)
+    assert abs(_total_weight(quad) - 2.0 * (1.0 + 2.5)) < 1e-13
 
 
 def test_prism_surface_area_exact():
     lx, ly, lz = 1.0, 2.0, 0.5
-    samples = sample_surface(Prism(lx, ly, lz), 1.0, 8)
+    quad = sample_surface(Prism(lx, ly, lz), 1.0, 8)
     area = 2.0 * (lx * ly + ly * lz + lx * lz)
-    assert abs(_total_weight(samples) - area) < 1e-12
+    assert abs(_total_weight(quad) - area) < 1e-12
 
 
 def test_starfish_arclength_matches_adaptive_quadrature():
@@ -65,11 +67,12 @@ def test_starfish_arclength_matches_adaptive_quadrature():
 
 
 def test_sphere_area_and_unit_normals():
-    samples = sample_surface(Ellipsoid(2.0, 2.0, 2.0), 1.0, 32)
-    assert abs(_total_weight(samples) - 4.0 * np.pi * 4.0) < 1e-9
-    for s in samples[::37]:
-        assert abs(np.linalg.norm(s.normal) - 1.0) < 1e-10
-        assert s.weight > 0.0
+    quad = sample_surface(Ellipsoid(2.0, 2.0, 2.0), 1.0, 32)
+    assert len(quad) == 32 * 32
+    assert abs(_total_weight(quad) - 4.0 * np.pi * 4.0) < 1e-9
+    for i in range(0, len(quad), 37):
+        assert abs(np.linalg.norm(quad.normals[i]) - 1.0) < 1e-10
+        assert quad.weights[i] > 0.0
 
 
 def test_normals_point_outward_for_star_shaped_bodies():
@@ -80,14 +83,15 @@ def test_normals_point_outward_for_star_shaped_bodies():
         Prism(1.0, 2.0, 0.5),
     ]
     for shape in shapes:
-        for s in sample_surface(shape, 1.0, 16):
-            assert np.dot(s.normal, s.position) > 0.0, f"{shape}: inward normal"
+        quad = sample_surface(shape, 1.0, 16)
+        outward = np.sum(quad.normals * quad.positions, axis=1)
+        assert np.all(outward > 0.0), f"{shape}: inward normal"
 
 
 def test_clockwise_parametric_curve_still_gets_outward_normals():
     fn = lambda s: np.column_stack([np.cos(-2 * np.pi * s), np.sin(-2 * np.pi * s)])
-    for s in sample_surface(ParametricCurve2D(fn), 1.0, 64):
-        assert np.dot(s.normal, s.position) > 0.0
+    quad = sample_surface(ParametricCurve2D(fn), 1.0, 64)
+    assert np.all(np.sum(quad.normals * quad.positions, axis=1) > 0.0)
 
 
 def test_parametric_curve_matches_native_ellipse():
@@ -223,15 +227,16 @@ def _angle_impedance(p):
 
 
 def test_psd_quadratic_form_identity():
-    samples = sample_surface(Ellipse(1.0, 0.5), _angle_impedance, 128)
-    t = added_mass_tensors(samples)
+    q = sample_surface(Ellipse(1.0, 0.5), _angle_impedance, 128)
+    t = added_mass_tensors(q)
     rng = np.random.default_rng(5)
     for _ in range(100):
         w = rng.standard_normal(6)
         lhs = w @ t.composite @ w
         rhs = sum(
-            s.z_f * s.weight * (s.normal @ w[:3] + np.cross(s.position, s.normal) @ w[3:]) ** 2
-            for s in samples
+            q.z_f[i] * q.weights[i]
+            * (q.normals[i] @ w[:3] + np.cross(q.positions[i], q.normals[i]) @ w[3:]) ** 2
+            for i in range(len(q))
         )
         scale = max(abs(rhs), 1e-300)
         assert abs(lhs - rhs) / scale < 1e-10
@@ -278,3 +283,27 @@ def test_ellipse_tensor_invariants(a, b, z):
 def test_assembly_rejects_empty():
     with pytest.raises(ValueError):
         added_mass_tensors([])
+
+
+def test_quadrature_record_checks_weights_and_normals():
+    quad = sample_surface(Ellipse(1.0, 0.5), 1.0, 16)
+    bad_weights = quad.weights.copy()
+    bad_weights[3] = 0.0
+    with pytest.raises(DegenerateGeometry, match="weight"):
+        SurfaceQuadrature(quad.positions, quad.normals, quad.z_f, bad_weights)
+    with pytest.raises(AssertionError, match="unit length"):
+        SurfaceQuadrature(quad.positions, 1.5 * quad.normals, quad.z_f, quad.weights)
+
+
+def test_tensor_blocks_are_read_only_views_of_the_composite():
+    t = added_mass_tensors(sample_surface(Ellipsoid(1.0, 2.0, 3.0), _angle_impedance, 16))
+    blocks = {"avv": np.s_[:3, :3], "avw": np.s_[:3, 3:],
+              "awv": np.s_[3:, :3], "aww": np.s_[3:, 3:]}
+    for name, idx in blocks.items():
+        block = getattr(t, name)
+        assert block.base is t.composite and np.array_equal(block, t.composite[idx]), name
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+    source = np.eye(6)
+    AddedMassTensors(source)
+    assert source.flags.writeable  # the record holds its own copy

@@ -15,6 +15,7 @@ import bodywave
 from bodywave.cli import build_parser, config_from_args, main
 from bodywave.harness import (
     RunConfig,
+    format_json,
     format_table,
     run_addedmass_table,
     run_convergence_study,
@@ -214,6 +215,16 @@ def test_write_json_report_parses_back(tmp_path):
     assert loaded["diverged"] is False  # a bool, not 0
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_format_json_writes_non_finite_floats_as_null():
+    text = format_json({"a": float("inf"), "b": [np.nan, 1.5], "c": np.float64(-np.inf)})
+    assert json.loads(text, parse_constant=_reject_constant) == {"a": None, "b": [None, 1.5],
+                                                                 "c": None}
+
+
 def test_format_table_rendering():
     assert format_table([]) == "(empty)"
     text = format_table([{"a": 1.5, "b": None}, {"a": 2.0, "b": "x"}])
@@ -303,4 +314,27 @@ def test_cli_converge_reports_rates(capsys):
         "--scheme", "second",
     ])
     assert code == 0
-    assert "fitted rates" in capsys.readouterr().out
+    assert "fitted rates" in capsys.readouterr().err  # stdout holds the JSON report
+
+
+def test_cli_json_to_stdout_is_the_whole_stdout(capsys):
+    """`bodywave simulate > r.json` gives a file that parses as JSON; the
+    summary lines go to stderr."""
+    assert main(["simulate", "--cells", "16", "--tfinal", "0.05"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["config"]["n_cells"] == 16
+    assert "errors vs exact solution" in captured.err
+
+
+def test_cli_diverged_report_is_strict_json(tmp_path, capsys):
+    out = tmp_path / "div.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["converge", "--coupling", "traditional", "--mass", "1e-6", "--scheme",
+                     "first", "--cells", "50", "--levels", "2", "--tfinal", "2.0",
+                     "--out", str(out)])
+    assert code == 0
+    assert "fitted rates" in capsys.readouterr().out  # --out keeps the summary on stdout
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert report["diverged_levels"] == [0, 1]
+    assert all(lv["diverged"] for lv in report["levels"])
+    assert all(rate is None for rate in report["rates"].values())

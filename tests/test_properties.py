@@ -60,15 +60,16 @@ def test_quadratic_form_equals_weighted_normal_velocity_integral():
     # hence be nonnegative; the two routes share no assembly code.
     rng = np.random.default_rng(202)
     for _ in range(10):
-        samples = _random_samples(rng)
-        tens = added_mass_tensors(samples)
+        q = _random_samples(rng)
+        tens = added_mass_tensors(q)
         scale = np.max(np.abs(tens.composite))
         for _ in range(5):
             v, w = rng.standard_normal(3), rng.standard_normal(3)
             quad = np.concatenate([v, w]) @ tens.composite @ np.concatenate([v, w])
             direct = sum(
-                s.z_f * s.weight * float(s.normal @ (v + np.cross(w, s.position))) ** 2
-                for s in samples
+                q.z_f[i] * q.weights[i]
+                * float(q.normals[i] @ (v + np.cross(w, q.positions[i]))) ** 2
+                for i in range(len(q))
             )
             bound = 1e-10 * scale * (v @ v + w @ w)
             assert abs(quad - direct) <= bound, f"{quad} vs {direct}"

@@ -1,5 +1,7 @@
 """Added-mass Newton-Euler integration and surface projection."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,8 +21,6 @@ from bodywave.rigidbody3d import (
     PartialForcing,
     RigidBodyState3D,
     SingularStage,
-    StateSlope,
-    added_mass_rhs_residual,
     cross_matrix,
     dirk_step,
     force_and_torque,
@@ -89,33 +89,33 @@ def test_tableau_construction_and_validation():
 
 
 def test_constant_pressure_gives_zero_net_force():
-    samples = sample_surface(Ellipsoid(1.0, 2.0, 3.0), 1.5, 48)
+    quad = sample_surface(Ellipsoid(1.0, 2.0, 3.0), 1.5, 48)
     p0 = 7.0
-    p_f = np.full(len(samples), p0)
-    v_f = np.zeros((len(samples), 3))
+    p_f = np.full(len(quad), p0)
+    v_f = np.zeros((len(quad), 3))
     state = RigidBodyState3D(np.array([0.3, -0.2, 0.1]), np.zeros(3), np.zeros(3), np.eye(3))
-    forcing = partial_forcing_from_surface(samples, p_f, v_f, np.zeros(3), np.zeros(3), state)
-    total = p0 * sum(s.weight for s in samples)
+    forcing = partial_forcing_from_surface(quad, p_f, v_f, np.zeros(3), np.zeros(3), state)
+    total = p0 * quad.weights.sum()
     assert np.max(np.abs(forcing.f_tilde)) < 1e-10 * total
     assert np.max(np.abs(forcing.t_tilde)) < 1e-10 * total
 
 
 def test_uniform_fluid_velocity_gives_avv_force():
-    samples = sample_surface(Ellipsoid(1.0, 1.0, 2.0), 2.0, 48)
+    quad = sample_surface(Ellipsoid(1.0, 1.0, 2.0), 2.0, 48)
     v0 = np.array([0.4, -0.3, 0.9])
-    v_f = np.tile(v0, (len(samples), 1))
+    v_f = np.tile(v0, (len(quad), 1))
     forcing = partial_forcing_from_surface(
-        samples, np.zeros(len(samples)), v_f, np.zeros(3), np.zeros(3), RigidBodyState3D.rest()
+        quad, np.zeros(len(quad)), v_f, np.zeros(3), np.zeros(3), RigidBodyState3D.rest()
     )
     want = forcing.tensors.avv @ v0
     assert np.max(np.abs(forcing.f_tilde - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_body_force_passthrough():
-    samples = sample_surface(Ellipsoid(1.0, 1.0, 1.0), 1.0, 16)
-    zeros = np.zeros(len(samples))
+    quad = sample_surface(Ellipsoid(1.0, 1.0, 1.0), 1.0, 16)
+    zeros = np.zeros(len(quad))
     forcing = partial_forcing_from_surface(
-        samples, zeros, np.zeros((len(samples), 3)),
+        quad, zeros, np.zeros((len(quad), 3)),
         np.array([1.0, 0.0, 0.0]), np.array([0.0, 2.0, 0.0]), RigidBodyState3D.rest()
     )
     assert np.allclose(forcing.f_tilde, [1.0, 0.0, 0.0], atol=1e-12)
@@ -140,30 +140,69 @@ def test_force_matches_projected_pressure_quadrature():
     # Net force/torque from the tensors must equal direct integration of the
     # projected surface pressure -p_I n with p_I = p_f - z n.(v_f - rdot).
     rng = np.random.default_rng(3)
-    samples = sample_surface(Ellipsoid(1.0, 2.0, 1.5), 1.3, 48)
-    n_s = len(samples)
+    q = sample_surface(Ellipsoid(1.0, 2.0, 1.5), 1.3, 48)
+    n_s = len(q)
     p_f = rng.standard_normal(n_s)
     v_f = rng.standard_normal((n_s, 3))
     state = RigidBodyState3D(
         rng.standard_normal(3) * 0.1, rng.standard_normal(3), rng.standard_normal(3), np.eye(3)
     )
     f_b, g_b = rng.standard_normal(3), rng.standard_normal(3)
-    forcing = partial_forcing_from_surface(samples, p_f, v_f, f_b, g_b, state)
+    forcing = partial_forcing_from_surface(q, p_f, v_f, f_b, g_b, state)
     force, torque = force_and_torque(state, forcing)
 
     f_direct, t_direct = f_b.copy(), g_b.copy()
-    for i, s in enumerate(samples):
-        y = s.position - state.x
+    for i in range(n_s):
+        y = q.positions[i] - state.x
         rdot = state.v + np.cross(state.omega, y)
-        p_i = p_f[i] - s.z_f * (s.normal @ (v_f[i] - rdot))
-        f_direct += -p_i * s.normal * s.weight
-        t_direct += np.cross(y, -p_i * s.normal) * s.weight
+        p_i = p_f[i] - q.z_f[i] * (q.normals[i] @ (v_f[i] - rdot))
+        f_direct += -p_i * q.normals[i] * q.weights[i]
+        t_direct += np.cross(y, -p_i * q.normals[i]) * q.weights[i]
     scale = max(np.max(np.abs(f_direct)), np.max(np.abs(t_direct)), 1.0)
     assert np.max(np.abs(force - f_direct)) < 1e-10 * scale
     assert np.max(np.abs(torque - t_direct)) < 1e-10 * scale
 
 
 # -- residual ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StateSlope:
+    """Time derivative of a rigid-body state; E here is a slope, so no
+    orthogonality constraint applies."""
+
+    x: np.ndarray
+    v: np.ndarray
+    omega: np.ndarray
+    E: np.ndarray
+
+    def __post_init__(self):
+        for name in ("x", "v", "omega", "E"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        assert self.x.shape == self.v.shape == self.omega.shape == (3,)
+        assert self.E.shape == (3, 3)
+
+
+def added_mass_rhs_residual(
+    state_dot: StateSlope,
+    state: RigidBodyState3D,
+    forcing: PartialForcing,
+    inertia: BodyInertia,
+) -> np.ndarray:
+    """Residual of the added-mass Newton-Euler system, 18 components:
+    position (3), momentum (3), angular momentum (3), axes (9)."""
+    t = forcing.tensors
+    w_mat = cross_matrix(state.omega)
+    r_x = state_dot.x - state.v
+    r_v = inertia.mass * state_dot.v + t.avv @ state.v + t.avw @ state.omega - forcing.f_tilde
+    r_w = (
+        inertia.A @ state_dot.omega
+        + t.awv @ state.v
+        + (t.aww + w_mat @ inertia.A) @ state.omega
+        - forcing.t_tilde
+    )
+    r_e = state_dot.E - w_mat @ state.E
+    return np.concatenate([r_x, r_v, r_w, r_e.ravel()])
 
 
 def _zero_slope():
