@@ -23,29 +23,25 @@ from bodywave.addedmass import (
 )
 
 
-def _total_weight(quad):
-    return quad.weights.sum()
-
-
 # -- sampling -----------------------------------------------------------------
 
 
 def test_circle_circumference():
     quad = sample_surface(Ellipse(1.3, 1.3), 1.0, 64)
     assert len(quad) == 64
-    assert abs(_total_weight(quad) - 2.0 * np.pi * 1.3) < 1e-10
+    assert abs(quad.weights.sum() - 2.0 * np.pi * 1.3) < 1e-10
 
 
 def test_rectangle_perimeter_exact():
     quad = sample_surface(Rectangle(1.0, 2.5), 1.0, 16)
-    assert abs(_total_weight(quad) - 2.0 * (1.0 + 2.5)) < 1e-13
+    assert abs(quad.weights.sum() - 2.0 * (1.0 + 2.5)) < 1e-13
 
 
 def test_prism_surface_area_exact():
     lx, ly, lz = 1.0, 2.0, 0.5
     quad = sample_surface(Prism(lx, ly, lz), 1.0, 8)
     area = 2.0 * (lx * ly + ly * lz + lx * lz)
-    assert abs(_total_weight(quad) - area) < 1e-12
+    assert abs(quad.weights.sum() - area) < 1e-12
 
 
 def test_starfish_arclength_matches_adaptive_quadrature():
@@ -62,14 +58,14 @@ def test_starfish_arclength_matches_adaptive_quadrature():
 
     want, err = quad(speed, 0.0, 1.0, limit=400)
     assert err < 1e-7 * want
-    got = _total_weight(sample_surface(sf, 1.0, 256))
+    got = sample_surface(sf, 1.0, 256).weights.sum()
     assert abs(got - want) / want < 1e-6
 
 
 def test_sphere_area_and_unit_normals():
     quad = sample_surface(Ellipsoid(2.0, 2.0, 2.0), 1.0, 32)
     assert len(quad) == 32 * 32
-    assert abs(_total_weight(quad) - 4.0 * np.pi * 4.0) < 1e-9
+    assert abs(quad.weights.sum() - 4.0 * np.pi * 4.0) < 1e-9
     for i in range(0, len(quad), 37):
         assert abs(np.linalg.norm(quad.normals[i]) - 1.0) < 1e-10
         assert quad.weights[i] > 0.0
