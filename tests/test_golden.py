@@ -7,7 +7,7 @@ The files under tests/golden/ hold, for the reference setup:
   coupling (m = 1), n = 100 cells per side;
 - `states.json`: the raw coupled state after 300 steps of each algorithm at
   n = 400, m = 1e-3, projection coupling;
-- `stability.json`: the stability sweep rows at m = 1e-3, seed 5;
+- `stability.json`: the stability sweep rows at m = 1e-3, 1 and 1e-6, seed 5;
 - `addedmass.json`: the `addedmass --shape all --resolution 512` table rows;
 - `rb3d.json`: the `rb3d` DIRK3 histories at m = 0 and m = 0.5.
 
@@ -57,7 +57,7 @@ SIM_CASES = [
                            ("projection", 0.0), ("traditional", 1.0))
 ]
 STATE_N, STATE_STEPS, STATE_MASS = 400, 300, 1e-3
-SWEEP_MASS, SWEEP_SEED = 1e-3, 5
+SWEEP_MASSES, SWEEP_SEED = (1e-3, 1.0, 1e-6), 5
 TABLE_RESOLUTION = 512
 RB3D_MASSES = (0.0, 0.5)
 RB3D_SERIES = ("t", "x", "v", "omega", "e_drift")
@@ -105,9 +105,13 @@ def state_outputs() -> dict:
     return {f"order{order}": _state(order) for order in (1, 2)}
 
 
-def stability_outputs() -> dict:
-    rep = run_stability_sweep(RunConfig(mode="stability_sweep", mass=SWEEP_MASS, seed=SWEEP_SEED))
+def stability_outputs_for(mass) -> dict:
+    rep = run_stability_sweep(RunConfig(mode="stability_sweep", mass=mass, seed=SWEEP_SEED))
     return {"rows": rep["rows"], "all_agree": rep["all_agree"]}
+
+
+def stability_outputs() -> dict:
+    return {f"m={mass!r}": stability_outputs_for(mass) for mass in SWEEP_MASSES}
 
 
 def addedmass_outputs() -> dict:
@@ -165,18 +169,19 @@ def test_raw_state_matches_golden(order):
 
 
 def test_stability_sweep_matches_golden():
-    want = _load("stability.json")
-    got = stability_outputs()
-    assert got["all_agree"] == want["all_agree"]
-    assert len(got["rows"]) == len(want["rows"])
-    for g, w in zip(got["rows"], want["rows"]):
-        for name in ("scheme", "coupling", "mass", "predicted", "predicted_stable",
-                     "measured_stable", "agree"):
-            assert g[name] == w[name], (name, g, w)
-        if w["measured_rate"] is None:
-            assert g["measured_rate"] is None
-        else:
-            assert _close(g["measured_rate"], w["measured_rate"], 1e-12), (g, w)
+    golden = _load("stability.json")
+    for mass in SWEEP_MASSES:
+        want, got = golden[f"m={mass!r}"], stability_outputs_for(mass)
+        assert got["all_agree"] == want["all_agree"], mass
+        assert len(got["rows"]) == len(want["rows"]), mass
+        for g, w in zip(got["rows"], want["rows"]):
+            for name in ("scheme", "coupling", "mass", "predicted", "predicted_stable",
+                         "measured_stable", "agree"):
+                assert g[name] == w[name], (mass, name, g, w)
+            if w["measured_rate"] is None:
+                assert g["measured_rate"] is None, (mass, g)
+            else:
+                assert _close(g["measured_rate"], w["measured_rate"], 1e-12), (mass, g, w)
 
 
 def test_addedmass_table_matches_golden():
