@@ -25,7 +25,6 @@ from .harness import (
 )
 from .rigidbody3d import NewtonDivergence, NonphysicalPressure, SingularStage
 from .schemes import CflViolation
-from .stability import DegenerateQuadratic
 
 SUBCOMMAND_MODES = {
     "simulate": "simulate1d",
@@ -43,7 +42,6 @@ NUMERICAL_ERRORS = (
     NonphysicalPressure,
     DomainError,
     DegenerateGeometry,
-    DegenerateQuadratic,
     UnsupportedShape,
     FloatingPointError,
 )

@@ -132,16 +132,6 @@ class FluidField1D:
     def quiescent(cls, grid: Grid1D) -> "FluidField1D":
         return cls(grid, np.zeros(grid.n_points), np.zeros(grid.n_points))
 
-    @classmethod
-    def from_functions(cls, grid: Grid1D, v_fn, sigma_fn) -> "FluidField1D":
-        """Sample v(x), sigma(x) at every cell center (ghost included).
-
-        The ghost value is a placeholder; couplers overwrite it with the
-        interface conditions before any stepping.
-        """
-        x = grid.cell_centers()
-        return cls(grid, v_fn(x), sigma_fn(x))
-
     def copy(self) -> "FluidField1D":
         return FluidField1D(self.grid, self.v.copy(), self.sigma.copy())
 

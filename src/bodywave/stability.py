@@ -17,16 +17,18 @@ nu = +lambda.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coupling import CoupledState, step_algorithm1, step_algorithm2
 from .materials import FluidMaterial, Grid1D, FluidField1D
 
+# Argument-principle contour: circles |A| = 1.01 and 1e4, sampled finely
+# enough that no phase step between samples approaches pi.
+INNER_RADIUS, OUTER_RADIUS, CONTOUR_SAMPLES = 1.01, 1e4, 16384
 
-class DegenerateQuadratic(ValueError):
-    """The characteristic equation degenerated to no solvable roots."""
+GROWTH_AMPLITUDE = 1e-3  # size of the random initial data of a growth run
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,8 @@ class StabilityQuery:
 
 @dataclass(frozen=True)
 class AmplificationReport:
-    """Amplification factors of the interface modes and the verdict.
+    """Amplification factors (Python complex) of the interface modes; the
+    verdict is derived from them.
 
     A massless traditional coupling has no finite amplification factor;
     that is reported as unbounded=True with max_modulus None (kept out of
@@ -61,21 +64,15 @@ class AmplificationReport:
     """
 
     roots: tuple
-    max_modulus: float | None
-    stable: bool
     unbounded: bool = False
 
-    def __post_init__(self):
-        if not self.unbounded:
-            expect = max(abs(r) for r in self.roots)
-            if abs(self.max_modulus - expect) > 1e-12 * (1.0 + expect):
-                raise ValueError("max_modulus inconsistent with roots")
+    @property
+    def max_modulus(self) -> float | None:
+        return None if self.unbounded else max(abs(r) for r in self.roots)
 
-    @classmethod
-    def from_roots(cls, roots) -> "AmplificationReport":
-        roots = tuple(complex(r) for r in roots)
-        mx = max(abs(r) for r in roots)
-        return cls(roots, mx, stable=mx <= 1.0 + 1e-12)
+    @property
+    def stable(self) -> bool:
+        return not self.unbounded and self.max_modulus <= 1.0 + 1e-12
 
 
 def max_stable_dt_traditional(mass: float, z: float, courant: float) -> float:
@@ -96,66 +93,27 @@ def roots_first_order_traditional(q: StabilityQuery) -> AmplificationReport:
     lam = q.courant
     a1 = 1.0 - 0.5 * lam
     if q.mass == 0.0:
-        return AmplificationReport((complex(a1),), None, stable=False, unbounded=True)
+        return AmplificationReport((complex(a1),), unbounded=True)
     xi = q.dt / q.mass
     mid = 1.0 - 0.25 * lam - 0.5 * q.z * xi * lam
     disc = mid * mid - 1.0 + 0.5 * lam
     root = np.sqrt(complex(disc))
-    return AmplificationReport.from_roots([a1, mid + root, mid - root])
+    return AmplificationReport((complex(a1), complex(mid + root), complex(mid - root)))
 
 
 def roots_first_order_projection(q: StabilityQuery) -> AmplificationReport:
     """Single coupling root A = m/(m + 2 dt z) of the projected (alpha = z)
     first-order scheme; in [0, 1) for every mass >= 0."""
-    return AmplificationReport.from_roots([q.mass / (q.mass + 2.0 * q.dt * q.z)])
+    return AmplificationReport((complex(q.mass / (q.mass + 2.0 * q.dt * q.z)),))
 
 
 # -- Lax-Wendroff spatial roots ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class LwRoots:
-    """Roots of the Lax-Wendroff spatial recursion, |r| ascending."""
-
-    roots: tuple
-    inside: tuple  # |r| <= 1 + 1e-9, per root
-    degenerate: bool = False
-
-
-def lw_characteristic_roots(nu: float, A: complex) -> LwRoots:
-    """Solve (1/2)(nu + nu^2) r^2 + (1 - A - nu^2) r + (1/2)(nu^2 - nu) = 0.
-
-    For an interface mode A^n r^i of the scalar Lax-Wendroff scheme with
-    Courant number nu.  When the leading coefficient vanishes (nu = 0 or
-    nu = -1) the surviving linear equation's root set is returned flagged
-    degenerate; DegenerateQuadratic is raised only if nothing is solvable.
-    """
-    if not abs(nu) <= 1.0:
-        raise ValueError(f"need |nu| <= 1, got {nu}")
-    A = complex(A)
-    q2 = 0.5 * (nu + nu * nu)
-    q1 = 1.0 - A - nu * nu
-    q0 = 0.5 * (nu * nu - nu)
-    if q2 == 0.0:
-        if q1 == 0.0:
-            raise DegenerateQuadratic(f"no roots at nu={nu}, A={A}")
-        r = -q0 / q1
-        return LwRoots((r,), (abs(r) <= 1.0 + 1e-9,), degenerate=True)
-    disc = np.sqrt(complex(q1 * q1 - 4.0 * q2 * q0))
-    big = q1 + disc if abs(q1 + disc) >= abs(q1 - disc) else q1 - disc
-    if big == 0.0:  # q1 = disc = 0: double root at zero
-        r_pair = (0.0 + 0.0j, 0.0 + 0.0j)
-    else:
-        r_a = -0.5 * big / q2
-        # Vieta partner; the root product is q0/q2, so when q0 = 0 the
-        # partner is exactly 0 (dividing would NaN for subnormal r_a)
-        r_b = q0 / (q2 * r_a) if q0 != 0.0 and r_a != 0.0 else 0.0 + 0.0j
-        r_pair = (r_a, r_b) if abs(r_a) <= abs(r_b) else (r_b, r_a)
-    return LwRoots(r_pair, tuple(abs(r) <= 1.0 + 1e-9 for r in r_pair))
-
-
 def _lw_family_vec(nu: float, A: np.ndarray):
-    """(inside root, reciprocal of outside root) for |A| > 1, vectorized.
+    """(inside root, reciprocal of outside root) of an interface mode A^n r^i
+    of Lax-Wendroff with Courant number nu, 0 < |nu| <= 1, vectorized over
+    |A| > 1: (1/2)(nu + nu^2) r^2 + (1 - A - nu^2) r + (1/2)(nu^2 - nu) = 0.
 
     The nu = -1 degeneracy (lambda = 1 rightward family) is the limit in
     which the outside root escapes to infinity, so its reciprocal is 0.
@@ -268,23 +226,17 @@ def _winding_number(values: np.ndarray) -> int:
     return w
 
 
-def count_unstable_modes(
-    det_fn,
-    q: StabilityQuery,
-    inner_radius: float = 1.01,
-    outer_radius: float = 1e4,
-    n_samples: int = 16384,
-) -> int:
-    """Number of determinant zeros in inner_radius < |A| < outer_radius by
+def count_unstable_modes(det_fn, q: StabilityQuery) -> int:
+    """Number of determinant zeros in INNER_RADIUS < |A| < OUTER_RADIUS by
     the argument principle (winding difference between the two circles).
 
     Both circles must avoid zeros; the determinant is analytic in the
     annulus because the spatial-root selection is unambiguous for |A| > 1.
     """
-    theta = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * np.pi, CONTOUR_SAMPLES, endpoint=False)
     ring = np.exp(1j * theta)
-    w_in = _winding_number(det_fn(inner_radius * ring, q))
-    w_out = _winding_number(det_fn(outer_radius * ring, q))
+    w_in = _winding_number(det_fn(INNER_RADIUS * ring, q))
+    w_out = _winding_number(det_fn(OUTER_RADIUS * ring, q))
     return w_out - w_in
 
 
@@ -302,7 +254,6 @@ class GrowthConfig:
     alpha: float
     scheme: str  # "first" | "second"
     n_cells: int = 100
-    amplitude: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
@@ -334,6 +285,7 @@ def empirical_growth_rate(config: GrowthConfig, n_steps: int = 600) -> float:
 
     The state is renormalized after every step (the dynamics are linear),
     so growing and decaying runs are measured without overflow/underflow.
+    Each step returns fresh arrays, so the rescale writes into them.
     """
     rng = np.random.default_rng(config.seed)
     n, dx = config.n_cells, config.dx
@@ -345,10 +297,10 @@ def empirical_growth_rate(config: GrowthConfig, n_steps: int = 600) -> float:
         g = Grid1D(side, n, dx)
         v = np.zeros(n + 1)
         s = np.zeros(n + 1)
-        v[g.interior] = config.amplitude * rng.standard_normal(n)
-        s[g.interior] = config.amplitude * rng.standard_normal(n)
+        v[g.interior] = GROWTH_AMPLITUDE * rng.standard_normal(n)
+        s[g.interior] = GROWTH_AMPLITUDE * rng.standard_normal(n)
         fields[side] = FluidField1D(g, v, s)
-    v_body = config.amplitude * rng.standard_normal()
+    v_body = GROWTH_AMPLITUDE * rng.standard_normal()
     state = CoupledState.initial(
         fields["left"], fields["right"], v_body, config.alpha, config.alpha, order
     )
@@ -363,12 +315,10 @@ def empirical_growth_rate(config: GrowthConfig, n_steps: int = 600) -> float:
         if norm == 0.0:
             return 0.0
         log_ratios[k] = np.log(norm)
-        state = CoupledState(
-            FluidField1D(state.left.grid, state.left.v / norm, state.left.sigma / norm),
-            FluidField1D(state.right.grid, state.right.v / norm, state.right.sigma / norm),
-            state.v_body / norm,
-            0.0,
-            state.t,
-        )
+        for fld in (state.left, state.right):
+            fld.v /= norm
+            fld.sigma /= norm
+        state.v_body /= norm
+        state.x_body = 0.0
     tail = max(1, n_steps // 4)
     return float(np.exp(np.mean(log_ratios[-tail:])))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from math import sqrt
 from pathlib import Path
 
@@ -338,3 +339,16 @@ def test_cli_diverged_report_is_strict_json(tmp_path, capsys):
     assert report["diverged_levels"] == [0, 1]
     assert all(lv["diverged"] for lv in report["levels"])
     assert all(rate is None for rate in report["rates"].values())
+
+
+def test_cli_diverged_run_emits_no_warnings(tmp_path):
+    # The report flags the divergence; numpy overflow/invalid warnings from
+    # the blown-up fields and the inf/inf level ratios must not reach stderr.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["converge", "--coupling", "traditional", "--mass", "1e-6", "--scheme",
+                     "first", "--cells", "50", "--levels", "2", "--tfinal", "2.0",
+                     "--out", str(tmp_path / "div.json")])
+    assert code == 0
+    report = json.loads((tmp_path / "div.json").read_text())
+    assert all(r is None for ratios in report["ratios"].values() for r in ratios)

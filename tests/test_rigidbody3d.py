@@ -261,22 +261,27 @@ def test_residual_massless_reduces_to_balance():
     assert np.allclose(res_a[3:6], want, atol=1e-14)
 
 
-def test_residual_vanishes_on_exact_slopes():
-    rng = np.random.default_rng(6)
+@pytest.mark.parametrize("mass", [0.5, 0.0])
+def test_residual_vanishes_on_dirk1_step(mass):
+    # Backward Euler makes (y1 - y0)/dt the slope at y1, so a DIRK1 step with
+    # frozen forcing must zero the position and momentum rows of the
+    # continuous residual; the axes rows are left out because dirk_step
+    # reorthonormalizes E.
+    rng = np.random.default_rng(8)
     tens = _random_psd_tensors(rng)
-    inertia = BodyInertia(0.5, np.diag([1.0, 2.0, 3.0]))
+    inertia = BodyInertia(mass, np.diag([1.0, 2.0, 3.0]))
     forcing = PartialForcing(rng.standard_normal(3), rng.standard_normal(3), tens)
-    state = RigidBodyState3D(rng.standard_normal(3), rng.standard_normal(3),
-                             rng.standard_normal(3), np.eye(3))
-    w_mat = cross_matrix(state.omega)
-    vdot = np.linalg.solve(inertia.mass * np.eye(3),
-                           forcing.f_tilde - tens.avv @ state.v - tens.avw @ state.omega)
-    wdot = np.linalg.solve(inertia.A,
-                           forcing.t_tilde - tens.awv @ state.v
-                           - (tens.aww + w_mat @ inertia.A) @ state.omega)
-    dot = StateSlope(state.v, vdot, wdot, w_mat @ state.E)
-    res = added_mass_rhs_residual(dot, state, forcing, inertia)
-    assert np.max(np.abs(res)) < 1e-12
+    e0, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    y0 = RigidBodyState3D(rng.standard_normal(3), rng.standard_normal(3),
+                          rng.standard_normal(3), e0)
+    dt = 0.05
+    y1 = dirk_step(y0, inertia, lambda t: forcing, DIRKTableau.dirk1(), dt)
+    dot = StateSlope((y1.x - y0.x) / dt, (y1.v - y0.v) / dt,
+                     (y1.omega - y0.omega) / dt, (y1.E - y0.E) / dt)
+    res = added_mass_rhs_residual(dot, y1, forcing, inertia)
+    scale = max(1.0, np.max(np.abs(forcing.f_tilde)), np.max(np.abs(forcing.t_tilde)),
+                np.max(np.abs(tens.composite)) * max(np.max(np.abs(y1.v)), np.max(np.abs(y1.omega))))
+    assert np.max(np.abs(res[:9])) <= 1e-10 * scale
 
 
 # -- DIRK stepping -------------------------------------------------------------

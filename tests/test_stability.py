@@ -1,20 +1,17 @@
 """Normal-mode predictions: closed forms vs determinants vs actual runs."""
 
 import numpy as np
-import pytest
 from hypothesis import given, assume, settings, strategies as st
 from scipy.optimize import brentq
 
 from bodywave.materials import FluidMaterial
 from bodywave.stability import (
-    AmplificationReport,
-    DegenerateQuadratic,
     GrowthConfig,
     StabilityQuery,
+    _lw_family_vec,
     count_unstable_modes,
     empirical_growth_rate,
     first_order_determinant,
-    lw_characteristic_roots,
     max_stable_dt_traditional,
     roots_first_order_projection,
     roots_first_order_traditional,
@@ -116,11 +113,6 @@ def test_projection_stable_for_random_queries():
         assert rep.stable and rep.max_modulus < 1.0
 
 
-def test_report_rejects_inconsistent_max_modulus():
-    with pytest.raises(ValueError):
-        AmplificationReport(roots=(0.5 + 0j,), max_modulus=0.9, stable=True)
-
-
 # -- Lax-Wendroff spatial roots ----------------------------------------------
 
 
@@ -131,11 +123,10 @@ def test_report_rejects_inconsistent_max_modulus():
 )
 @settings(max_examples=200, deadline=None)
 def test_lw_roots_satisfy_vieta(nu, re, im):
-    assume(abs(nu) > 1e-3 and abs(nu + 1.0) > 1e-3)
     A = complex(re, im)
-    out = lw_characteristic_roots(nu, A)
-    assert not out.degenerate and len(out.roots) == 2
-    r1, r2 = out.roots
+    assume(abs(nu) > 1e-3 and abs(nu + 1.0) > 1e-3 and abs(A) > 1.0)
+    r_in, y_out = _lw_family_vec(nu, A)
+    r1, r2 = complex(r_in), 1.0 / complex(y_out)
     q2 = 0.5 * (nu + nu * nu)
     prod_ref = 0.5 * (nu * nu - nu) / q2
     sum_ref = (A - 1.0 + nu * nu) / q2
@@ -146,32 +137,27 @@ def test_lw_roots_satisfy_vieta(nu, re, im):
 
 def test_lw_roots_at_unit_amplification_include_one():
     for nu in (-0.8, 0.8, 0.3):
-        out = lw_characteristic_roots(nu, 1.0 + 0j)
-        assert min(abs(r - 1.0) for r in out.roots) < 1e-9
+        r_in, y_out = _lw_family_vec(nu, 1.0 + 0j)
+        assert min(abs(r_in - 1.0), abs(1.0 / y_out - 1.0)) < 1e-9
 
 
 def test_lw_roots_split_inside_outside_for_growing_modes():
     rng = np.random.default_rng(3)
     for nu in (-0.8, -0.4, 0.4, 0.8):
-        for theta in rng.uniform(0.0, 2.0 * np.pi, 25):
-            out = lw_characteristic_roots(nu, 1.1 * np.exp(1j * theta))
-            r1, r2 = out.roots
-            assert abs(r1) < 1.0 < abs(r2)
-            assert out.inside == (True, False)
-            assert abs(r1) <= abs(r2)
+        A = 1.1 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 25))
+        r_in, y_out = _lw_family_vec(nu, A)
+        assert np.all(np.abs(r_in) < 1.0) and np.all(np.abs(y_out) < 1.0)
 
 
 def test_lw_degenerate_cases():
-    out = lw_characteristic_roots(0.0, 2.0 + 0j)
-    assert out.degenerate and out.roots == (0.0 + 0j,)
-    out = lw_characteristic_roots(-1.0, 2.0 + 0j)
-    assert out.degenerate and abs(out.roots[0] - 0.5) < 1e-15
-    with pytest.raises(DegenerateQuadratic):
-        lw_characteristic_roots(0.0, 1.0 + 0j)
-    with pytest.raises(DegenerateQuadratic):
-        lw_characteristic_roots(-1.0, 0.0 + 0j)
-    with pytest.raises(ValueError):
-        lw_characteristic_roots(1.5, 2.0 + 0j)
+    # At nu = -1 the quadratic loses its leading term: the inside root is
+    # 1/A and the outside root escapes to infinity (reciprocal 0), which is
+    # the limit of the general branch as nu -> -1.
+    A = np.array([2.0, 1.5j, -3.0 + 1.0j, 1.1 * np.exp(2.0j)])
+    r_in, y_out = _lw_family_vec(-1.0, A)
+    assert np.array_equal(r_in, 1.0 / A) and np.array_equal(y_out, np.zeros(4))
+    r_near, y_near = _lw_family_vec(-1.0 + 1e-9, A)
+    assert np.max(np.abs(r_near - r_in)) < 1e-8 and np.max(np.abs(y_near)) < 1e-8
 
 
 # -- second-order eigen system -----------------------------------------------
