@@ -1,25 +1,25 @@
 """Partitioned coupling of the two half-line fluids to a rigid body.
 
-The body at the origin sees interface stresses built from the fluid cells
-next to it; the parameter alpha interpolates between the traditional
-coupling (alpha = 0: raw fluid stress) and the characteristic projection
-(alpha = z: the incoming characteristic is replaced using the body
-velocity).  With s = Grid1D.outward (+1 right, -1 left) and edge values
-(v_e, sigma_e) taken from the edge extrapolant w1 u_1 + w2 u_2 of the
-interior cells counted from the body:
-
-    sigma_I = sigma_e + s alpha (v_e - v_body)
+A run's stored state is characteristic (`CoupledRun`).  The body sees
+interface stresses built from the fluid cells next to it; alpha
+interpolates between the traditional coupling (alpha = 0: raw fluid stress)
+and the characteristic projection (alpha = z: the incoming characteristic
+is replaced using the body velocity).  With s = Grid1D.outward (+1 right,
+-1 left), v = s c (w - u) and sigma = c z (u + w), a cell's flux
+s sigma + alpha v = s c [(z - alpha) u + (z + alpha) w] is exactly s 2cz w
+at alpha = z, so pure outgoing radiation never reaches the body.  With
+phi_e = w1 phi_1 + w2 phi_2 extrapolated from the interior cells counted
+from the body, sigma_I = s (phi_e - alpha v_body).
 
 The paper's two algorithms are one partitioned step at two orders.  The
 order selects the interior stepper and a scheme record (SCHEMES):
 
     order  interior      edge (w1, w2)  body/position theta   ghost
-    1      upwind        (1, 0)         1 (backward Euler)    v_g = v_b
-    2      Lax-Wendroff  (3/2, -1/2)    1/2 (trapezoidal)     v_g = 2 v_b - v_1
+    1      upwind        (1, 0)         1 (backward Euler)    chars(v_b, sigma_I)
+    2      Lax-Wendroff  (3/2, -1/2)    1/2 (trapezoidal)     2 chars(v_b, sigma_I) - chars(cell 1)
 
-The body velocity update is implicit in the interface stresses, which keeps
-the partitioned loop stable for any mass ratio; the algebra reduces to a
-scalar solve per step.
+The body update is implicit in the interface stresses, which keeps the loop
+stable for any mass ratio; it reduces to a scalar solve per step.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .materials import FluidField1D, FluidMaterial
-from .schemes import lax_wendroff_step, upwind_step
+from .schemes import Characteristics, lax_wendroff_step, upwind_step
 
 
 class SingularBodyUpdate(ValueError):
@@ -47,88 +47,37 @@ class Scheme(NamedTuple):
 SCHEMES = {1: Scheme((1.0, 0.0), 1.0, 0.0), 2: Scheme((1.5, -0.5), 0.5, 1.0)}
 
 
-def _edge_flux(field: FluidField1D, alpha: float, order: int) -> float:
-    """Edge extrapolant of the per-cell combination s sigma + alpha v, i.e.
-    the side's contribution to the net force on the body before the
-    -alpha v_body part.  Combining per cell first makes pure outgoing
-    radiation cancel bit-exactly, so quiescent decay stays geometric to the
-    last ulp."""
-    g, s = field.grid.ghost_index, field.grid.outward
-    v, sigma = field.v, field.sigma
-    phi = s * sigma.item(g + s) + alpha * v.item(g + s)
-    w1, w2 = SCHEMES[order].edge
-    if w2:
-        phi = w1 * phi + w2 * (s * sigma.item(g + 2 * s) + alpha * v.item(g + 2 * s))
-    return phi
+def interface_sides(chars: Characteristics, alphas) -> list[tuple]:
+    """Per-side constants (s, s c, z - alpha, z + alpha, alpha, s z, 1/(2cz))."""
+    return [(g.outward, g.outward * m.c, m.z - a, m.z + a, a, g.outward * m.z,
+             1.0 / (2.0 * m.c * m.z)) for g, m, a in zip(chars.grids, chars.mats, alphas)]
 
 
-def interface_stress(field: FluidField1D, v_body: float, alpha: float, order: int) -> float:
-    """sigma_I = sigma_e + s alpha (v_e - v_body), from the same per-cell
-    combination the body solve uses."""
-    s = field.grid.outward
-    return s * (_edge_flux(field, alpha, order) - alpha * v_body)
+def edge_fluxes(x, sides, edge) -> tuple[list, list[float]]:
+    """Cells 1 and 2 of each side as Python floats, and each side's edge
+    flux phi_e, the side's part of the force on the body before -alpha v_body."""
+    cells = x[:, :, 1:3].tolist()
+    e1, e2 = edge
+    phis = []
+    for (_, sc, zma, zpa, _, _, _), ((u1, u2), (w1, w2)) in zip(sides, cells):
+        phi = sc * (zma * u1 + zpa * w1)
+        if e2:
+            phi = e1 * phi + e2 * (sc * (zma * u2 + zpa * w2))
+        phis.append(phi)
+    return cells, phis
 
 
-def solve_body(
-    left: FluidField1D,
-    right: FluidField1D,
-    left_old: FluidField1D,
-    right_old: FluidField1D,
-    m_body: float,
-    v_body: float,
-    dt: float,
-    alpha_left: float,
-    alpha_right: float,
-    order: int,
-) -> float:
-    """Theta-method body velocity from the interface stresses.
-
-    Solving m (v' - v)/dt = theta F(v', new) + (1 - theta) F(v, old) with
-    F = sigma_I_right - sigma_I_left = Phi - (aL + aR) v, Phi the sum of
-    both sides' edge fluxes, for v':
-
-        (m + theta dt (aL+aR)) v' = (m - (1-theta) dt (aL+aR)) v
-                                    + dt [theta Phi' + (1-theta) Phi]
-
-    Backward Euler (theta = 1, order 1) never reads the old fields.
-    """
-    theta = SCHEMES[order].theta
-    a_sum = alpha_left + alpha_right
-    denom = m_body + theta * dt * a_sum
-    if denom <= 0.0:
-        raise SingularBodyUpdate(
-            f"m + {theta:g}*dt*(alpha_L + alpha_R) = {denom:.3g} <= 0; "
-            "massless bodies need alpha > 0"
-        )
-    flux = theta * (_edge_flux(right, alpha_right, order) + _edge_flux(left, alpha_left, order))
-    if theta < 1.0:
-        flux += (1.0 - theta) * (
-            _edge_flux(right_old, alpha_right, order) + _edge_flux(left_old, alpha_left, order)
-        )
-    return ((m_body - (1.0 - theta) * dt * a_sum) * v_body + dt * flux) / denom
+def interface_stresses(sides, phis, v_body: float) -> list[float]:
+    """sigma_I = s (phi_e - alpha v_body) per side."""
+    return [sd[0] * (phi - sd[4] * v_body) for sd, phi in zip(sides, phis)]
 
 
-def fill_ghost(field: FluidField1D, v_body: float, sigma_interface: float, order: int) -> None:
-    """Set the ghost, in place, to the interface values (order 1) or to the
-    reflection of cell 1 through them (order 2): g = (1 + r) I - r u_1."""
-    r = SCHEMES[order].reflect
-    g, s = field.grid.ghost_index, field.grid.outward
-    field.v[g] = (1.0 + r) * v_body - r * field.v.item(g + s)
-    field.sigma[g] = (1.0 + r) * sigma_interface - r * field.sigma.item(g + s)
-
-
-def fill_interface_ghosts(
-    left: FluidField1D,
-    right: FluidField1D,
-    v_body: float,
-    alpha_left: float,
-    alpha_right: float,
-    order: int,
-) -> None:
-    """Compute interface stresses from the current interiors and set both
-    ghost cells in place.  Used at startup and after each body solve."""
-    for f, alpha in ((left, alpha_left), (right, alpha_right)):
-        fill_ghost(f, v_body, interface_stress(f, v_body, alpha, order), order)
+def fill_ghosts(x, cells, sides, v_body: float, stresses, reflect: float) -> None:
+    """Set each ghost, in place, to (1 + r) chars(v_body, sigma_I) - r chars(cell 1)."""
+    r = reflect
+    for i, ((_, _, _, _, _, sz, k), ((u1, _), (w1, _)), sig) in enumerate(zip(sides, cells, stresses)):
+        x[i, 0, 0] = (1.0 + r) * (k * (sig - sz * v_body)) - r * u1
+        x[i, 1, 0] = (1.0 + r) * (k * (sig + sz * v_body)) - r * w1
 
 
 @dataclass
@@ -142,55 +91,97 @@ class CoupledState:
     t: float = 0.0
 
     @classmethod
-    def initial(
-        cls,
-        left: FluidField1D,
-        right: FluidField1D,
-        v_body: float,
-        alpha_left: float,
-        alpha_right: float,
-        order: int,
-        x_body: float = 0.0,
-    ) -> "CoupledState":
+    def initial(cls, left: FluidField1D, right: FluidField1D, v_body: float, alpha_left: float,
+                alpha_right: float, order: int, x_body: float = 0.0) -> "CoupledState":
         """State with ghost cells made consistent with the interior data
-        (the given fields are copied, not changed)."""
+        (the given fields are copied, not changed).  The ghost rule is
+        linear in (v, sigma), so any material's characteristics give the
+        same ghost; a unit material's are used."""
+        unit = FluidMaterial(1.0, 1.0)
+        chars = Characteristics((left, right), (unit, unit))
+        sides, (edge, _, reflect) = interface_sides(chars, (alpha_left, alpha_right)), SCHEMES[order]
+        cells, phis = edge_fluxes(chars.x, sides, edge)
+        fill_ghosts(chars.x, cells, sides, v_body, interface_stresses(sides, phis, v_body), reflect)
         left, right = left.copy(), right.copy()
-        fill_interface_ghosts(left, right, v_body, alpha_left, alpha_right, order)
+        for f, filled in zip((left, right), chars.fields()):
+            g = f.grid.ghost_index
+            f.v[g], f.sigma[g] = filled.v[g], filled.sigma[g]
         return cls(left, right, v_body, x_body, 0.0)
 
 
-def partitioned_step(
-    order: int,
-    state: CoupledState,
-    mat_left: FluidMaterial,
-    mat_right: FluidMaterial,
-    m_body: float,
-    dt: float,
-    alpha_left: float,
-    alpha_right: float,
-    far_left: tuple[float, float] | None = None,
-    far_right: tuple[float, float] | None = None,
-) -> CoupledState:
-    """One partitioned step: interior update of both fluids, theta-method
-    body solve, ghost fill, and theta-method position update."""
-    stepper = upwind_step if order == 1 else lax_wendroff_step
-    left = stepper(state.left, mat_left, dt, far_left)
-    right = stepper(state.right, mat_right, dt, far_right)
-    v_new = solve_body(
-        left, right, state.left, state.right,
-        m_body, state.v_body, dt, alpha_left, alpha_right, order,
-    )
-    fill_interface_ghosts(left, right, v_new, alpha_left, alpha_right, order)
-    theta = SCHEMES[order].theta
-    x_new = state.x_body + dt * (theta * v_new + (1.0 - theta) * state.v_body)
-    return CoupledState(left, right, v_new, x_new, state.t + dt)
+class CoupledRun:
+    """A coupled run from `state` (ghosts as given), advanced in place.  It
+    stores both sides' (left, right) outward characteristics in `chars`, and
+    v_body, x_body, t and `flux`, the sum of both sides' edge fluxes at the
+    current level, as Python floats; (v, sigma) fields are built only by
+    `state`."""
+
+    def __init__(self, order: int, state: CoupledState, mat_left: FluidMaterial,
+                 mat_right: FluidMaterial, m_body: float, dt: float, alpha_left: float,
+                 alpha_right: float, far_left: tuple[float, float] | None = None,
+                 far_right: tuple[float, float] | None = None):
+        self.order, self.scheme, self.dt = order, SCHEMES[order], dt
+        self.chars = Characteristics((state.left, state.right), (mat_left, mat_right), dt,
+                                     (far_left, far_right))
+        theta, a_sum = self.scheme.theta, alpha_left + alpha_right
+        self.denom = m_body + theta * dt * a_sum
+        if self.denom <= 0.0:
+            raise SingularBodyUpdate(f"m + {theta:g}*dt*(alpha_L + alpha_R) = {self.denom:.3g}"
+                                     " <= 0; massless bodies need alpha > 0")
+        self.keep = m_body - (1.0 - theta) * dt * a_sum
+        self.sides = interface_sides(self.chars, (alpha_left, alpha_right))
+        self.v_body, self.x_body, self.t = state.v_body, state.x_body, state.t
+        phi_l, phi_r = edge_fluxes(self.chars.x, self.sides, self.scheme.edge)[1]
+        self.flux = phi_r + phi_l
+
+    def step(self) -> None:
+        """One partitioned step: interior update of both fluids, then `couple`."""
+        (upwind_step if self.order == 1 else lax_wendroff_step)(self.chars)
+        self.couple()
+
+    def couple(self) -> None:
+        """Body solve, ghost fill and position update once the interiors are
+        at the new level.  m (v' - v)/dt = theta F(v', new) + (1 - theta)
+        F(v, old), F = sigma_I_right - sigma_I_left = Phi - (aL + aR) v with
+        Phi the sum of both edge fluxes, gives (m + theta dt (aL+aR)) v' =
+        (m - (1-theta) dt (aL+aR)) v + dt [theta Phi' + (1-theta) Phi]."""
+        x, sides, (edge, theta, reflect) = self.chars.x, self.sides, self.scheme
+        cells, (phi_l, phi_r) = edge_fluxes(x, sides, edge)
+        flux = theta * (phi_r + phi_l)
+        if theta < 1.0:
+            flux += (1.0 - theta) * self.flux
+        v_old = self.v_body
+        v = (self.keep * v_old + self.dt * flux) / self.denom
+        fill_ghosts(x, cells, sides, v, interface_stresses(sides, (phi_l, phi_r), v), reflect)
+        self.flux = phi_r + phi_l
+        self.v_body = v
+        self.x_body += self.dt * (theta * v + (1.0 - theta) * v_old)
+        self.t += self.dt
+
+    def rescale(self, norm: float) -> None:
+        """Divide the fluid state, v_body and `flux` by `norm` (linear dynamics)."""
+        self.chars.x /= norm
+        self.v_body /= norm
+        self.flux /= norm
+
+    def state(self) -> CoupledState:
+        """The current level as (v, sigma) fields in new arrays."""
+        left, right = self.chars.fields()
+        return CoupledState(left, right, self.v_body, self.x_body, self.t)
 
 
-def step_algorithm1(*args, **kwargs) -> CoupledState:
-    """Algorithm 1 (upwind, backward Euler): `partitioned_step` at order 1."""
-    return partitioned_step(1, *args, **kwargs)
+def partitioned_step(order: int, state: CoupledState, *args, **kwargs) -> CoupledState:
+    run = CoupledRun(order, state, *args, **kwargs)
+    run.step()
+    return run.state()
 
 
-def step_algorithm2(*args, **kwargs) -> CoupledState:
-    """Algorithm 2 (Lax-Wendroff, trapezoidal): `partitioned_step` at order 2."""
-    return partitioned_step(2, *args, **kwargs)
+def step_algorithm1(state: CoupledState, *args, **kwargs) -> CoupledState:
+    """Algorithm 1 (upwind, backward Euler): one order-1 `CoupledRun` step
+    from `state`, returned as a new state (arguments as for CoupledRun)."""
+    return partitioned_step(1, state, *args, **kwargs)
+
+
+def step_algorithm2(state: CoupledState, *args, **kwargs) -> CoupledState:
+    """Algorithm 2 (Lax-Wendroff, trapezoidal): the same at order 2."""
+    return partitioned_step(2, state, *args, **kwargs)

@@ -17,7 +17,8 @@ from .addedmass import (
     added_mass_tensors,
     sample_surface,
 )
-from .coupling import CoupledState, SingularBodyUpdate, step_algorithm1, step_algorithm2
+from .coupling import CoupledRun, CoupledState, SingularBodyUpdate
+from .coupling import step_algorithm1, step_algorithm2  # noqa: F401  looked up here by perfbench/spans.py
 from .exact import ModelProblem, body_velocity_exact, field_exact
 from .materials import FluidField1D, FluidMaterial, Grid1D
 from .rigidbody3d import (
@@ -132,37 +133,32 @@ class RunConfig:
 def _initial_state(prob: ModelProblem, dx: float, length: float, order: int,
                    alpha_l: float, alpha_r: float) -> CoupledState:
     """Exact-solution initial data on both half-lines (ghosts via coupling)."""
-    fields = {}
+    fields = []
     for side in ("left", "right"):
         grid = Grid1D.uniform(side, length, dx)
-        v = np.zeros(grid.n_points)
-        s = np.zeros(grid.n_points)
-        x_int = grid.cell_centers()[grid.interior]
-        v_int, s_int = field_exact(prob, side, x_int, 0.0)
-        v[grid.interior] = v_int
-        s[grid.interior] = s_int
-        fields[side] = FluidField1D(grid, v, s)
+        v, s = np.zeros(grid.n_points), np.zeros(grid.n_points)
+        v[grid.interior], s[grid.interior] = _exact_interior(prob, grid, 0.0)
+        fields.append(FluidField1D(grid, v, s))
     v0 = float(body_velocity_exact(prob, 0.0))
-    return CoupledState.initial(fields["left"], fields["right"], v0, alpha_l, alpha_r, order)
+    return CoupledState.initial(*fields, v0, alpha_l, alpha_r, order)
+
+
+def _exact_interior(prob: ModelProblem, grid: Grid1D, t: float):
+    """Exact (v, sigma) at the interior cell centers of `grid` at time t."""
+    return field_exact(prob, grid.side, grid.cell_centers()[grid.interior], t)
 
 
 def _error_norms(state: CoupledState, prob: ModelProblem, v_body_err_max: float) -> dict:
     """Max and L1 norms of the field errors over both interiors at state.t."""
-    diffs_v, diffs_s, n_total = [], [], 0
-    for side, fld in (("left", state.left), ("right", state.right)):
-        sl = fld.grid.interior
-        x = fld.grid.cell_centers()[sl]
-        v_ex, s_ex = field_exact(prob, side, x, state.t)
-        diffs_v.append(np.abs(fld.v[sl] - v_ex))
-        diffs_s.append(np.abs(fld.sigma[sl] - s_ex))
-        n_total += x.size
-    dv = np.concatenate(diffs_v)
-    ds = np.concatenate(diffs_s)
+    dv, ds = np.concatenate([
+        np.abs(np.array([f.v[f.grid.interior], f.sigma[f.grid.interior]])
+               - _exact_interior(prob, f.grid, state.t))
+        for f in (state.left, state.right)], axis=1)
     return {
         "v_max": float(np.max(dv)),
         "sigma_max": float(np.max(ds)),
-        "v_l1": float(np.sum(dv) / n_total),
-        "sigma_l1": float(np.sum(ds) / n_total),
+        "v_l1": float(np.sum(dv) / dv.size),
+        "sigma_l1": float(np.sum(ds) / ds.size),
         "v_body_max": float(v_body_err_max),
     }
 
@@ -177,21 +173,22 @@ def run_simulation(cfg: RunConfig) -> dict:
     mat_l, mat_r = cfg.materials()
     alpha_l, alpha_r = cfg.alphas()
     order = 1 if cfg.scheme == "first" else 2
-    stepper = step_algorithm1 if order == 1 else step_algorithm2
 
     dx = cfg.domain_length / cfg.n_cells
     dt = cfg.cfl * dx / max(mat_l.c, mat_r.c)
     n_steps = max(1, ceil(cfg.t_final / dt - 1e-12))
     dt = cfg.t_final / n_steps
 
-    state = _initial_state(prob, dx, cfg.domain_length, order, alpha_l, alpha_r)
-    v_body_hist = np.empty(n_steps + 1)
-    v_body_hist[0] = state.v_body
+    run = CoupledRun(order, _initial_state(prob, dx, cfg.domain_length, order, alpha_l, alpha_r),
+                     mat_l, mat_r, cfg.mass, dt, alpha_l, alpha_r)
+    v_body_hist = [run.v_body]
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
-        for i in range(n_steps):
-            state = stepper(state, mat_l, mat_r, cfg.mass, dt, alpha_l, alpha_r)
-            v_body_hist[i + 1] = state.v_body
+        for _ in range(n_steps):
+            run.step()
+            v_body_hist.append(run.v_body)
+        state = run.state()
 
+    v_body_hist = np.array(v_body_hist)
     times = dt * np.arange(n_steps + 1)
     finite = np.all(np.isfinite(v_body_hist)) and np.all(
         np.isfinite(state.left.v)) and np.all(np.isfinite(state.right.v))
@@ -303,6 +300,10 @@ def run_stability_sweep(cfg: RunConfig) -> dict:
     measured_stable uses a 1% margin on the per-step rate; rows land well off
     the stability boundary so the verdicts are unambiguous.
     """
+    if not cfg.mass > 0.0:
+        raise ValueError("the stability sweep needs mass > 0: its steps are multiples of the "
+                         "traditional bound m (4 - lambda)/(z lambda), which is 0 for a massless "
+                         "body, and the sweep already has massless rows")
     mat = cfg.materials()[0]
     z, lam = mat.z, cfg.cfl
     bound = max_stable_dt_traditional(cfg.mass, z, lam)

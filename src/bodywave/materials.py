@@ -9,7 +9,8 @@ variables
     b = (sigma + z v) / (2 c z)     (left-moving)
 
 diagonalize the system; z = rho*c is the impedance and kappa = rho*c^2 the
-bulk modulus.
+bulk modulus.  A coupled run stores the characteristics (`coupling`); a
+`FluidField1D` in (v, sigma) is the form runs start from and report in.
 """
 
 from __future__ import annotations
@@ -75,11 +76,8 @@ class Grid1D:
 
     @cached_property
     def outward(self) -> int:
-        """+1 where x grows away from the body (right side), -1 on the left.
-
-        `arr[::outward]` views an array from the body outward: ghost at
-        index 0, k-th interior cell at index k, far end last.
-        """
+        """+1 where x grows away from the body (right side), -1 on the left:
+        `arr[::outward]` views an array from the body outward (ghost first)."""
         return -1 if self.side == "left" else 1
 
     @cached_property
@@ -87,28 +85,14 @@ class Grid1D:
         return self.n_cells if self.side == "left" else 0
 
     @property
-    def far_index(self) -> int:
-        return self.n_cells - self.ghost_index
-
-    @property
     def interior(self) -> slice:
         """Slice selecting interior (non-ghost) cells, in array order."""
         return slice(0, self.n_cells) if self.side == "left" else slice(1, self.n_cells + 1)
 
-    def body_cell_index(self, k: int = 1) -> int:
-        """Array index of the k-th interior cell counted from the body."""
-        if not 1 <= k <= self.n_cells:
-            raise ValueError(f"k must be in [1, n_cells], got {k}")
-        return self.ghost_index + self.outward * k
-
-    @property
-    def interface_x(self) -> float:
-        return self.outward * self.body_half_width
-
     def cell_centers(self) -> np.ndarray:
         """Centers of all cells (ghost included), in array order."""
         k = np.arange(self.n_points)  # cells counted from the body, ghost k = 0
-        return (self.interface_x + self.outward * (k - 0.5) * self.dx)[:: self.outward]
+        return (self.outward * (self.body_half_width + (k - 0.5) * self.dx))[:: self.outward]
 
 
 @dataclass
@@ -124,9 +108,8 @@ class FluidField1D:
         self.sigma = np.asarray(self.sigma, dtype=float)
         npts = self.grid.n_points
         if self.v.shape != (npts,) or self.sigma.shape != (npts,):
-            raise ValueError(
-                f"field arrays must have shape ({npts},), got v {self.v.shape} sigma {self.sigma.shape}"
-            )
+            raise ValueError(f"field arrays must have shape ({npts},), "
+                             f"got v {self.v.shape} sigma {self.sigma.shape}")
 
     @classmethod
     def quiescent(cls, grid: Grid1D) -> "FluidField1D":
@@ -138,21 +121,15 @@ class FluidField1D:
     def to_characteristics(self, mat: FluidMaterial) -> tuple[np.ndarray, np.ndarray]:
         """Return (a, b) with a = (sigma - z v)/(2cz), b = (sigma + z v)/(2cz)."""
         s = 1.0 / (2.0 * mat.c * mat.z)
-        a = (self.sigma - mat.z * self.v) * s
-        b = (self.sigma + mat.z * self.v) * s
-        return a, b
+        return (self.sigma - mat.z * self.v) * s, (self.sigma + mat.z * self.v) * s
 
     @classmethod
-    def from_characteristics(
-        cls, grid: Grid1D, mat: FluidMaterial, a: np.ndarray, b: np.ndarray
-    ) -> "FluidField1D":
+    def from_characteristics(cls, grid: Grid1D, mat: FluidMaterial, a: np.ndarray,
+                             b: np.ndarray) -> "FluidField1D":
         """Inverse map: v = c(-a + b), sigma = c z (a + b).
 
-        Evaluated as v = cb - ca, sigma = z(cb) + z(ca) so that a state with
-        one characteristic exactly zero converts back to exactly zero: with
-        a == 0 the stored pair is (cb, z*(cb)) and sigma - z v cancels
-        bit-exactly (and symmetrically for b == 0).  Pure radiation then
-        never leaks roundoff into the opposite characteristic family.
+        Evaluated as v = cb - ca, sigma = z(cb) + z(ca), so that with one
+        characteristic exactly zero, converting back gives it exactly zero.
         """
         va = mat.c * np.asarray(a, dtype=float)
         vb = mat.c * np.asarray(b, dtype=float)

@@ -1,19 +1,19 @@
 """Interior update schemes for the 1D linear acoustic half-line.
 
-Both steppers advance the characteristic pair (a, b) on arrays viewed from
-the body outward (`Grid1D.outward`), so one code path serves both sides:
-the ghost is at index 0, the outgoing family (a on the right, b on the
-left) arrives from cell k-1 and the incoming family from cell k+1.  With
-lam = c dt/dx, u the outgoing and w the incoming family:
+The steppers advance a `Characteristics` record in place: the pairs of one
+or both sides in one array, each viewed from the body outward
+(`Grid1D.outward`), so one code path serves both sides.  x[i, 0] is side i's
+outgoing family u (a on the right, b on the left), x[i, 1] its incoming
+family w; column 0 is the ghost, columns 1..n the interior and column n + 1
+one virtual cell past the far end.  With lam = c dt/dx:
 
     upwind:        u' = u - lam (u - u_{k-1}),   w' = w + lam (w_{k+1} - w)
-    Lax-Wendroff:  x' = x -+ (lam/2)(x_{k+1} - x_{k-1})
-                         + (lam^2/2)(x_{k+1} - 2x + x_{k-1})   (- for u, + for w)
+    Lax-Wendroff:  x' = cw x_{k-1} + (1 - lam^2) x + ce x_{k+1},
+                   (cw, ce) = (lam/2)(lam + 1, lam - 1) for u, reversed for w
 
-One virtual cell past the far end of the grid either copies the last cell
-(zeroth-order extrapolation, the default) or takes caller-supplied values.
-The ghost cell at the body is read but never written: interface couplers own
-it.  Steppers are pure -- they return a new field.
+The virtual far cell copies the last cell (zeroth-order extrapolation) or
+holds given values.  The ghost is read, never written: couplers own it.  A
+FluidField1D is converted in and out; a new field returns, ghost unchanged.
 """
 
 from __future__ import annotations
@@ -29,65 +29,97 @@ class CflViolation(ValueError):
     """Raised when c dt/dx exceeds the stability bound of the stepper."""
 
 
-def _courant(field: FluidField1D, mat: FluidMaterial, dt: float) -> float:
+def _courant(grid, mat: FluidMaterial, dt: float) -> float:
     if not (dt > 0.0 and isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    lam = mat.c * dt / field.grid.dx
+    lam = mat.c * dt / grid.dx
     if lam > 1.0 + 1e-12:
         raise CflViolation(f"c*dt/dx = {lam:.6g} exceeds 1")
     return lam
 
 
-def _upwind(x, lam):
-    """Upwind update, in place, of the (outgoing, incoming) rows of `x`."""
-    x[0, 1:-1] = x[0, 1:-1] - lam * (x[0, 1:-1] - x[0, :-2])
-    x[1, 1:-1] = x[1, 1:-1] + lam * (x[1, 2:] - x[1, 1:-1])
+class Characteristics:
+    """Outward characteristics of `fields` (ghosts included), all with one
+    n_cells; `grid` is the first side's grid.  Given dt it can be stepped,
+    each side at its own Courant number; far_values[i] = (v, sigma) fixes
+    side i's virtual far cell."""
+
+    def __init__(self, fields, mats, dt: float | None = None, far_values=()):
+        self.grids, self.mats, self.grid = tuple(f.grid for f in fields), tuple(mats), fields[0].grid
+        if any(g.n_cells != self.grid.n_cells for g in self.grids):
+            raise ValueError("all sides need the same n_cells")
+        self.x = np.empty((len(fields), 2, self.grid.n_cells + 2))
+        for i, f in enumerate(fields):
+            phys = self.physical(i)
+            phys[0], phys[1] = f.to_characteristics(self.mats[i])
+        if dt is None:
+            return
+        lam = np.array([_courant(g, m, dt) for g, m in zip(self.grids, self.mats)])[:, None]
+        self.lam, half, half2, sign = lam, 0.5 * lam, 0.5 * lam * lam, np.array([[[1.0], [-1.0]]])
+        self.lw = (half2[:, None] + sign * half[:, None], 1.0 - lam[:, None] ** 2,
+                   half2[:, None] - sign * half[:, None])
+        self.tmp = np.empty((2,) + self.x[..., 1:-1].shape)
+        self.far = []
+        for i, fv in enumerate(far_values):
+            if fv is not None:
+                m, k = self.mats[i], 1.0 / (2.0 * self.mats[i].c * self.mats[i].z)
+                ab = (fv[1] - m.z * fv[0]) * k, (fv[1] + m.z * fv[0]) * k
+                self.far.append((i, ab[:: self.grids[i].outward]))
+
+    def physical(self, i: int) -> np.ndarray:
+        """View of side i's (a, b) in physical array order, ghost included."""
+        s = self.grids[i].outward
+        return self.x[i, ::s, :-1][:, ::s]
+
+    def fields(self) -> list[FluidField1D]:
+        """(v, sigma) fields in new arrays, one per side."""
+        return [FluidField1D.from_characteristics(g, m, *self.physical(i))
+                for i, (g, m) in enumerate(zip(self.grids, self.mats))]
 
 
-def _lax_wendroff(x, lam):
-    """Lax-Wendroff update, in place, of the (outgoing, incoming) rows of `x`."""
-    half, half2 = 0.5 * lam, 0.5 * lam * lam
-    prev, ctr, nxt = x[:, :-2], x[:, 1:-1], x[:, 2:]
-    x[:, 1:-1] = ctr + np.array([[-half], [half]]) * (nxt - prev) + half2 * (nxt - 2.0 * ctr + prev)
+def _upwind(x, ch):
+    t = ch.tmp[0, :, 0]
+    np.subtract(x[:, 0, 1:-1], x[:, 0, :-2], out=t)
+    t *= ch.lam
+    x[:, 0, 1:-1] -= t
+    np.subtract(x[:, 1, 2:], x[:, 1, 1:-1], out=t)
+    t *= ch.lam
+    x[:, 1, 1:-1] += t
+
+
+def _lax_wendroff(x, ch):
+    (cw, c0, ce), (t, u) = ch.lw, ch.tmp
+    np.multiply(x[..., :-2], cw, out=t)
+    np.multiply(x[..., 1:-1], c0, out=u)
+    t += u
+    np.multiply(x[..., 2:], ce, out=u)
+    np.add(t, u, out=x[..., 1:-1])
 
 
 def _step(kernel, field, mat, dt, far_values):
-    """Run `kernel` on the characteristics viewed from the body outward and
-    map the result back to a field in physical order, ghost restored
-    bit-exactly.
-
-    The kernel updates cells 1..n of a (2, n + 2) array: row 0 holds the
-    outgoing family, row 1 the incoming one, column 0 the ghost and column
-    n + 1 the virtual far cell.  a moves +x, so it is outgoing on the right
-    and incoming on the left; `phys` views (a, b) in physical order.
-    """
-    lam = _courant(field, mat, dt)
-    grid = field.grid
-    s = grid.outward
-    x = np.empty((2, grid.n_cells + 2))
-    phys = x[::s, :-1][:, ::s]
-    phys[0], phys[1] = field.to_characteristics(mat)
-    if far_values is None:
-        x[:, -1] = x[:, -2]
+    if isinstance(field, Characteristics):
+        ch = field
     else:
-        v_far, sigma_far = far_values
-        k = 1.0 / (2.0 * mat.c * mat.z)
-        x[::s, -1] = (sigma_far - mat.z * v_far) * k, (sigma_far + mat.z * v_far) * k
-    kernel(x, lam)
-    out = FluidField1D.from_characteristics(grid, mat, phys[0], phys[1])
-    g = grid.ghost_index
-    out.v[g] = field.v[g]
-    out.sigma[g] = field.sigma[g]
+        _courant(field.grid, mat, dt)  # a field can only be stepped by a valid dt
+        ch = Characteristics((field,), (mat,), dt, (far_values,))
+    x = ch.x
+    x[..., -1] = x[..., -2]
+    for i, uw in ch.far:
+        x[i, :, -1] = uw
+    kernel(x, ch)
+    if ch is field:
+        return field
+    out = ch.fields()[0]
+    g = field.grid.ghost_index
+    out.v[g], out.sigma[g] = field.v[g], field.sigma[g]
     return out
 
 
-def upwind_step(field: FluidField1D, mat: FluidMaterial, dt: float,
-                far_values: tuple[float, float] | None = None) -> FluidField1D:
-    """First-order upwind step of the interior cells."""
+def upwind_step(field, mat=None, dt=None, far_values=None):
+    """First-order upwind step of a record (in place) or a FluidField1D."""
     return _step(_upwind, field, mat, dt, far_values)
 
 
-def lax_wendroff_step(field: FluidField1D, mat: FluidMaterial, dt: float,
-                      far_values: tuple[float, float] | None = None) -> FluidField1D:
-    """Second-order Lax-Wendroff step of the interior cells."""
+def lax_wendroff_step(field, mat=None, dt=None, far_values=None):
+    """Second-order Lax-Wendroff step of a record (in place) or a FluidField1D."""
     return _step(_lax_wendroff, field, mat, dt, far_values)

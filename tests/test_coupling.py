@@ -2,24 +2,28 @@
 
 The implicit body solves are linear in the unknown velocity, so evaluating
 the defining residual at two points and intersecting gives an oracle root
-that never touches the hand-derived update formulas.
+that never touches the hand-derived update formulas.  Interface stresses,
+ghosts and body solves are those of a `CoupledRun`, whose state is the
+characteristics of the fields it starts from.
 """
 
 import numpy as np
 import pytest
 
 from bodywave.coupling import (
+    CoupledRun,
     CoupledState,
     SingularBodyUpdate,
-    fill_ghost,
-    interface_stress,
-    solve_body,
+    edge_fluxes,
+    fill_ghosts,
+    interface_stresses,
     step_algorithm1,
     step_algorithm2,
 )
 from bodywave.materials import FluidMaterial, Grid1D, FluidField1D
 
 RNG = np.random.default_rng(7)
+MAT = FluidMaterial(1.3, 1.7)
 
 
 def _pair(n=8, dx=0.05, seed_shift=0):
@@ -31,6 +35,22 @@ def _pair(n=8, dx=0.05, seed_shift=0):
     return fl, fr
 
 
+def _run(fl, fr, order, al, ar, m=1.0, vb=0.0, dt=0.004):
+    """A run from the given fields, ghosts as given."""
+    return CoupledRun(order, CoupledState(fl, fr, vb), MAT, MAT, m, dt, al, ar)
+
+
+def _stresses(run, v_body):
+    """(left, right) interface stresses at the run's current interiors."""
+    return interface_stresses(run.sides, edge_fluxes(run.chars.x, run.sides, run.scheme.edge)[1],
+                              v_body)
+
+
+def _outward(f):
+    """(v, sigma) viewed from the body outward: ghost, cell 1, cell 2, ..."""
+    return f.v[:: f.grid.outward], f.sigma[:: f.grid.outward]
+
+
 def _linear_root(residual):
     r0, r1 = residual(0.0), residual(1.0)
     return -r0 / (r1 - r0)
@@ -39,51 +59,56 @@ def _linear_root(residual):
 def test_interface_stress_first_order_values():
     fl, fr = _pair()
     vb, alpha = 0.37, 1.9
-    jl = fl.grid.body_cell_index(1)
-    jr = fr.grid.body_cell_index(1)
-    assert interface_stress(fl, vb, alpha, 1) == pytest.approx(
-        fl.sigma[jl] + alpha * (vb - fl.v[jl]), rel=1e-15
-    )
-    assert interface_stress(fr, vb, alpha, 1) == pytest.approx(
-        fr.sigma[jr] + alpha * (fr.v[jr] - vb), rel=1e-15
-    )
+    (vl, sl), (vr, sr) = _outward(fl), _outward(fr)
+    got_l, got_r = _stresses(_run(fl, fr, 1, alpha, alpha), vb)
+    assert got_l == pytest.approx(sl[1] + alpha * (vb - vl[1]), rel=1e-15)
+    assert got_r == pytest.approx(sr[1] + alpha * (vr[1] - vb), rel=1e-15)
 
 
 def test_interface_stress_second_order_uses_extrapolant():
     fl, fr = _pair()
     vb, alpha = -0.2, 0.8
-    for f in (fl, fr):
-        j1, j2 = f.grid.body_cell_index(1), f.grid.body_cell_index(2)
-        ev = 1.5 * f.v[j1] - 0.5 * f.v[j2]
-        es = 1.5 * f.sigma[j1] - 0.5 * f.sigma[j2]
+    for f, got in zip((fl, fr), _stresses(_run(fl, fr, 2, alpha, alpha), vb)):
+        v, sigma = _outward(f)
+        ev = 1.5 * v[1] - 0.5 * v[2]
+        es = 1.5 * sigma[1] - 0.5 * sigma[2]
         sgn = 1.0 if f.grid.side == "right" else -1.0
         expect = es + alpha * sgn * (ev - vb)
-        assert interface_stress(f, vb, alpha, 2) == pytest.approx(expect, rel=1e-14)
+        assert got == pytest.approx(expect, rel=1e-14)
 
 
 def test_alpha_zero_returns_raw_edge_stress():
+    """At alpha = 0 the interface stress is cell 1's stress as the run
+    stores it, c z (u + w) evaluated as c (z u + z w), whatever v_body."""
     fl, fr = _pair()
-    j = fl.grid.body_cell_index(1)
-    assert interface_stress(fl, 123.0, 0.0, 1) == fl.sigma[j]
+    run = _run(fl, fr, 1, 0.0, 0.0)
+    u, w = run.chars.x[0, :, 1]
+    assert _stresses(run, 123.0)[0] == MAT.c * (MAT.z * u + MAT.z * w)
+    assert _stresses(run, 123.0)[0] == pytest.approx(_outward(fl)[1][1], rel=1e-15)
 
 
 def _check_body_solve(order, theta, new_seed, old_seed, m, vb, dt, al, ar, tol):
-    """The theta-method residual, built from interface_stress alone, is
-    zero at the solved velocity; old fields enter at the old velocity."""
-    fl_new, fr_new = _pair(seed_shift=new_seed)
-    fl_old, fr_old = _pair(seed_shift=old_seed)
+    """The theta-method residual, built from interface stresses alone, is
+    zero at the velocity the run solves for; old interiors enter at the old
+    velocity."""
+    old = _run(*_pair(seed_shift=old_seed), order, al, ar, m=m, vb=vb, dt=dt)
+    new = _run(*_pair(seed_shift=new_seed), order, al, ar, m=m, vb=vb, dt=dt)
 
-    def force(left, right, v):
-        return interface_stress(right, v, ar, order) - interface_stress(left, v, al, order)
+    def force(run, v):
+        left, right = _stresses(run, v)
+        return right - left
+
+    force_old = force(old, vb)
 
     def residual(v_new):
         return m * (v_new - vb) - dt * (
-            theta * force(fl_new, fr_new, v_new) + (1.0 - theta) * force(fl_old, fr_old, vb)
+            theta * force(new, v_new) + (1.0 - theta) * force_old
         )
 
-    got = solve_body(fl_new, fr_new, fl_old, fr_old, m, vb, dt, al, ar, order)
-    assert got == pytest.approx(_linear_root(residual), rel=1e-13)
-    assert abs(residual(got)) < tol
+    old.chars.x[:, :, 1:-1] = new.chars.x[:, :, 1:-1]  # the interiors reach the new level
+    old.couple()
+    assert old.v_body == pytest.approx(_linear_root(residual), rel=1e-13)
+    assert abs(residual(old.v_body)) < tol
 
 
 def test_backward_euler_solve_matches_linear_oracle():
@@ -98,30 +123,39 @@ def test_singular_body_update_raised():
     fl, fr = _pair()
     for order in (1, 2):
         with pytest.raises(SingularBodyUpdate):
-            solve_body(fl, fr, fl, fr, 0.0, 1.0, 0.01, 0.0, 0.0, order)
+            _run(fl, fr, order, 0.0, 0.0, m=0.0, vb=1.0, dt=0.01)
         # massless is fine once alpha > 0
-        solve_body(fl, fr, fl, fr, 0.0, 1.0, 0.01, 1.0, 1.0, order)
+        _run(fl, fr, order, 1.0, 1.0, m=0.0, vb=1.0, dt=0.01)
+
+
+def _fill(order, v_body, sigma_i):
+    """A run's ghosts refilled from (v_body, sigma_i) on both sides; the
+    buffer before the fill is returned too."""
+    run = _run(*_pair(), order, 1.0, 1.0)
+    before = run.chars.x.copy()
+    cells = edge_fluxes(run.chars.x, run.sides, run.scheme.edge)[0]
+    fill_ghosts(run.chars.x, cells, run.sides, v_body, (sigma_i, sigma_i), run.scheme.reflect)
+    return run, before
 
 
 def test_ghost_fill_first_order_sets_interface_values():
-    for f in _pair():
-        out = f.copy()
-        fill_ghost(out, 0.9, -1.1, 1)
-        g = f.grid.ghost_index
-        assert out.v[g] == 0.9 and out.sigma[g] == -1.1
-        interior = f.grid.interior
-        assert np.array_equal(out.v[interior], f.v[interior])
+    """Each ghost holds exactly the characteristics of (v_body, sigma_I)."""
+    run, before = _fill(1, 0.9, -1.1)
+    k = 1.0 / (2.0 * MAT.c * MAT.z)
+    a, b = (-1.1 - MAT.z * 0.9) * k, (-1.1 + MAT.z * 0.9) * k
+    for i, grid in enumerate(run.chars.grids):
+        assert tuple(run.chars.physical(i)[:, grid.ghost_index]) == (a, b)
+    assert np.array_equal(run.chars.x[:, :, 1:], before[:, :, 1:])
 
 
 def test_ghost_fill_second_order_reflects_through_interface():
     vb, si = 0.25, 2.0
-    for f in _pair():
-        out = f.copy()
-        fill_ghost(out, vb, si, 2)
-        g, j1 = f.grid.ghost_index, f.grid.body_cell_index(1)
-        assert 0.5 * (out.v[g] + out.v[j1]) == pytest.approx(vb, rel=1e-15)
-        assert 0.5 * (out.sigma[g] + out.sigma[j1]) == pytest.approx(si, rel=1e-15)
-        assert np.array_equal(out.v[f.grid.interior], f.v[f.grid.interior])
+    run, before = _fill(2, vb, si)
+    for f in (run.state().left, run.state().right):
+        v, sigma = _outward(f)
+        assert 0.5 * (v[0] + v[1]) == pytest.approx(vb, rel=1e-15)
+        assert 0.5 * (sigma[0] + sigma[1]) == pytest.approx(si, rel=1e-15)
+    assert np.array_equal(run.chars.x[:, :, 1:], before[:, :, 1:])
 
 
 @pytest.mark.parametrize("m_body", [1.0, 1e-3])
@@ -221,11 +255,14 @@ def test_step_bookkeeping():
 def test_initial_state_ghosts_consistent():
     fl, fr = _pair()
     st = CoupledState.initial(fl, fr, 0.5, 1.0, 2.0, order=2)
-    for f, alpha in ((st.left, 1.0), (st.right, 2.0)):
-        si = interface_stress(f, 0.5, alpha, 2)
-        g, j1 = f.grid.ghost_index, f.grid.body_cell_index(1)
-        assert 0.5 * (f.sigma[g] + f.sigma[j1]) == pytest.approx(si, rel=1e-13)
-        assert 0.5 * (f.v[g] + f.v[j1]) == pytest.approx(0.5, rel=1e-13)
+    stresses = _stresses(_run(st.left, st.right, 2, 1.0, 2.0), 0.5)
+    for f, given, si in zip((st.left, st.right), (fl, fr), stresses):
+        v, sigma = _outward(f)
+        assert 0.5 * (sigma[0] + sigma[1]) == pytest.approx(si, rel=1e-13)
+        assert 0.5 * (v[0] + v[1]) == pytest.approx(0.5, rel=1e-13)
+        interior = f.grid.interior
+        assert np.array_equal(f.v[interior], given.v[interior])
+        assert np.array_equal(f.sigma[interior], given.sigma[interior])
 
 
 def _mirror_field(f):

@@ -14,6 +14,8 @@ import pytest
 import bodywave
 
 from bodywave.cli import build_parser, config_from_args, main
+from bodywave.materials import FluidField1D, FluidMaterial
+from bodywave.stability import GrowthConfig, empirical_growth_rate
 from bodywave.harness import (
     RunConfig,
     format_json,
@@ -94,6 +96,39 @@ def test_simulation_report_contents():
     assert not rep["diverged"]
     assert all(np.isfinite(v) for v in rep["errors"].values())
     assert rep["final"]["t"] == pytest.approx(0.1)
+
+
+def test_runs_convert_fields_only_at_their_ends(monkeypatch):
+    """A run stores characteristics: run_simulation and empirical_growth_rate
+    convert (v, sigma) to and from them a fixed number of times, however
+    many steps they take."""
+    calls = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(FluidField1D, "to_characteristics",
+                        counting("to", FluidField1D.to_characteristics))
+    monkeypatch.setattr(FluidField1D, "from_characteristics",
+                        classmethod(counting("from", FluidField1D.from_characteristics.__func__)))
+
+    def count(run):
+        calls.clear()
+        run()
+        return dict(calls)
+
+    mat = FluidMaterial(1.0, sqrt(2.0))
+    for scheme in ("first", "second"):
+        short = count(lambda: run_simulation(RunConfig(scheme=scheme, n_cells=20, t_final=0.05)))
+        long = count(lambda: run_simulation(RunConfig(scheme=scheme, n_cells=20, t_final=0.5)))
+        assert short == long and sum(long.values()) <= 8, (scheme, short, long)
+        growth = [count(lambda: empirical_growth_rate(
+            GrowthConfig(mat, 1e-3, 1e-3, 0.8, mat.z, scheme), n_steps=k))
+            for k in (10, 100)]
+        assert growth[0] == growth[1] and sum(growth[1].values()) <= 8, (scheme, growth)
 
 
 def test_simulation_error_shrinks_with_grid():
@@ -299,6 +334,16 @@ def test_cli_numerical_failure_exits_3(capsys):
     ])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_stability_refuses_massless_body(capsys):
+    """Every sweep step is a multiple of the traditional bound, which is 0 for
+    a massless body; the refusal names that reason, not a step size the user
+    never set."""
+    assert main(["stability", "--mass", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "needs mass > 0" in err and "massless rows" in err
+    assert "dt must be" not in err
 
 
 def test_cli_addedmass_stdout_table(capsys):

@@ -24,24 +24,22 @@ class TestGrid1D:
         # i = -4..0 with x_i = -half_width + (i + 1/2) dx, ghost last
         assert np.allclose(x, [-2.75, -2.25, -1.75, -1.25, -0.75])
         assert g.ghost_index == 4
-        assert g.far_index == 0
-        assert g.body_cell_index(1) == 3
-        assert g.body_cell_index(2) == 2
+        # viewed from the body outward: ghost, cells 1..4 (the last is the far end)
+        assert list(np.arange(g.n_points)[:: g.outward]) == [4, 3, 2, 1, 0]
 
     def test_right_cell_centers(self):
         g = Grid1D("right", 4, 0.5, body_half_width=1.0)
         x = g.cell_centers()
         assert np.allclose(x, [0.75, 1.25, 1.75, 2.25, 2.75])
         assert g.ghost_index == 0
-        assert g.far_index == 4
-        assert g.body_cell_index(1) == 1
+        assert list(np.arange(g.n_points)[:: g.outward]) == [0, 1, 2, 3, 4]
 
     def test_body_edge_midway_between_ghost_and_interior(self):
         for side in ("left", "right"):
             g = Grid1D(side, 5, 0.1, body_half_width=0.3)
-            x = g.cell_centers()
-            mid = 0.5 * (x[g.ghost_index] + x[g.body_cell_index(1)])
-            assert abs(mid - g.interface_x) < 1e-15
+            x = g.cell_centers()[:: g.outward]
+            mid = 0.5 * (x[0] + x[1])
+            assert abs(mid - g.outward * g.body_half_width) < 1e-15
 
     def test_interior_slice_excludes_ghost(self):
         gl = Grid1D("left", 5, 0.1)

@@ -1,6 +1,7 @@
 """Normal-mode predictions: closed forms vs determinants vs actual runs."""
 
 import numpy as np
+import pytest
 from hypothesis import given, assume, settings, strategies as st
 from scipy.optimize import brentq
 
@@ -295,3 +296,22 @@ def test_second_order_traditional_grows_below_first_order_bound():
     cfg = GrowthConfig(mat, m, dt, lam, 0.0, "second", n_cells=100, seed=0)
     rate = empirical_growth_rate(cfg, n_steps=600)
     assert 1.7 < rate < 1.9, f"rate={rate}"
+
+
+@pytest.mark.parametrize("scheme,coupling,factor", [
+    ("first", "traditional", 0.5),     # stable
+    ("first", "traditional", 2.0),     # unstable
+    ("second", "projection", 2.0),     # stable
+    ("second", "traditional", 0.5),    # unstable
+])
+def test_growth_rate_is_scale_free(scheme, coupling, factor):
+    """The discrete problem depends only on lambda, alpha/z and m/(z dt), so
+    (m, dt) -> (k m, k dt) leaves the measured rate unchanged: the sweep's
+    mass sets the units, not the problem."""
+    mat, lam, m = FluidMaterial(1.0, np.sqrt(2.0)), 0.8, 1e-3
+    alpha = mat.z if coupling == "projection" else 0.0
+    dt = factor * max_stable_dt_traditional(m, mat.z, lam)
+    base = empirical_growth_rate(GrowthConfig(mat, m, dt, lam, alpha, scheme, seed=5))
+    for k in (2.0 ** -10, 3.0, 1e3):
+        scaled = empirical_growth_rate(GrowthConfig(mat, k * m, k * dt, lam, alpha, scheme, seed=5))
+        assert scaled == pytest.approx(base, rel=1e-12, abs=0.0), k
