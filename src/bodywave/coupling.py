@@ -69,7 +69,7 @@ def edge_fluxes(x, sides, edge) -> tuple[list, list[float]]:
 
 def interface_stresses(sides, phis, v_body: float) -> list[float]:
     """sigma_I = s (phi_e - alpha v_body) per side."""
-    return [sd[0] * (phi - sd[4] * v_body) for sd, phi in zip(sides, phis)]
+    return [s * (phi - alpha * v_body) for (s, _, _, _, alpha, _, _), phi in zip(sides, phis)]
 
 
 def fill_ghosts(x, cells, sides, v_body: float, stresses, reflect: float) -> None:

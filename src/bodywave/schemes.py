@@ -40,9 +40,9 @@ def _courant(grid, mat: FluidMaterial, dt: float) -> float:
 
 class Characteristics:
     """Outward characteristics of `fields` (ghosts included), all with one
-    n_cells; `grid` is the first side's grid.  Given dt it can be stepped,
-    each side at its own Courant number; far_values[i] = (v, sigma) fixes
-    side i's virtual far cell."""
+    n_cells; `grid`, the first side's, gives the cells per side (perfbench
+    counts work by it).  Given dt it can be stepped, each side at its own
+    Courant number; far_values[i] = (v, sigma) fixes side i's far cell."""
 
     def __init__(self, fields, mats, dt: float | None = None, far_values=()):
         self.grids, self.mats, self.grid = tuple(f.grid for f in fields), tuple(mats), fields[0].grid
