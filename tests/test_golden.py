@@ -15,8 +15,9 @@ Tolerances: error norms 1e-10 relative, final body values 1e-10 relative
 or 1e-13 absolute (massless runs end near a zero crossing of v_body), field
 states and the raw state's v_body 1e-13 of the largest field magnitude,
 stability verdicts and predictions identical, measured growth rates 1e-12
-relative, added-mass table values 1e-12 of the largest |value| of their
-shape with identical `ok` flags, rigid-body histories 1e-12 of each
+relative, added-mass table values and their abs/rel differences from the
+reference 1e-12 of the largest |value| of their shape with identical `ok`
+flags, references and reference kinds, rigid-body histories 1e-12 of each
 series' largest magnitude (the axes' orthogonality drift against the unit
 scale of the axes themselves).
 
@@ -117,7 +118,8 @@ def stability_outputs() -> dict:
 def addedmass_outputs() -> dict:
     rep = run_addedmass_table(
         RunConfig(mode="addedmass_table", shape="all", resolution=TABLE_RESOLUTION))
-    keep = ("shape", "params", "entry", "value", "ok")
+    keep = ("shape", "params", "entry", "value", "reference", "reference_kind",
+            "abs_diff", "rel_diff", "ok")
     return {"rows": [{k: row[k] for k in keep} for row in rep["rows"]], "all_ok": rep["all_ok"]}
 
 
@@ -194,8 +196,13 @@ def test_addedmass_table_matches_golden():
     for w in want["rows"]:
         scale[w["shape"]] = max(scale.get(w["shape"], 0.0), abs(w["value"]))
     for g, w in zip(got["rows"], want["rows"]):
-        assert g["ok"] == w["ok"], (g, w)
-        assert abs(g["value"] - w["value"]) <= 1e-12 * scale[w["shape"]], (g, w)
+        for name in ("ok", "reference", "reference_kind"):
+            assert g[name] == w[name], (name, g, w)
+        for name in ("value", "abs_diff", "rel_diff"):
+            if w[name] is None:
+                assert g[name] is None, (name, g)
+            else:
+                assert abs(g[name] - w[name]) <= 1e-12 * scale[w["shape"]], (name, g, w)
 
 
 @pytest.mark.parametrize("mass", RB3D_MASSES)
