@@ -8,11 +8,11 @@ balance reduce the body motion to the scalar ODE
     m vb' + (z_L + z_R) vb = g(t),      vb(0) = V0(0),
 
 whose forcing g collects the incident characteristics.  The ODE integrates
-in closed form into exponential-times-erf terms; for small m those terms
-suffer catastrophic cancellation, so the small-mass branch rewrites each
-product e^P erf(X) through the scaled complement erfcx with the exponent
-differences P - X^2 simplified analytically.  For m = 0 the balance is
-quasi-steady: vb = g/(z_L + z_R).
+in closed form into exponential-times-erf terms.  Written plainly those
+terms cancel catastrophically for small m and overflow once z/(m beta c) is
+large, so for every m > 0 each product e^P erfc(X) is evaluated through the
+scaled complement erfcx with the exponent differences P - X^2 simplified
+analytically.  For m = 0 the balance is quasi-steady: vb = g/(z_L + z_R).
 
 Initial data (pulse centered at x0 < 0, width 1/beta):
 
@@ -83,15 +83,18 @@ class ModelProblem:
         return kappa * self.strain0(x)
 
 
+def _incident_waves(prob: ModelProblem):
+    """(outward sign s, speed c, amplitude a) of the wave that reaches the
+    body from each side: g(t) = sum a exp(-beta^2 (c t - s x0)^2)."""
+    cl, cr = prob.mat_left.c, prob.mat_right.c
+    return ((-1.0, cl, prob.mat_left.z * cl), (1.0, cr, 0.5 * prob.mat_right.z * (cl - cr)))
+
+
 def body_ode_forcing(prob: ModelProblem, t):
     """g(t): incident-characteristic forcing in m vb' + (zL+zR) vb = g."""
     t = np.asarray(t, dtype=float)
-    zl, zr = prob.mat_left.z, prob.mat_right.z
-    cl, cr = prob.mat_left.c, prob.mat_right.c
     b, x0 = prob.beta, prob.x0
-    return 0.5 * zr * (cl - cr) * np.exp(-(b * (cr * t - x0)) ** 2) + zl * cl * np.exp(
-        -(b * (cl * t + x0)) ** 2
-    )
+    return sum(a * np.exp(-(b * (c * t - s * x0)) ** 2) for s, c, a in _incident_waves(prob))
 
 
 def _exp_p_erfc(p, p_minus_x2, x):
@@ -112,58 +115,29 @@ def _exp_p_erfc(p, p_minus_x2, x):
     return out
 
 
-def _vb_terms(prob: ModelProblem, t: np.ndarray):
-    """Shared intermediates of the closed-form body velocity (m > 0)."""
-    zl, zr, zt = prob.mat_left.z, prob.mat_right.z, prob.z_total
-    cl, cr = prob.mat_left.c, prob.mat_right.c
-    b, x0, m = prob.beta, prob.x0, prob.m_body
-    b2 = b * b
+def _vb_response(prob: ModelProblem, t: np.ndarray, s: float, c: float, a: float) -> np.ndarray:
+    """Response of m vb' + Zt vb = a exp(-beta^2 (c t - s x0)^2) from rest (m > 0).
 
-    q_r = cr * t - x0
-    den_r = 2.0 * cr * m * b
-    a_r = (zt - 2.0 * cr * b2 * m * q_r) / den_r
-    b_r = (zt + 2.0 * cr * b2 * m * x0) / den_r
-    p_r = zt * (zt - 4.0 * b2 * m * cr * q_r) / den_r**2
-    c_r = zr * (cr - cl) * sqrt(pi) / (4.0 * cr * b * m)
+    With q = c t - s x0 the integral is -(a sqrt(pi)/(2 c beta m))
+    e^P (erf A - erf B), where
 
-    q_l = cl * t + x0
-    den_l = 2.0 * cl * m * b
-    a_l = (zt - 2.0 * cl * b2 * m * q_l) / den_l
-    b_l = (zt - 2.0 * cl * b2 * m * x0) / den_l
-    p_l = zt * (zt - 4.0 * cl * b2 * m * q_l) / den_l**2
-    c_l_pref = -zl * sqrt(pi) / (2.0 * b * m)
+        A = (Zt - 2 c beta^2 m q)/(2 c m beta)    B = (Zt + 2 c beta^2 m s x0)/(2 c m beta)
+        P = Zt (Zt - 4 c beta^2 m q)/(2 c m beta)^2,
 
-    tail = (prob.mat_left.c / 2.0) * np.exp(-b2 * x0 * x0 - zt * t / m)
-    return (q_r, a_r, b_r, p_r, c_r), (q_l, a_l, b_l, p_l, c_l_pref), tail
-
-
-def _vb_direct(prob: ModelProblem, t: np.ndarray) -> np.ndarray:
-    """Plain erf form; accurate when m is not small."""
-    (q_r, a_r, b_r, p_r, c_r), (q_l, a_l, b_l, p_l, c_l), tail = _vb_terms(prob, t)
-    term_r = c_r * np.exp(p_r) * (erf(a_r) - erf(b_r))
-    term_l = c_l * np.exp(p_l) * (erf(a_l) - erf(b_l))
-    return term_r + term_l + tail
-
-
-def _vb_small_mass(prob: ModelProblem, t: np.ndarray) -> np.ndarray:
-    """erfcx form: exact rewrite of _vb_direct, stable as m -> 0.
-
-    e^P (erf A - erf B) = e^P erfc(B) - e^P erfc(A), and each e^P erfc(X)
-    is evaluated from analytically simplified exponents:
-
-        P_R - A_R^2 = -beta^2 (c_R t - x0)^2      P_R - B_R^2 = -Zt/m - beta^2 x0^2
-        P_L - A_L^2 = -beta^2 (c_L t + x0)^2      P_L - B_L^2 = -Zt/m - beta^2 x0^2
+    and e^P (erf A - erf B) = e^P erfc(B) - e^P erfc(A) is evaluated from the
+    simplified exponents P - A^2 = -beta^2 q^2 and P - B^2 = -Zt t/m - beta^2 x0^2,
+    so no factor overflows for any m > 0.
     """
-    zt, m, b2, x0 = prob.z_total, prob.m_body, prob.beta**2, prob.x0
-    (q_r, a_r, b_r, p_r, c_r), (q_l, a_l, b_l, p_l, c_l), tail = _vb_terms(prob, t)
-    shared = -zt * t / m - b2 * x0 * x0
-    term_r = c_r * (
-        _exp_p_erfc(p_r, shared, b_r) - _exp_p_erfc(p_r, -b2 * q_r * q_r, a_r)
-    )
-    term_l = c_l * (
-        _exp_p_erfc(p_l, shared, b_l) - _exp_p_erfc(p_l, -b2 * q_l * q_l, a_l)
-    )
-    return term_r + term_l + tail
+    zt, m, b, x0 = prob.z_total, prob.m_body, prob.beta, prob.x0
+    b2 = b * b
+    q = c * t - s * x0
+    den = 2.0 * c * m * b
+    p = zt * (zt - 4.0 * c * b2 * m * q) / den**2
+    big_a = (zt - 2.0 * c * b2 * m * q) / den
+    big_b = (zt + 2.0 * c * b2 * m * s * x0) / den
+    pref = -a * sqrt(pi) / (2.0 * c * b * m)
+    return pref * (_exp_p_erfc(p, -zt * t / m - b2 * x0 * x0, big_b)
+                   - _exp_p_erfc(p, -b2 * q * q, big_a))
 
 
 def body_velocity_exact(prob: ModelProblem, t):
@@ -173,10 +147,11 @@ def body_velocity_exact(prob: ModelProblem, t):
         raise DomainError("t must be >= 0")
     if prob.m_body == 0.0:
         out = body_ode_forcing(prob, t_arr) / prob.z_total
-    elif prob.m_body < 0.1:
-        out = _vb_small_mass(prob, np.atleast_1d(t_arr))
     else:
-        out = _vb_direct(prob, np.atleast_1d(t_arr))
+        tt = np.atleast_1d(t_arr)
+        # free decay of vb(0) = V0(0), plus the response to each incident wave
+        out = prob.velocity0(0.0) * np.exp(-prob.z_total * tt / prob.m_body) + sum(
+            _vb_response(prob, tt, *wave) for wave in _incident_waves(prob))
     out = out.reshape(t_arr.shape)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
@@ -235,8 +210,10 @@ def body_displacement_exact(prob: ModelProblem, t):
 def field_exact(prob: ModelProblem, side: str, x, t: float):
     """Exact (v, sigma) on one side at time t (x may be a vector).
 
-    Each side splits into direct and reflected d'Alembert branches; the
-    reflected branch carries the body velocity history.
+    With s the outward sign of the side (-1 left, +1 right), each side
+    carries an incoming wave, always direct, and an outgoing wave: direct
+    where its foot x - s c t lies on this side, else the reflection off the
+    body, which carries the body velocity history.
     """
     if side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
@@ -245,39 +222,26 @@ def field_exact(prob: ModelProblem, side: str, x, t: float):
     x = np.asarray(x, dtype=float)
     scalar_in = x.ndim == 0
     x = np.atleast_1d(x)
-    if side == "left" and np.any(x > 0.0):
-        raise DomainError("left-side x must satisfy x <= 0")
-    if side == "right" and np.any(x < 0.0):
-        raise DomainError("right-side x must satisfy x >= 0")
+    s = -1.0 if side == "left" else 1.0
+    if np.any(s * x < 0.0):
+        raise DomainError(f"{side}-side x must satisfy {'x <= 0' if s < 0 else 'x >= 0'}")
 
     mat = prob.mat_left if side == "left" else prob.mat_right
     c = mat.c
 
-    def f_dir(xi):  # d/dxi of the right-moving primitive
-        return 0.5 * (prob.strain0(xi) - prob.velocity0(xi) / c)
+    def wave(xi, d):  # d/dxi of the primitive moving in direction d
+        return 0.5 * (prob.strain0(xi) - d * prob.velocity0(xi) / c)
 
-    def g_dir(xi):  # d/dxi of the left-moving primitive
-        return 0.5 * (prob.strain0(xi) + prob.velocity0(xi) / c)
+    inc = wave(x + s * c * t, -s)
+    xi_out = x - s * c * t
+    out = wave(xi_out, s)
+    refl = (xi_out < 0.0) ^ (s < 0.0)  # left reflects at xi >= 0, right at xi < 0
+    if np.any(refl):
+        xi_r = xi_out[refl]
+        out[refl] = -s * body_velocity_exact(prob, -s * xi_r / c) / c + wave(-xi_r, -s)
 
-    if side == "left":
-        fp = f_dir(x - c * t)  # always in the direct domain (xi <= 0)
-        xi_g = x + c * t
-        refl = xi_g >= 0.0
-        gp = g_dir(xi_g)
-        if np.any(refl):
-            xi_r = xi_g[refl]
-            gp[refl] = body_velocity_exact(prob, xi_r / c) / c + f_dir(-xi_r)
-    else:
-        gp = g_dir(x + c * t)  # always direct (xi >= 0)
-        xi_f = x - c * t
-        refl = xi_f < 0.0
-        fp = f_dir(xi_f)
-        if np.any(refl):
-            xi_r = xi_f[refl]
-            fp[refl] = -body_velocity_exact(prob, -xi_r / c) / c + g_dir(-xi_r)
-
-    v = c * (gp - fp)
-    sigma = mat.kappa * (fp + gp)
+    v = s * c * (inc - out)
+    sigma = mat.kappa * (inc + out)
     if scalar_in:
         return float(v[0]), float(sigma[0])
     return v, sigma

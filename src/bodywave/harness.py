@@ -344,15 +344,53 @@ def run_stability_sweep(cfg: RunConfig) -> dict:
 
 # -- added-mass table ---------------------------------------------------------
 
-# Reference diagonal entries (a = 1, unit impedance) for the ellipse family;
-# three-significant-digit table values.  Tolerances are half a printed ulp,
-# except b=0.01 avv_22 where the table value 3.99 is a truncation of the
-# elliptic-integral truth 3.999102 (one full ulp).
-ELLIPSE_TABLE = {
-    0.5: {"avv_11": (1.26, 5e-3), "avv_22": (3.58, 5e-3), "aww_33": (0.581, 5e-4)},
-    0.1: {"avv_11": (0.108, 5e-4), "avv_22": (3.96, 5e-3), "aww_33": (1.27, 5e-3)},
-    0.01: {"avv_11": (0.0020, 5e-5), "avv_22": (3.99, 1e-2), "aww_33": (1.33, 5e-3)},
-}
+def _nonnegative_part(value: float) -> float:
+    return max(value, 0.0)
+
+
+# One entry per body: (shape, params, body, kind, {entry: (reference, tol)});
+# entries without a reference are of kind "none".  Ellipse references
+# (a = 1, unit impedance) are three-significant-digit printed values to half
+# a printed ulp, except b = 0.01 avv_22, where the printed 3.99 truncates the
+# true 3.999102 (one full ulp); the ellipsoid references are printed
+# four-to-six digit values.  Invariant tolerances are relative to the largest
+# |entry| of the composite tensor, and the smallest eigenvalue is checked
+# against its nonnegative part.
+ADDED_MASS_REFERENCES = (
+    ("ellipse", "a=1 b=1.0", Ellipse(1.0, 1.0), "analytic",
+     {"avv_11": (pi, 1e-10), "avv_22": (pi, 1e-10), "aww_33": (0.0, 1e-10)}),
+    ("ellipse", "a=1 b=0.5", Ellipse(1.0, 0.5), "printed",
+     {"avv_11": (1.26, 5e-3), "avv_22": (3.58, 5e-3), "aww_33": (0.581, 5e-4)}),
+    ("ellipse", "a=1 b=0.1", Ellipse(1.0, 0.1), "printed",
+     {"avv_11": (0.108, 5e-4), "avv_22": (3.96, 5e-3), "aww_33": (1.27, 5e-3)}),
+    ("ellipse", "a=1 b=0.01", Ellipse(1.0, 0.01), "printed",
+     {"avv_11": (0.0020, 5e-5), "avv_22": (3.99, 1e-2), "aww_33": (1.33, 5e-3)}),
+    ("sphere", "a=1", Ellipsoid(1.0, 1.0, 1.0), "analytic",
+     {"avv_11": (4.0 * pi / 3.0, 1e-10), "avv_22": (4.0 * pi / 3.0, 1e-10),
+      "avv_33": (4.0 * pi / 3.0, 1e-10), "aww_max": (0.0, 1e-10)}),
+    ("ellipsoid", "a=1.0 b=1.0 c=2.0", Ellipsoid(1.0, 1.0, 2.0), "printed",
+     {"avv_11": (9.25387, 1e-3), "avv_22": (9.25387, 1e-3), "avv_33": (2.97069, 1e-3),
+      "aww_11": (4.71239, 1e-3), "aww_22": (4.71239, 1e-3), "aww_33": (0.0, 1e-3)}),
+    ("ellipsoid", "a=1.0 b=2.0 c=3.0", Ellipsoid(1.0, 2.0, 3.0), "printed",
+     {"avv_11": (32.30707, 1e-3), "avv_22": (11.02345, 1e-3), "avv_33": (5.55162, 1e-3),
+      "aww_11": (6.83979, 1e-3), "aww_22": (53.51090, 1e-3), "aww_33": (15.96272, 1e-3)}),
+    ("starfish", "arms=5", Starfish.default(), "invariant",
+     {"avv_11": (None, None), "avv_22": (None, None), "avv_33": (None, None),
+      "aww_33": (None, None), "symmetry_drift": (0.0, 1e-12),
+      "min_eigenvalue": (_nonnegative_part, 1e-12)}),
+)
+
+
+def _entry_value(tens, entry: str) -> float:
+    """A diagonal entry such as "avv_11", or one of the named derived values."""
+    if entry == "aww_max":
+        return float(np.max(np.abs(tens.aww)))
+    if entry == "symmetry_drift":
+        return float(np.max(np.abs(tens.composite - tens.composite.T)))
+    if entry == "min_eigenvalue":
+        return float(np.min(np.linalg.eigvalsh(tens.composite)))
+    i = int(entry[-1]) - 1
+    return float((tens.avv if entry.startswith("avv") else tens.aww)[i, i])
 
 
 def _table_row(shape, params, entry, value, reference, tol, kind) -> dict:
@@ -374,105 +412,26 @@ def _table_row(shape, params, entry, value, reference, tol, kind) -> dict:
     }
 
 
-def _ellipse_rows(resolution: int) -> list[dict]:
-    rows = []
-    for ratio in (1.0, 0.5, 0.1, 0.01):
-        shape = Ellipse(1.0, ratio)
-        tens = added_mass_tensors(sample_surface(shape, 1.0, resolution))
-        params = f"a=1 b={ratio}"
-        values = {
-            "avv_11": float(tens.avv[0, 0]),
-            "avv_22": float(tens.avv[1, 1]),
-            "aww_33": float(tens.aww[2, 2]),
-        }
-        if ratio == 1.0:
-            refs = {"avv_11": (pi, 1e-10), "avv_22": (pi, 1e-10), "aww_33": (0.0, 1e-10)}
-            kind = "analytic"
-        else:
-            refs = ELLIPSE_TABLE[ratio]
-            kind = "printed"
-        for entry, value in values.items():
-            ref, tol = refs[entry]
-            rows.append(_table_row("ellipse", params, entry, value, ref, tol, kind))
-    return rows
-
-
-def _sphere_rows(resolution: int) -> list[dict]:
-    tens = added_mass_tensors(sample_surface(Ellipsoid(1.0, 1.0, 1.0), 1.0, resolution))
-    ref = 4.0 * pi / 3.0
-    rows = []
-    for i in range(3):
-        rows.append(
-            _table_row("sphere", "a=1", f"avv_{i+1}{i+1}", float(tens.avv[i, i]),
-                       ref, 1e-10, "analytic")
-        )
-    rows.append(
-        _table_row("sphere", "a=1", "aww_max", float(np.max(np.abs(tens.aww))),
-                   0.0, 1e-10, "analytic")
-    )
-    return rows
-
-
-def _ellipsoid_rows(resolution: int) -> list[dict]:
-    # printed four-to-six digit values for two reference ellipsoids
-    printed = {
-        (1.0, 1.0, 2.0): {
-            "avv_11": 9.25387, "avv_22": 9.25387, "avv_33": 2.97069,
-            "aww_11": 4.71239, "aww_22": 4.71239, "aww_33": 0.0,
-        },
-        (1.0, 2.0, 3.0): {
-            "avv_11": 32.30707, "avv_22": 11.02345, "avv_33": 5.55162,
-            "aww_11": 6.83979, "aww_22": 53.51090, "aww_33": 15.96272,
-        },
-    }
-    rows = []
-    for axes, refs in printed.items():
-        tens = added_mass_tensors(sample_surface(Ellipsoid(*axes), 1.0, resolution))
-        params = "a={} b={} c={}".format(*axes)
-        for entry, ref in refs.items():
-            block = tens.avv if entry.startswith("avv") else tens.aww
-            i = int(entry[-2]) - 1
-            rows.append(
-                _table_row("ellipsoid", params, entry, float(block[i, i]), ref, 1e-3, "printed")
-            )
-    return rows
-
-
-def _starfish_rows(resolution: int) -> list[dict]:
-    shape = Starfish.default()
-    tens = added_mass_tensors(sample_surface(shape, 1.0, resolution))
-    sym_drift = float(np.max(np.abs(tens.composite - tens.composite.T)))
-    min_eig = float(np.min(np.linalg.eigvalsh(tens.composite)))
-    scale = float(np.max(np.abs(tens.composite)))
-    params = f"arms={shape.na}"
-    rows = [
-        _table_row("starfish", params, f"avv_{i+1}{i+1}", float(tens.avv[i, i]),
-                   None, None, "none")
-        for i in range(3)
-    ]
-    rows.append(_table_row("starfish", params, "aww_33", float(tens.aww[2, 2]), None, None, "none"))
-    rows.append(_table_row("starfish", params, "symmetry_drift", sym_drift, 0.0, 1e-12 * scale, "invariant"))
-    rows.append(_table_row("starfish", params, "min_eigenvalue", min_eig, max(min_eig, 0.0), 1e-12 * scale, "invariant"))
-    return rows
-
-
 def run_addedmass_table(cfg: RunConfig) -> dict:
     """Tensor entries for the requested shapes, against analytic or printed
     reference values where those exist (invariant checks otherwise)."""
-    builders = {
-        "ellipse": _ellipse_rows,
-        "sphere": _sphere_rows,
-        "ellipsoid": _ellipsoid_rows,
-        "starfish": _starfish_rows,
-    }
-    names = [s for s in ("ellipse", "sphere", "ellipsoid", "starfish")] \
-        if cfg.shape == "all" else [cfg.shape]
     rows = []
-    for name in names:
+    for shape, params, body, kind, refs in ADDED_MASS_REFERENCES:
+        if cfg.shape not in ("all", shape):
+            continue
         res = cfg.resolution
-        if name in ("sphere", "ellipsoid"):
+        if isinstance(body, Ellipsoid):
             res = min(res, 256)  # per-dimension count; 256^2 nodes suffice
-        rows.extend(builders[name](res))
+        tens = added_mass_tensors(sample_surface(body, 1.0, res))
+        scale = float(np.max(np.abs(tens.composite)))
+        for entry, (reference, tol) in refs.items():
+            value = _entry_value(tens, entry)
+            if callable(reference):
+                reference = reference(value)
+            if kind == "invariant" and tol is not None:
+                tol = tol * scale
+            rows.append(_table_row(shape, params, entry, value, reference, tol,
+                                   kind if reference is not None else "none"))
     return {"config": cfg.to_dict(), "rows": rows, "all_ok": all(r["ok"] for r in rows)}
 
 

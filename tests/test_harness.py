@@ -397,3 +397,17 @@ def test_cli_diverged_run_emits_no_warnings(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "div.json").read_text())
     assert all(r is None for ratios in report["ratios"].values() for r in ratios)
+
+
+def test_cli_simulate_dense_fluids_is_not_reported_diverged(tmp_path):
+    # rho = 100 on both sides makes z/(m beta c) large at m = 0.5; the exact
+    # solution the errors are measured against must stay finite there.
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "rep.json"
+    cfg_path.write_text(json.dumps({"rho_left": 100.0, "rho_right": 100.0}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--config", str(cfg_path), "--mass", "0.5", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["diverged"] is False
+    assert all(v is not None and np.isfinite(v) for v in report["errors"].values())
