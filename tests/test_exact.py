@@ -5,6 +5,8 @@ integrating that with scipy (tight tolerances, Radau for small mass) gives
 an oracle that shares no code with the closed form.
 """
 
+from math import sqrt
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
@@ -41,27 +43,19 @@ def _ode_oracle(prob, times):
     return sol.y[0]
 
 
-def _heavy(rho, m):
-    return ModelProblem(FluidMaterial(rho, np.sqrt(2.0)), FluidMaterial(rho, np.sqrt(3.0)), m)
-
-
-# standard materials over six decades of mass, including the masses either
-# side of 0.1; and dense fluids, where z/(m beta c) is large at moderate mass
-ORACLE_CASES = [
-    *((f"standard/m={m!r}", ModelProblem.standard(m))
-      for m in (1.0, 1e-2, 1e-6, 0.0999, 0.1001)),
-    *((f"rho={rho!r}/m={m!r}", _heavy(rho, m)) for rho, m in ((100.0, 0.5), (100.0, 2.0),
-                                                             (10.0, 0.5))),
-]
-
-
-@pytest.mark.parametrize("prob", [p for _, p in ORACLE_CASES], ids=[i for i, _ in ORACLE_CASES])
-def test_body_velocity_matches_ode_oracle(prob):
+@pytest.mark.parametrize("m,rho", [
+    *(pytest.param(m, 1.0, id=str(m)) for m in (1.0, 1e-2, 1e-6, 0.0999, 0.1001)),
+    # dense fluids, where z/(m beta c) is large at moderate mass
+    *(pytest.param(m, rho, id=f"rho={rho}-{m}")
+      for rho, m in ((100.0, 0.5), (100.0, 2.0), (10.0, 0.5))),
+])
+def test_body_velocity_matches_ode_oracle(m, rho):
+    prob = ModelProblem(FluidMaterial(rho, sqrt(2.0)), FluidMaterial(rho, sqrt(3.0)), m)
     with np.errstate(over="raise", invalid="raise"):  # no overflow, no NaN
         got = body_velocity_exact(prob, T_GRID)
     ref = _ode_oracle(prob, T_GRID)
     err = np.max(np.abs(got - ref))
-    assert err < 1e-8, f"m={prob.m_body}: closed form vs ODE oracle differ by {err:.3e}"
+    assert err < 1e-8, f"m={m}, rho={rho}: closed form vs ODE oracle differ by {err:.3e}"
 
 
 def test_zero_mass_is_quasi_steady_limit():
