@@ -25,6 +25,7 @@ from .harness import (
 )
 from .rigidbody3d import NewtonDivergence, NonphysicalPressure, SingularStage
 from .schemes import CflViolation
+from .stability import ContourFailure
 
 SUBCOMMAND_MODES = {
     "simulate": "simulate1d",
@@ -43,6 +44,7 @@ NUMERICAL_ERRORS = (
     DomainError,
     DegenerateGeometry,
     UnsupportedShape,
+    ContourFailure,
     FloatingPointError,
 )
 

@@ -318,14 +318,11 @@ def run_stability_sweep(cfg: RunConfig) -> dict:
                 GrowthConfig(mat, mass, dt, lam, alpha, scheme, seed=cfg.seed))
         except SingularBodyUpdate:
             measured = None  # the solver refuses the configuration outright
-        if measured is None:
-            meas_stable = False
-            agree = not pred_stable  # refusal only acceptable for unstable configs
-        else:
-            meas_stable = measured <= 1.01
-            agree = meas_stable == pred_stable
-            if isinstance(predicted, float) and predicted > 1.01 and not pred_stable:
-                agree = agree and abs(measured - predicted) <= 0.05 * predicted
+        rate_compared = (measured is not None and isinstance(predicted, float)
+                         and predicted > 1.01 and not pred_stable)
+        meas_stable = measured is not None and measured <= 1.01  # a refusal is unstable
+        agree = meas_stable == pred_stable and (
+            not rate_compared or abs(measured - predicted) <= 0.05 * predicted)
         rows.append({
             "scheme": scheme,
             "coupling": coupling,
@@ -338,6 +335,7 @@ def run_stability_sweep(cfg: RunConfig) -> dict:
             "measured_rate": measured,
             "measured_stable": meas_stable,
             "agree": agree,
+            "rate_compared": rate_compared,
         })
     return {"config": cfg.to_dict(), "rows": rows, "all_agree": all(r["agree"] for r in rows)}
 

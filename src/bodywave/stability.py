@@ -25,9 +25,10 @@ from .coupling import CoupledRun, CoupledState
 from .coupling import step_algorithm1, step_algorithm2  # noqa: F401  looked up here by perfbench/spans.py
 from .materials import FluidMaterial, Grid1D, FluidField1D
 
-# Argument-principle contour: circles |A| = 1.01 and 1e4, sampled finely
-# enough that no phase step between samples approaches pi.
-INNER_RADIUS, OUTER_RADIUS, CONTOUR_SAMPLES = 1.01, 1e4, 16384
+# Argument-principle contour: circles |A| = 1.01 and 1e4, each sampled
+# adaptively on a uniform CONTOUR_CAP-point grid (see _winding_number).
+INNER_RADIUS, OUTER_RADIUS = 1.01, 1e4
+CONTOUR_START, CONTOUR_CAP, CONTOUR_MAX_TURN = 64, 65536, np.pi / 4
 
 GROWTH_AMPLITUDE = 1e-3  # size of the random initial data of a growth run
 
@@ -128,21 +129,27 @@ def _lw_family_vec(nu: float, A: np.ndarray):
     disc = np.sqrt(q1 * q1 - 4.0 * q2 * q0)
     pick = np.abs(q1 + disc) >= np.abs(q1 - disc)
     big = np.where(pick, q1 + disc, q1 - disc)
-    r_a = -0.5 * big / q2
-    r_b = q0 / (q2 * r_a) if q0 != 0.0 else np.zeros_like(r_a)
-    swap = np.abs(r_a) > np.abs(r_b)
-    r_in = np.where(swap, r_b, r_a)
-    r_out = np.where(swap, r_a, r_b)
+    r_out = -0.5 * big / q2  # the larger root; Vieta gives the smaller
+    r_in = q0 / (q2 * r_out) if q0 != 0.0 else np.zeros_like(r_out)
     return r_in, 1.0 / r_out
 
 
 # -- eigen-system determinants ----------------------------------------------
 
 
-def first_order_system_matrix(A, q: StabilityQuery) -> np.ndarray:
-    """3x3 interface-mode system of the first-order scheme, vectorized over
-    complex A; unknowns (b_L0, a_R0, v/c).  Singular exactly at the
-    amplification factors."""
+class ContourFailure(ArithmeticError):
+    """The argument-principle mode count could not be certified."""
+
+
+def _dense(entries: dict, A, n: int) -> np.ndarray:
+    out = np.zeros(np.shape(A) + (n, n), dtype=complex)
+    for (i, j), value in entries.items():
+        out[..., i, j] = value
+    return out
+
+
+def _first_order_entries(A, q: StabilityQuery):
+    """Entries (d, e, f, g) of the system [[d, 0, -e], [0, d, e], [f, -f, g]]."""
     A = np.asarray(A, dtype=complex)
     lam, z, al, dt, m = q.courant, q.z, q.alpha, q.dt, q.mass
     r = (A - 1.0 + lam) / lam
@@ -150,20 +157,26 @@ def first_order_system_matrix(A, q: StabilityQuery) -> np.ndarray:
     e = (al + z) / (2.0 * z)
     f = A * dt * (z - al) / r
     g = m * (A - 1.0) + 2.0 * dt * al * A
-    out = np.zeros(A.shape + (3, 3), dtype=complex)
-    out[..., 0, 0] = d
-    out[..., 0, 2] = -e
-    out[..., 1, 1] = d
-    out[..., 1, 2] = e
-    out[..., 2, 0] = f
-    out[..., 2, 1] = -f
-    out[..., 2, 2] = g
-    return out
+    return d, e, f, g
 
 
-def second_order_system_matrix(A, q: StabilityQuery) -> np.ndarray:
-    """5x5 interface-mode system of the second-order scheme, vectorized over
-    complex A with |A| > 1; unknowns (a_L0, b_L0, a_R0, b_R0, v/c).
+def first_order_system_matrix(A, q: StabilityQuery) -> np.ndarray:
+    """3x3 interface-mode system of the first-order scheme, vectorized over
+    complex A; unknowns (b_L0, a_R0, v/c).  Singular exactly at the
+    amplification factors."""
+    d, e, f, g = _first_order_entries(A, q)
+    return _dense({(0, 0): d, (0, 2): -e, (1, 1): d, (1, 2): e,
+                   (2, 0): f, (2, 1): -f, (2, 2): g}, A, 3)
+
+
+def first_order_determinant(A, q: StabilityQuery):
+    """det of first_order_system_matrix, d^2 g + 2 d e f, from its entries."""
+    d, e, f, g = _first_order_entries(A, q)
+    return d * (d * g + 2.0 * e * f)
+
+
+def _second_order_entries(A, q: StabilityQuery) -> dict:
+    """Nonzero entries {(row, col): value} of second_order_system_matrix.
 
     Left-domain modes carry the outside spatial root of each characteristic
     family (entering via its reciprocal), right-domain modes the inside
@@ -180,50 +193,67 @@ def second_order_system_matrix(A, q: StabilityQuery) -> np.ndarray:
     lam, w = q.courant, q.alpha / q.z
     r1a, y_la = _lw_family_vec(-lam, A)  # rightward family, nu = -lambda
     r1b, y_lb = _lw_family_vec(+lam, A)  # leftward family,  nu = +lambda
-
-    def S(y):
-        return 1.5 * y - 0.5 * y * y
-
-    out = np.zeros(A.shape + (5, 5), dtype=complex)
-    out[..., 0, 0] = 1.0 + y_la
-    out[..., 0, 1] = -(1.0 + y_lb)
-    out[..., 0, 4] = 2.0
-    out[..., 1, 2] = 1.0 + r1a
-    out[..., 1, 3] = -(1.0 + r1b)
-    out[..., 1, 4] = 2.0
-    out[..., 2, 0] = 1.0 + y_la - 2.0 * (w + 1.0) * S(y_la)
-    out[..., 2, 1] = 1.0 + y_lb + 2.0 * (w - 1.0) * S(y_lb)
-    out[..., 2, 4] = -2.0 * w
-    out[..., 3, 2] = 1.0 + r1a + 2.0 * (w - 1.0) * S(r1a)
-    out[..., 3, 3] = 1.0 + r1b - 2.0 * (w + 1.0) * S(r1b)
-    out[..., 3, 4] = 2.0 * w
-    out[..., 4, 0] = (w + 1.0) * S(y_la)
-    out[..., 4, 1] = (1.0 - w) * S(y_lb)
-    out[..., 4, 2] = -(1.0 - w) * S(r1a)
-    out[..., 4, 3] = -(1.0 + w) * S(r1b)
-    out[..., 4, 4] = ((A - 1.0) / (A + 1.0)) * 2.0 * q.mass / (q.dt * q.z) + 2.0 * w
-    return out
+    s_la, s_lb, s_ra, s_rb = (1.5 * y - 0.5 * y * y for y in (y_la, y_lb, r1a, r1b))
+    return {
+        (0, 0): 1.0 + y_la, (0, 1): -(1.0 + y_lb), (0, 4): 2.0,
+        (1, 2): 1.0 + r1a, (1, 3): -(1.0 + r1b), (1, 4): 2.0,
+        (2, 0): 1.0 + y_la - 2.0 * (w + 1.0) * s_la,
+        (2, 1): 1.0 + y_lb + 2.0 * (w - 1.0) * s_lb, (2, 4): -2.0 * w,
+        (3, 2): 1.0 + r1a + 2.0 * (w - 1.0) * s_ra,
+        (3, 3): 1.0 + r1b - 2.0 * (w + 1.0) * s_rb, (3, 4): 2.0 * w,
+        (4, 0): (w + 1.0) * s_la, (4, 1): (1.0 - w) * s_lb,
+        (4, 2): -(1.0 - w) * s_ra, (4, 3): -(1.0 + w) * s_rb,
+        (4, 4): ((A - 1.0) / (A + 1.0)) * 2.0 * q.mass / (q.dt * q.z) + 2.0 * w,
+    }
 
 
-def first_order_determinant(A, q: StabilityQuery):
-    return np.linalg.det(first_order_system_matrix(A, q))
+def second_order_system_matrix(A, q: StabilityQuery) -> np.ndarray:
+    """5x5 interface-mode system of the second-order scheme, vectorized over
+    complex A with |A| > 1; unknowns (a_L0, b_L0, a_R0, b_R0, v/c)."""
+    return _dense(_second_order_entries(A, q), A, 5)
 
 
 def second_order_determinant(A, q: StabilityQuery):
-    return np.linalg.det(second_order_system_matrix(A, q))
+    """det of second_order_system_matrix by block elimination, without
+    building it.  Rows 0, 2 touch only columns {0, 1, 4} and rows 1, 3 only
+    {2, 3, 4}; the row order (0, 2, 1, 3, 4), an odd permutation, gives
+    [[P, 0, p], [0, Q, q], [r, s, t]], so
+    det = -(t detP detQ - detQ r adj(P) p - detP s adj(Q) q)."""
+    e = _second_order_entries(A, q)
+    det_p = e[0, 0] * e[2, 1] - e[0, 1] * e[2, 0]
+    det_q = e[1, 2] * e[3, 3] - e[1, 3] * e[3, 2]
+    r_adj_p = (e[4, 0] * (e[2, 1] * e[0, 4] - e[0, 1] * e[2, 4])
+               + e[4, 1] * (e[0, 0] * e[2, 4] - e[2, 0] * e[0, 4]))
+    s_adj_q = (e[4, 2] * (e[3, 3] * e[1, 4] - e[1, 3] * e[3, 4])
+               + e[4, 3] * (e[1, 2] * e[3, 4] - e[3, 2] * e[1, 4]))
+    return det_q * r_adj_p + det_p * s_adj_q - e[4, 4] * det_p * det_q
 
 
-def _winding_number(values: np.ndarray) -> int:
-    mags = np.abs(values)
-    if np.min(mags) == 0.0:
-        raise ArithmeticError("determinant vanished on the contour")
-    turns = np.angle(np.roll(values, -1) / values)
-    if np.max(np.abs(turns)) > 2.5:  # phase step too close to pi: undersampled
-        raise ArithmeticError("contour undersampled")
+def _winding_number(det_fn, q: StabilityQuery, radius: float) -> int:
+    """Winding number of det_fn(., q) around |A| = radius by the adaptive
+    argument principle (Delves & Lyness, Math. Comp. 1967): start at
+    CONTOUR_START points and bisect every arc whose phase step exceeds
+    CONTOUR_MAX_TURN until none does.  Samples sit on a uniform
+    CONTOUR_CAP-point grid, so an arc that needs a finer one is undersampled."""
+    k, values = np.empty(0, dtype=int), np.empty(0, dtype=complex)
+    at, new_k = 0, np.arange(0, CONTOUR_CAP, CONTOUR_CAP // CONTOUR_START)
+    while True:
+        new = det_fn(radius * np.exp(2j * np.pi * new_k / CONTOUR_CAP), q)
+        if not np.all(np.isfinite(new) & (new != 0.0)):
+            raise ContourFailure("determinant vanished (or is not finite) on the contour")
+        k, values = np.insert(k, at, new_k), np.insert(values, at, new)
+        turns = np.angle(np.roll(values, -1) / values)
+        wide = np.flatnonzero(np.abs(turns) > CONTOUR_MAX_TURN)
+        if wide.size == 0:
+            break
+        ends = np.append(k[1:], CONTOUR_CAP)[wide]
+        if np.any(ends - k[wide] < 2):
+            raise ContourFailure(f"contour undersampled at {CONTOUR_CAP} points")
+        at, new_k = wide + 1, (k[wide] + ends) // 2
     total = turns.sum() / (2.0 * np.pi)
     w = int(round(total))
     if abs(total - w) > 1e-6:
-        raise ArithmeticError(f"winding number did not close: {total}")
+        raise ContourFailure(f"winding number did not close: {total}")
     return w
 
 
@@ -234,11 +264,8 @@ def count_unstable_modes(det_fn, q: StabilityQuery) -> int:
     Both circles must avoid zeros; the determinant is analytic in the
     annulus because the spatial-root selection is unambiguous for |A| > 1.
     """
-    theta = np.linspace(0.0, 2.0 * np.pi, CONTOUR_SAMPLES, endpoint=False)
-    ring = np.exp(1j * theta)
-    w_in = _winding_number(det_fn(INNER_RADIUS * ring, q))
-    w_out = _winding_number(det_fn(OUTER_RADIUS * ring, q))
-    return w_out - w_in
+    w_in = _winding_number(det_fn, q, INNER_RADIUS)
+    return _winding_number(det_fn, q, OUTER_RADIUS) - w_in
 
 
 # -- empirical growth --------------------------------------------------------

@@ -163,8 +163,13 @@ def test_convergence_study_flags_divergence():
 # -- stability sweep ------------------------------------------------------------
 
 
-def test_stability_sweep_rows_and_agreement():
-    rep = run_stability_sweep(RunConfig(mode="stability_sweep", mass=1e-3))
+@pytest.fixture(scope="module")
+def sweep_1e3():
+    return run_stability_sweep(RunConfig(mode="stability_sweep", mass=1e-3))
+
+
+def test_stability_sweep_rows_and_agreement(sweep_1e3):
+    rep = sweep_1e3
     assert rep["all_agree"]
     by_key = {
         (r["scheme"], r["coupling"], r["mass"], round(r["dt_over_bound"], 3)): r
@@ -188,6 +193,20 @@ def test_stability_sweep_rows_and_agreement():
 
     second_ok = by_key[("second", "projection", 1e-3, 10.0)]
     assert second_ok["predicted_stable"] and second_ok["measured_stable"]
+
+
+def test_sweep_marks_the_rows_whose_rate_is_compared(sweep_1e3):
+    """The 5 % rate check applies only where a real predicted root dominates:
+    the two unstable first-order traditional rows.  Every other row's
+    measured rate certifies the verdict alone."""
+    rows = sweep_1e3["rows"]
+    assert all(type(r["rate_compared"]) is bool for r in rows)
+    compared = [r for r in rows if r["rate_compared"]]
+    assert [(r["scheme"], r["coupling"], r["dt_over_bound"]) for r in compared] == [
+        ("first", "traditional", pytest.approx(1.1)), ("first", "traditional", pytest.approx(2.0))]
+    for r in compared:
+        assert r["mass"] > 0.0 and not r["predicted_stable"]
+        assert abs(r["measured_rate"] - r["predicted"]) <= 0.05 * r["predicted"]
 
 
 # -- added-mass table and demo ----------------------------------------------------
@@ -334,6 +353,15 @@ def test_cli_numerical_failure_exits_3(capsys):
     ])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_contour_failure_exits_3(monkeypatch, capsys):
+    """A mode count that cannot be certified is a numerical failure: here the
+    determinant vanishes at A = 1.01, a point of the inner contour circle."""
+    monkeypatch.setattr(bodywave.harness, "second_order_determinant", lambda A, q: A - 1.01)
+    assert main(["stability", "--mass", "1", "--seed", "3"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: ContourFailure" in err and "vanished" in err
 
 
 def test_cli_stability_refuses_massless_body(capsys):

@@ -7,12 +7,17 @@ from scipy.optimize import brentq
 
 from bodywave.materials import FluidMaterial
 from bodywave.stability import (
+    CONTOUR_CAP,
+    INNER_RADIUS,
+    OUTER_RADIUS,
+    ContourFailure,
     GrowthConfig,
     StabilityQuery,
     _lw_family_vec,
     count_unstable_modes,
     empirical_growth_rate,
     first_order_determinant,
+    first_order_system_matrix,
     max_stable_dt_traditional,
     roots_first_order_projection,
     roots_first_order_traditional,
@@ -215,6 +220,105 @@ def test_count_unstable_second_order_traditional_light_body():
         q = StabilityQuery(lam, mult * bound, m, z, 0.0)
         n = count_unstable_modes(second_order_determinant, q)
         assert n == 2, f"mult={mult}: count={n}"
+
+
+# -- closed-form determinants and the adaptive contour -----------------------
+
+
+def _random_exterior(n, seed):
+    """n random points with 1.001 < |A| < 1e4, log-spread in |A| - 1."""
+    rng = np.random.default_rng(seed)
+    return (1.0 + 10.0 ** rng.uniform(-3.0, 4.0, n)) * np.exp(2j * np.pi * rng.random(n))
+
+
+@pytest.mark.parametrize("lam,w", [(1.0, 1.0), (1.0, 0.0), (1.0, 0.4), (0.8, 0.0),
+                                   (0.37, 0.6), (0.9, 1.7)])
+def test_second_order_determinant_equals_lu(lam, w):
+    for z, m, dt in [(0.7, 3e-3, 0.02), (np.sqrt(2.0), 1e-6, 1e-5), (25.0, 2.0, 0.3)]:
+        q = StabilityQuery(lam, dt, m, z, w * z)
+        A = _random_exterior(2000, seed=12)
+        lu = np.linalg.det(second_order_system_matrix(A, q))
+        rel = np.abs(second_order_determinant(A, q) - lu) / np.abs(lu)
+        assert np.max(rel) <= 1e-13, (z, m, dt, np.max(rel))
+
+
+@pytest.mark.parametrize("lam,w", [(1.0, 1.0), (0.5, 0.0), (0.9, 0.3), (0.2, 1.6)])
+def test_first_order_determinant_equals_lu(lam, w):
+    for z, m, dt in [(0.7, 3e-3, 0.02), (np.sqrt(2.0), 0.0, 1e-5), (25.0, 2.0, 0.3)]:
+        q = StabilityQuery(lam, dt, m, z, w * z)
+        A = _random_exterior(2000, seed=13)
+        lu = np.linalg.det(first_order_system_matrix(A, q))
+        rel = np.abs(first_order_determinant(A, q) - lu) / np.abs(lu)
+        assert np.max(rel) <= 1e-13, (z, m, dt, np.max(rel))
+
+
+def test_count_matches_zeros_of_polynomials():
+    # Zeros inside the inner circle, in the annulus and beyond the outer
+    # circle; only the annulus ones count.
+    q = StabilityQuery(0.8, 0.01, 1e-3, 1.0, 1.0)
+    zeros = [0.3, 1.005j, -1.02, 2.0 + 2.0j, 900.0j, -2e4]
+
+    def det_fn(A, q):
+        return np.prod([A - r for r in zeros], axis=0)
+
+    assert count_unstable_modes(det_fn, q) == 3
+
+
+@pytest.mark.parametrize("value", [0.0, np.nan])
+def test_contour_refuses_a_vanishing_determinant(value):
+    # A = 1.01 exactly is the first sample of the inner circle.
+    q = StabilityQuery(0.8, 0.01, 1e-3, 1.0, 1.0)
+    with pytest.raises(ContourFailure, match="vanished"):
+        count_unstable_modes(lambda A, q: (A - INNER_RADIUS) * (1.0 + value), q)
+
+
+def test_contour_unresolved_phase_jump_is_undersampled():
+    # A sign jump at arg A = 0 and pi never resolves: bisection must stop at
+    # the point cap and say so, not loop or return a count.
+    q = StabilityQuery(0.8, 0.01, 1e-3, 1.0, 1.0)
+    seen = []
+
+    def det_fn(A, q):
+        seen.append(A.size)
+        return np.where(A.imag >= 0.0, 1.0, -1.0) + 0j
+
+    with pytest.raises(ContourFailure, match="undersampled"):
+        count_unstable_modes(det_fn, q)
+    assert sum(seen) <= CONTOUR_CAP
+    assert issubclass(ContourFailure, ArithmeticError)
+
+
+def _dense_count(q, samples=16384):
+    """Reference count: LU determinants at a fixed number of points per
+    circle, or None where even that grid leaves a phase step near pi."""
+    ring = np.exp(2j * np.pi * np.arange(samples) / samples)
+    windings = []
+    for radius in (INNER_RADIUS, OUTER_RADIUS):
+        vals = np.linalg.det(second_order_system_matrix(radius * ring, q))
+        assert np.min(np.abs(vals)) > 0.0
+        turns = np.angle(np.roll(vals, -1) / vals)
+        if np.max(np.abs(turns)) > 2.5:
+            return None
+        windings.append(round(turns.sum() / (2.0 * np.pi)))
+    return windings[1] - windings[0]
+
+
+@given(
+    lam=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+    log_z=st.floats(-2.0, 2.0),
+    log_m=st.floats(-6.0, 1.0),
+    factor=st.one_of(st.floats(0.99, 1.01), st.floats(0.01, 30.0)),
+    w=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 2.0)),
+)
+@settings(max_examples=30, deadline=None)
+def test_adaptive_count_equals_dense_count(lam, log_z, log_m, factor, w):
+    """(lambda, z, m, dt / traditional bound, alpha / z) queries, some within
+    1 % of the bound: the adaptive count is the dense 16,384-point count."""
+    z, m = 10.0 ** log_z, 10.0 ** log_m
+    q = StabilityQuery(lam, factor * max_stable_dt_traditional(m, z, lam), m, z, w * z)
+    dense = _dense_count(q)
+    assume(dense is not None)  # the reference grid itself cannot decide
+    assert count_unstable_modes(second_order_determinant, q) == dense
 
 
 def _real_axis_roots(det_fn, q, lo=1.005, hi=80.0, samples=8000):
