@@ -226,7 +226,7 @@ def test_count_unstable_second_order_traditional_light_body():
 
 
 def _random_exterior(n, seed):
-    """n random points with 1.001 < |A| < 1e4, log-spread in |A| - 1."""
+    """n random points with |A| - 1 log-uniform in [1e-3, 1e4]."""
     rng = np.random.default_rng(seed)
     return (1.0 + 10.0 ** rng.uniform(-3.0, 4.0, n)) * np.exp(2j * np.pi * rng.random(n))
 
