@@ -47,6 +47,7 @@ from .stability import (
     count_unstable_modes,
     empirical_growth_rate,
     first_order_determinant,
+    growth_rates,
     max_stable_dt_traditional,
     roots_first_order_projection,
     roots_first_order_traditional,
@@ -85,6 +86,7 @@ __all__ = [
     "empirical_growth_rate",
     "field_exact",
     "first_order_determinant",
+    "growth_rates",
     "lax_wendroff_step",
     "max_stable_dt_traditional",
     "project_surface_state",

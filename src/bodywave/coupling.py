@@ -19,7 +19,9 @@ order selects the interior stepper and a scheme record (SCHEMES):
     2      Lax-Wendroff  (3/2, -1/2)    1/2 (trapezoidal)     2 chars(v_b, sigma_I) - chars(cell 1)
 
 The body update is implicit in the interface stresses, which keeps the loop
-stable for any mass ratio; it reduces to a scalar solve per step.
+stable for any mass ratio; it reduces to a scalar solve per step.  Runs of one
+order and shape can advance as a (B, 2, 2, n + 2) stack (`Characteristics.stack`,
+each run's chars.x a view of its slice): one stencil call, then each `couple`.
 """
 
 from __future__ import annotations
@@ -157,12 +159,6 @@ class CoupledRun:
         self.v_body = v
         self.x_body += self.dt * (theta * v + (1.0 - theta) * v_old)
         self.t += self.dt
-
-    def rescale(self, norm: float) -> None:
-        """Divide the fluid state, v_body and `flux` by `norm` (linear dynamics)."""
-        self.chars.x /= norm
-        self.v_body /= norm
-        self.flux /= norm
 
     def state(self) -> CoupledState:
         """The current level as (v, sigma) fields in new arrays."""

@@ -14,6 +14,9 @@ one virtual cell past the far end.  With lam = c dt/dx:
 The virtual far cell copies the last cell (zeroth-order extrapolation) or
 holds given values.  The ghost is read, never written: couplers own it.  A
 FluidField1D is converted in and out; a new field returns, ghost unchanged.
+`Characteristics.stack` puts B records of one shape on a batch axis, x of
+shape (B, sides, 2, n + 2); the kernels index from the last axes, so one
+call steps all B, each at its own Courant numbers, bit-identically.
 """
 
 from __future__ import annotations
@@ -66,6 +69,18 @@ class Characteristics:
                 ab = (fv[1] - m.z * fv[0]) * k, (fv[1] + m.z * fv[0]) * k
                 self.far.append((i, ab[:: self.grids[i].outward]))
 
+    @classmethod
+    def stack(cls, members) -> "Characteristics":
+        """Steppable `members` of one shape copied onto a batch axis, with
+        their coefficients and shared scratch; `grid`, the first's, sizes work."""
+        ch = cls.__new__(cls)
+        ch.grid, ch.x = members[0].grid, np.stack([m.x for m in members])
+        ch.lam = np.stack([m.lam for m in members])
+        ch.lw = tuple(np.stack(c) for c in zip(*(m.lw for m in members)))
+        ch.tmp = np.empty((2,) + ch.x[..., 1:-1].shape)
+        ch.far = [((b, i), uw) for b, m in enumerate(members) for i, uw in m.far]
+        return ch
+
     def physical(self, i: int) -> np.ndarray:
         """View of side i's (a, b) in physical array order, ghost included."""
         s = self.grids[i].outward
@@ -78,13 +93,13 @@ class Characteristics:
 
 
 def _upwind(x, ch):
-    t = ch.tmp[0, :, 0]
-    np.subtract(x[:, 0, 1:-1], x[:, 0, :-2], out=t)
+    t = ch.tmp[0, ..., 0, :]
+    np.subtract(x[..., 0, 1:-1], x[..., 0, :-2], out=t)
     t *= ch.lam
-    x[:, 0, 1:-1] -= t
-    np.subtract(x[:, 1, 2:], x[:, 1, 1:-1], out=t)
+    x[..., 0, 1:-1] -= t
+    np.subtract(x[..., 1, 2:], x[..., 1, 1:-1], out=t)
     t *= ch.lam
-    x[:, 1, 1:-1] += t
+    x[..., 1, 1:-1] += t
 
 
 def _lax_wendroff(x, ch):
@@ -105,7 +120,7 @@ def _step(kernel, field, mat, dt, far_values):
     x = ch.x
     x[..., -1] = x[..., -2]
     for i, uw in ch.far:
-        x[i, :, -1] = uw
+        x[i][:, -1] = uw
     kernel(x, ch)
     if ch is field:
         return field

@@ -21,9 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CoupledRun, CoupledState
+from . import coupling
+from .coupling import CoupledRun, CoupledState, SingularBodyUpdate
 from .coupling import step_algorithm1, step_algorithm2  # noqa: F401  looked up here by perfbench/spans.py
 from .materials import FluidMaterial, Grid1D, FluidField1D
+from .schemes import Characteristics
 
 # Argument-principle contour: circles |A| = 1.01 and 1e4, each sampled
 # adaptively on a uniform CONTOUR_CAP-point grid (see _winding_number).
@@ -289,29 +291,21 @@ class GrowthConfig:
             raise ValueError(f"scheme must be 'first' or 'second', got {self.scheme!r}")
         if not 0.0 < self.courant <= 1.0:
             raise ValueError("courant must be in (0, 1]")
+        if self.mass < 0.0:
+            raise ValueError(f"mass must be >= 0, got {self.mass}")
 
     @property
     def dx(self) -> float:
         return self.mat.c * self.dt / self.courant
 
 
-def empirical_growth_rate(config: GrowthConfig, n_steps: int = 600) -> float:
-    """Measured per-step amplification: geometric mean of the max-norm
-    ratio over the final quarter of a run started from small random data.
-
-    The norm is the largest of |v_body| and, over both interiors, |v| and
-    |sigma|/z, i.e. c max(|w - u|, |u + w|) = c (|u| + |w|) in the run's
-    characteristics.  The run is renormalized in place after every step
-    (the dynamics are linear), so growing and decaying runs are measured
-    without overflow/underflow.
-    """
+def _growth_run(config: GrowthConfig) -> CoupledRun:
+    """The coupled run of `config` from its seeded random data."""
     rng = np.random.default_rng(config.seed)
-    n, dx = config.n_cells, config.dx
-    order = 1 if config.scheme == "first" else 2
-
+    n, order = config.n_cells, 1 if config.scheme == "first" else 2
     fields = []
     for side in ("left", "right"):
-        g = Grid1D(side, n, dx)
+        g = Grid1D(side, n, config.dx)
         v = np.zeros(n + 1)
         s = np.zeros(n + 1)
         v[g.interior] = GROWTH_AMPLITUDE * rng.standard_normal(n)
@@ -319,21 +313,69 @@ def empirical_growth_rate(config: GrowthConfig, n_steps: int = 600) -> float:
         fields.append(FluidField1D(g, v, s))
     v_body = GROWTH_AMPLITUDE * rng.standard_normal()
     state = CoupledState.initial(*fields, v_body, config.alpha, config.alpha, order)
-    run = CoupledRun(order, state, config.mat, config.mat, config.mass, config.dt,
-                     config.alpha, config.alpha)
+    return CoupledRun(order, state, config.mat, config.mat, config.mass, config.dt,
+                      config.alpha, config.alpha)
 
-    c = config.mat.c
-    interior = run.chars.x[:, :, 1:-1]
-    mag = np.empty_like(interior)
-    log_ratios = np.empty(n_steps)
-    for k in range(n_steps):
-        run.step()
-        np.abs(interior, out=mag)
-        mag[:, 0] += mag[:, 1]
-        norm = max(c * float(mag[:, 0].max()), abs(run.v_body))
-        if norm == 0.0:
-            return 0.0
-        log_ratios[k] = np.log(norm)
-        run.rescale(norm)
+
+def _stacked_rates(runs: list[CoupledRun], n_steps: int) -> list[float]:
+    """Growth rates of `runs` (one order, one n_cells) advanced as one stack:
+    per step one stencil call on the batch, each run's `couple`, and one
+    renormalization of the batch.  A run whose norm reaches 0 stays at 0."""
+    stack = Characteristics.stack([run.chars for run in runs])
+    for run, x in zip(runs, stack.x):
+        run.chars.x = x
+    step = coupling.upwind_step if runs[0].order == 1 else coupling.lax_wendroff_step
+    c = np.array([run.chars.mats[0].c for run in runs])
+    interior = stack.x[..., 1:-1]
+    mag, scale = np.empty_like(interior), np.empty((len(runs), 1, 1, 1))
     tail = max(1, n_steps // 4)
-    return float(np.exp(np.mean(log_ratios[-tail:])))
+    norms = np.empty((len(runs), tail))
+    for k in range(n_steps):
+        step(stack)
+        for run in runs:
+            run.couple()
+        np.abs(interior, out=mag)
+        mag[..., 0, :] += mag[..., 1, :]
+        peaks = (c * mag[..., 0, :].max(axis=(-2, -1))).tolist()
+        norm = [max(peak, abs(run.v_body)) for peak, run in zip(peaks, runs)]
+        if k >= n_steps - tail:
+            norms[:, k - n_steps + tail] = norm
+        scale[:, 0, 0, 0] = div = [r or 1.0 for r in norm]  # a zero state stays zero
+        stack.x /= scale
+        for run, r in zip(runs, div):
+            run.v_body /= r
+            run.flux /= r
+    return [0.0 if row[-1] == 0.0 else float(np.exp(np.mean(np.log(row)))) for row in norms]
+
+
+def growth_rates(configs, n_steps: int = 600) -> list[float | None]:
+    """Measured per-step amplification of each config: geometric mean of the
+    max-norm ratio over the final quarter of a run started from small random
+    data; 0.0 if the norm reaches 0, None if the solver refuses the
+    configuration (SingularBodyUpdate).
+
+    The norm is the largest of |v_body| and, over both interiors, |v| and
+    |sigma|/z, i.e. c max(|w - u|, |u + w|) = c (|u| + |w|) in the run's
+    characteristics.  Each run is renormalized in place after every step
+    (the dynamics are linear), so growing and decaying runs are measured
+    without overflow/underflow.  Runs of one scheme and n_cells advance as
+    one stack; each rate is bit-identical to that of the run alone.
+    """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    rates, stacks = [None] * len(configs), {}
+    for i, config in enumerate(configs):
+        try:
+            run = _growth_run(config)
+        except SingularBodyUpdate:
+            continue
+        stacks.setdefault((config.scheme, config.n_cells), {})[i] = run
+    for runs in stacks.values():
+        for i, rate in zip(runs, _stacked_rates(list(runs.values()), n_steps)):
+            rates[i] = rate
+    return rates
+
+
+def empirical_growth_rate(config: GrowthConfig, n_steps: int = 600) -> float | None:
+    """growth_rates of the one config."""
+    return growth_rates([config], n_steps)[0]

@@ -15,7 +15,8 @@ import bodywave
 
 from bodywave.cli import build_parser, config_from_args, main
 from bodywave.materials import FluidField1D, FluidMaterial
-from bodywave.stability import GrowthConfig, empirical_growth_rate
+from bodywave import coupling
+from bodywave.stability import GrowthConfig, empirical_growth_rate, growth_rates
 from bodywave.harness import (
     RunConfig,
     format_json,
@@ -129,6 +130,38 @@ def test_runs_convert_fields_only_at_their_ends(monkeypatch):
             GrowthConfig(mat, 1e-3, 1e-3, 0.8, mat.z, scheme), n_steps=k))
             for k in (10, 100)]
         assert growth[0] == growth[1] and sum(growth[1].values()) <= 8, (scheme, growth)
+
+
+def test_sweep_steps_each_scheme_as_one_stack(monkeypatch):
+    """A sweep's growth runs advance as one stack per scheme: 2 x 600 stencil
+    calls for its 12 runnable rows, and a (v, sigma) conversion count that
+    does not grow with the number of steps."""
+    stencils, calls = {}, {}
+
+    def counting(name, fn, into=calls):
+        def wrapped(*args, **kwargs):
+            into[name] = into.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("upwind_step", "lax_wendroff_step"):
+        monkeypatch.setattr(coupling, name, counting(name, getattr(coupling, name), stencils))
+    run_stability_sweep(RunConfig(mode="stability_sweep", mass=1e-3))
+    assert stencils == {"upwind_step": 600, "lax_wendroff_step": 600}
+
+    monkeypatch.setattr(FluidField1D, "to_characteristics",
+                        counting("to", FluidField1D.to_characteristics))
+    monkeypatch.setattr(FluidField1D, "from_characteristics",
+                        classmethod(counting("from", FluidField1D.from_characteristics.__func__)))
+    mat = FluidMaterial(1.0, sqrt(2.0))
+    configs = [GrowthConfig(mat, 1e-3, f * 1e-3, 0.8, a, scheme)
+               for scheme in ("first", "second") for f in (1.0, 2.0) for a in (0.0, mat.z)]
+    counts = []
+    for n_steps in (10, 100):
+        calls.clear()
+        growth_rates(configs, n_steps)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] and sum(counts[1].values()) <= 8 * len(configs), counts
 
 
 def test_simulation_error_shrinks_with_grid():

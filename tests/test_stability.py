@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, assume, settings, strategies as st
 from scipy.optimize import brentq
 
+from bodywave.coupling import SingularBodyUpdate
+from bodywave.harness import SWEEP_ROWS
 from bodywave.materials import FluidMaterial
+from bodywave.schemes import Characteristics
 from bodywave.stability import (
     CONTOUR_CAP,
     INNER_RADIUS,
@@ -13,9 +16,11 @@ from bodywave.stability import (
     ContourFailure,
     GrowthConfig,
     StabilityQuery,
+    _growth_run,
     _lw_family_vec,
     count_unstable_modes,
     empirical_growth_rate,
+    growth_rates,
     first_order_determinant,
     first_order_system_matrix,
     max_stable_dt_traditional,
@@ -419,3 +424,116 @@ def test_growth_rate_is_scale_free(scheme, coupling, factor):
     for k in (2.0 ** -10, 3.0, 1e3):
         scaled = empirical_growth_rate(GrowthConfig(mat, k * m, k * dt, lam, alpha, scheme, seed=5))
         assert scaled == pytest.approx(base, rel=1e-12, abs=0.0), k
+
+
+# -- stacked growth runs -------------------------------------------------------
+
+
+def _single_rate(config: GrowthConfig, n_steps: int):
+    """The growth measurement of one run stepped on its own, unstacked: the
+    reference that growth_rates must match bit for bit."""
+    try:
+        run = _growth_run(config)
+    except SingularBodyUpdate:
+        return None
+    interior, c = run.chars.x[:, :, 1:-1], config.mat.c
+    logs = []
+    for _ in range(n_steps):
+        run.step()
+        peak = (np.abs(interior[:, 0]) + np.abs(interior[:, 1])).max()
+        norm = max(c * float(peak), abs(run.v_body))
+        if norm == 0.0:
+            return 0.0
+        logs.append(np.log(norm))
+        run.chars.x /= norm
+        run.v_body /= norm
+        run.flux /= norm
+    return float(np.exp(np.mean(np.array(logs)[-max(1, n_steps // 4):])))
+
+
+def _sweep_configs(mass: float, seed: int = 5) -> list[GrowthConfig]:
+    """The growth runs of run_stability_sweep at its default materials and CFL."""
+    mat, lam = FluidMaterial(1.0, np.sqrt(2.0)), 0.8
+    bound = max_stable_dt_traditional(mass, mat.z, lam)
+    return [GrowthConfig(mat, 0.0 if massless else mass, factor * bound, lam,
+                         mat.z if coupling == "projection" else 0.0, scheme, seed=seed)
+            for scheme, coupling, massless, factor in SWEEP_ROWS]
+
+
+_MEMBER = st.tuples(
+    st.sampled_from(["first", "second"]),
+    st.floats(0.05, 1.0),                            # lambda
+    st.floats(0.1, 10.0),                            # dt / traditional bound
+    st.sampled_from([0.0, 1e-6, 1e-3, 0.37, 1.0]),   # body mass
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 2.0)),  # alpha / z
+    st.sampled_from([12, 20]),                       # cells per side
+    st.integers(0, 3),                               # seed
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_MEMBER, min_size=1, max_size=5))
+def test_stacked_growth_rates_equal_single_runs(members):
+    """Runs of every order, shape, lambda, dt, m and alpha, stacked up to six
+    at a time (the first one twice), measure exactly what each measures alone."""
+    mat, n_steps = FluidMaterial(1.0, np.sqrt(2.0)), 40
+    configs = []
+    for scheme, lam, factor, m, w, n, seed in members + members[:1]:
+        dt = factor * max_stable_dt_traditional(m or 1e-3, mat.z, lam)
+        configs.append(GrowthConfig(mat, m, dt, lam, w * mat.z, scheme, n_cells=n, seed=seed))
+    rates = growth_rates(configs, n_steps)
+    assert rates == [_single_rate(c, n_steps) for c in configs]
+    assert rates[-1] == rates[0]
+
+
+@pytest.mark.parametrize("mass", [1e-3, 1.0, 1e-6])
+def test_sweep_growth_rates_equal_single_runs(mass):
+    configs = _sweep_configs(mass)
+    rates = growth_rates(configs)
+    assert rates == [_single_rate(c, 600) for c in configs]
+    assert [r is None for r in rates] == [c.mass == 0.0 and c.alpha == 0.0 for c in configs]
+
+
+class _Zeros:
+    """A generator whose normal draws are all zero: a run from it stays at rest."""
+
+    def standard_normal(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_refused_and_resting_members_leave_the_stack_alone(monkeypatch):
+    """A refused member is never stacked and reads None; a member whose norm
+    reaches 0 reads 0.0; every other member reads what it reads alone."""
+    real_rng, real_stack, stacked = np.random.default_rng, Characteristics.stack, []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _Zeros() if seed == 99 else real_rng(seed))
+    monkeypatch.setattr(Characteristics, "stack", classmethod(
+        lambda cls, members: stacked.append(len(members)) or real_stack(members)))
+    mat, lam = FluidMaterial(1.0, np.sqrt(2.0)), 0.8
+    dt = max_stable_dt_traditional(1e-3, mat.z, lam)
+    configs = [GrowthConfig(mat, m, f * dt, lam, a, scheme, n_cells=20, seed=seed)
+               for scheme, m, f, a, seed in (
+                   ("first", 1e-3, 1.1, 0.0, 1), ("first", 0.0, 2.0, 0.0, 2),
+                   ("first", 1e-3, 0.5, 0.0, 99), ("second", 1e-3, 0.5, 0.0, 3),
+                   ("first", 1e-3, 2.0, mat.z, 4), ("second", 1e-3, 2.0, mat.z, 99))]
+    rates = growth_rates(configs, 40)
+    assert stacked == [3, 2]
+    assert rates[1] is None and rates[2] == 0.0 and rates[5] == 0.0
+    for i in (0, 3, 4):
+        assert rates[i] == _single_rate(configs[i], 40) and rates[i] > 0.0, i
+
+
+def test_growth_rates_need_a_step():
+    mat = FluidMaterial(1.0, np.sqrt(2.0))
+    cfg = GrowthConfig(mat, 1e-3, 1e-3, 0.8, mat.z, "first")
+    for n_steps in (0, -1):
+        with pytest.raises(ValueError, match="n_steps"):
+            growth_rates([cfg], n_steps)
+        with pytest.raises(ValueError, match="n_steps"):
+            empirical_growth_rate(cfg, n_steps=n_steps)
+
+
+def test_growth_config_rejects_negative_mass():
+    mat = FluidMaterial(1.0, np.sqrt(2.0))
+    with pytest.raises(ValueError, match="mass must be >= 0"):
+        GrowthConfig(mat, -1e-3, 1e-3, 0.8, mat.z, "first")
