@@ -5,11 +5,13 @@ and  u' = u + (dt/2) C D0 u + (dt^2/2) C^2 D+D- u  (Lax-Wendroff) cell by
 cell in primitive variables, with C = [[0, 1/rho], [kappa, 0]].
 """
 
+import copy
+
 import numpy as np
 import pytest
 
 from bodywave.materials import FluidMaterial, Grid1D, FluidField1D
-from bodywave.schemes import CflViolation, lax_wendroff_step, upwind_step
+from bodywave.schemes import Characteristics, CflViolation, lax_wendroff_step, upwind_step
 
 RNG = np.random.default_rng(20260814)
 
@@ -133,3 +135,25 @@ def test_far_values_override_extrapolation(side):
     assert diff[far] > 0.0
     inner = [j for j in range(f.grid.n_points) if abs(j - far) > 0]
     assert np.allclose(np.asarray(diff)[inner], 0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("stepper", [upwind_step, lax_wendroff_step])
+def test_stacked_records_step_like_each_alone(stepper):
+    """A stack of records with different steps, materials and far values
+    steps each member bit-identically to the member stepped on its own."""
+    mats = (FluidMaterial(1.0, 1.3), FluidMaterial(2.0, 0.7))
+
+    def record(dt, far_values):
+        return Characteristics((_random_field("left"), _random_field("right")), mats, dt, far_values)
+
+    members = [record(0.01, ((1.0, 2.0), None)), record(0.02, (None, (3.0, -1.0))), record(0.035, ())]
+    alone = [copy.copy(m) for m in members]
+    for a in alone:
+        a.x = a.x.copy()
+    stack = Characteristics.stack(members)
+    for _ in range(5):
+        stepper(stack)
+        for a in alone:
+            stepper(a)
+    for x, a in zip(stack.x, alone):
+        assert np.array_equal(x, a.x)
