@@ -9,7 +9,11 @@ The files under tests/golden/ hold, for the reference setup:
   n = 400, m = 1e-3, projection coupling;
 - `stability.json`: the stability sweep rows at m = 1e-3, 1 and 1e-6, seed 5;
 - `addedmass.json`: the `addedmass --shape all --resolution 512` table rows;
-- `rb3d.json`: the `rb3d` DIRK3 histories at m = 0 and m = 0.5.
+- `rb3d.json`: the `rb3d` DIRK3 histories at m = 0 and m = 0.5;
+- `dirk_gyro.json`: DIRK1 and DIRK3 histories, 20 steps to t = 0.5, of the
+  manufactured problem in `test_rigidbody3d.py` (A = diag(1, 2, 3),
+  m = 0.7, random PSD tensors), whose gyroscopic term w x Aw is nonzero
+  and takes several Newton iterations per stage (`rb3d` has A = I).
 
 Tolerances: error norms 1e-10 relative, final body values 1e-10 relative
 or 1e-13 absolute (massless runs end near a zero crossing of v_body), field
@@ -19,7 +23,7 @@ relative, added-mass table values and their abs/rel differences from the
 reference 1e-12 of the largest |value| of their shape with identical `ok`
 flags, references and reference kinds, rigid-body histories 1e-12 of each
 series' largest magnitude (the axes' orthogonality drift against the unit
-scale of the axes themselves).
+scale of the axes themselves), the same for the gyroscopic DIRK histories.
 
 Regenerate (only when a change of output is intended and explained) with
 
@@ -48,6 +52,8 @@ from bodywave.harness import (
     run_simulation,
     run_stability_sweep,
 )
+from bodywave.rigidbody3d import DIRKTableau, RigidBodyState3D, dirk_step
+from test_rigidbody3d import _manufactured_problem
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -62,6 +68,8 @@ SWEEP_MASSES, SWEEP_SEED = (1e-3, 1.0, 1e-6), 5
 TABLE_RESOLUTION = 512
 RB3D_MASSES = (0.0, 0.5)
 RB3D_SERIES = ("t", "x", "v", "omega", "e_drift")
+GYRO_ORDERS, GYRO_STEPS, GYRO_T_FINAL = (1, 3), 20, 0.5
+GYRO_SERIES = ("t", "x", "v", "omega", "E")
 
 
 def _sim_key(scheme, coupling, mass):
@@ -130,6 +138,25 @@ def rb3d_outputs_for(mass) -> dict:
 
 def rb3d_outputs() -> dict:
     return {f"m={mass!r}": rb3d_outputs_for(mass) for mass in RB3D_MASSES}
+
+
+def dirk_gyro_outputs_for(order) -> dict:
+    inertia, provider, _, y0 = _manufactured_problem()
+    tableau = DIRKTableau.dirk1() if order == 1 else DIRKTableau.dirk3()
+    state = RigidBodyState3D(y0[:3], y0[3:6], y0[6:9], y0[9:].reshape(3, 3))
+    dt, t = GYRO_T_FINAL / GYRO_STEPS, 0.0
+    hist = {name: [] for name in GYRO_SERIES}
+    for _ in range(GYRO_STEPS):
+        state = dirk_step(state, inertia, provider, tableau, dt, t)
+        t += dt
+        hist["t"].append(t)
+        for name in GYRO_SERIES[1:]:
+            hist[name].append(getattr(state, name).tolist())
+    return hist
+
+
+def dirk_gyro_outputs() -> dict:
+    return {f"dirk{order}": dirk_gyro_outputs_for(order) for order in GYRO_ORDERS}
 
 
 def _load(name):
@@ -216,12 +243,23 @@ def test_rb3d_history_matches_golden(mass):
         assert np.max(np.abs(g - w)) <= 1e-12 * scale, name
 
 
+@pytest.mark.parametrize("order", GYRO_ORDERS)
+def test_gyroscopic_dirk_history_matches_golden(order):
+    want = _load("dirk_gyro.json")[f"dirk{order}"]
+    got = dirk_gyro_outputs_for(order)
+    for name in GYRO_SERIES:
+        w, g = np.array(want[name]), np.array(got[name])
+        assert g.shape == w.shape, name
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), name
+
+
 GOLDEN_BUILDERS = {
     "simulate.json": simulate_outputs,
     "states.json": state_outputs,
     "stability.json": stability_outputs,
     "addedmass.json": addedmass_outputs,
     "rb3d.json": rb3d_outputs,
+    "dirk_gyro.json": dirk_gyro_outputs,
 }
 
 
