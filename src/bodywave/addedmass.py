@@ -219,20 +219,19 @@ def _sample_parametric_curve(shape: ParametricCurve2D, n: int):
 
 
 def _theta_u_grid(n: int):
-    """Flattened theta x u nodes and weights: periodic trapezoid in theta
-    over [0, 2 pi), Gauss-Legendre in u over (-1, 1)."""
+    """n theta nodes on [0, 2 pi), n Gauss-Legendre u nodes, flattened (n, n) weights."""
     u, gw = leggauss(n)
-    TH, U = np.meshgrid(2.0 * np.pi * np.arange(n) / n, u, indexing="ij")
-    return TH.ravel(), U.ravel(), np.outer(np.full(n, 2.0 * np.pi / n), gw).ravel()
+    return 2.0 * np.pi * np.arange(n) / n, u, np.outer(np.full(n, 2.0 * np.pi / n), gw).ravel()
 
 
 def _sample_ellipsoid(shape: Ellipsoid, n: int):
     a, b, c = shape.a, shape.b, shape.c
-    TH, U, W = _theta_u_grid(n)
-    rt = np.sqrt(1.0 - U * U)
-    pos = np.column_stack([a * rt * np.cos(TH), b * rt * np.sin(TH), c * U])
-    # cross(d_theta, d_u) = (b c rt cos, a c rt sin, a b u): outward
-    vec = np.column_stack([b * c * rt * np.cos(TH), a * c * rt * np.sin(TH), a * b * U])
+    th, u, W = _theta_u_grid(n)
+    rt, cos, sin = np.sqrt(1.0 - u * u), np.cos(th)[:, None], np.sin(th)[:, None]
+    # positions (a rt cos, b rt sin, c u) and cross(d_theta, d_u) =
+    # (b c rt cos, a c rt sin, a b u), outward, as rows over the theta x u grid
+    pos, vec = (np.stack(np.broadcast_arrays(p * rt * cos, q * rt * sin, r * u), axis=-1)
+                .reshape(n * n, 3) for p, q, r in ((a, b, c), (b * c, a * c, a * b)))
     metric = np.linalg.norm(vec, axis=1)
     if np.any(metric <= 0.0):
         raise DegenerateGeometry("ellipsoid metric factor <= 0")
@@ -240,7 +239,8 @@ def _sample_ellipsoid(shape: Ellipsoid, n: int):
 
 
 def _sample_parametric_surface(shape: ParametricSurface3D, n: int):
-    TH, U, W = _theta_u_grid(n)
+    th, u, W = _theta_u_grid(n)
+    TH, U = (g.ravel() for g in np.meshgrid(th, u, indexing="ij"))
     h = 1e-6
     pos = np.asarray(shape.fn(TH, U), dtype=float)
     d_th = (np.asarray(shape.fn(TH + h, U)) - np.asarray(shape.fn(TH - h, U))) / (2 * h)

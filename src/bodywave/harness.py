@@ -83,8 +83,8 @@ class RunConfig:
             raise ValueError(f"coupling must be one of {COUPLINGS}, got {self.coupling!r}")
         if self.coupling == "custom" and (self.alpha_left is None or self.alpha_right is None):
             raise ValueError("custom coupling needs alpha_left and alpha_right")
-        if self.mass < 0.0:
-            raise ValueError(f"mass must be >= 0, got {self.mass}")
+        if not (isfinite(self.mass) and self.mass >= 0.0):
+            raise ValueError(f"mass must be finite and >= 0, got {self.mass}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
         if self.levels < 1:
@@ -448,9 +448,9 @@ def run_rigidbody_demo(cfg: RunConfig) -> dict:
     state = RigidBodyState3D.rest()
     hist = {"t": [0.0], "v": [state.v.tolist()], "omega": [state.omega.tolist()],
             "x": [state.x.tolist()], "e_drift": [state.orthogonality_drift()]}
-    t = 0.0
+    t, tableau = 0.0, DIRKTableau.dirk3()
     for _ in range(n_steps):
-        state = dirk_step(state, inertia, provider, DIRKTableau.dirk3(), dt, t)
+        state = dirk_step(state, inertia, provider, tableau, dt, t)
         t += dt
         hist["t"].append(t)
         hist["v"].append(state.v.tolist())

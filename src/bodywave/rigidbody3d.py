@@ -17,10 +17,11 @@ go to zero, provided the composite tensor is nonsingular.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import polar
+from scipy.linalg.lapack import dgesdd, dgesv
 
 from .addedmass import AddedMassTensors, SurfaceQuadrature, added_mass_tensors
 
@@ -39,14 +40,8 @@ class NonphysicalPressure(ValueError):
 
 def cross_matrix(w: np.ndarray) -> np.ndarray:
     """Cross(w): the matrix with Cross(w) a = w x a."""
-    w = np.asarray(w, dtype=float)
-    return np.array(
-        [
-            [0.0, -w[2], w[1]],
-            [w[2], 0.0, -w[0]],
-            [-w[1], w[0], 0.0],
-        ]
-    )
+    w0, w1, w2 = np.asarray(w, dtype=float).tolist()
+    return np.array([[0.0, -w2, w1], [w2, 0.0, -w0], [-w1, w0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -79,9 +74,9 @@ class RigidBodyState3D:
 
 
 def _reorthonormalize(E: np.ndarray) -> np.ndarray:
-    """Nearest orthogonal matrix (polar factor)."""
-    u, _ = polar(E)
-    return u
+    """Nearest orthogonal matrix: the polar factor U V^T of E = U S V^T."""
+    u, _, vt, _ = dgesdd(E)
+    return u @ vt
 
 
 @dataclass(frozen=True)
@@ -92,8 +87,8 @@ class BodyInertia:
     A: np.ndarray
 
     def __post_init__(self):
-        if self.mass < 0.0:
-            raise ValueError(f"mass must be >= 0, got {self.mass}")
+        if not (math.isfinite(self.mass) and self.mass >= 0.0):
+            raise ValueError(f"mass must be finite and >= 0, got {self.mass}")
         A = np.asarray(self.A, dtype=float)
         object.__setattr__(self, "A", A)
         assert A.shape == (3, 3)
@@ -218,44 +213,50 @@ def _solve_stage(inertia, forcing, gamma_dt, v_base, omega_base):
 
         diag(m I, A) k + A_m u + (0, w x A w) - (F~, T~) = 0,
 
-    u = (v_base, omega_base) + gamma_dt k = (v, w), A_m the 6x6 composite."""
-    t = forcing.tensors
-    m, A = inertia.mass, inertia.A
-    u_base = np.concatenate([v_base, omega_base])
+    u = (v_base, omega_base) + gamma_dt k = (v, w), A_m the 6x6 composite.
+    The linear part L = gamma_dt A_m + diag(m I, A) and the constant part
+    A_m u_base - (F~, T~) are built once; each iteration adds only the
+    gyroscopic term Cross(w) A w and its Jacobian."""
+    comp, A = forcing.tensors.composite, inertia.A
     forcing_6 = np.concatenate([forcing.f_tilde, forcing.t_tilde])
+    g_const = comp @ np.concatenate([v_base, omega_base]) - forcing_6
+    lin = gamma_dt * comp
+    lin[range(3), range(3)] += inertia.mass
+    lin[3:, 3:] += A
+
+    def residual(k):
+        omg = omega_base + gamma_dt * k[3:]
+        w_mat, a_omg = cross_matrix(omg), A @ omg
+        g = g_const + lin @ k
+        g[3:] += w_mat @ a_omg
+        return g, w_mat, a_omg
+
+    def jacobian(w_mat, a_omg):
+        jac = lin.copy()
+        jac[3:, 3:] += gamma_dt * (w_mat @ A - cross_matrix(a_omg))
+        return jac
+
     k = np.zeros(6)
-
-    def residual_and_jacobian(k):
-        u = u_base + gamma_dt * k
-        omg = u[3:]
-        g = t.composite @ u - forcing_6
-        g[:3] += m * k[:3]
-        g[3:] += A @ k[3:] + np.cross(omg, A @ omg)
-        jac = gamma_dt * t.composite
-        jac[:3, :3] += m * np.eye(3)
-        jac[3:, 3:] += A + gamma_dt * (cross_matrix(omg) @ A - cross_matrix(A @ omg))
-        return g, jac
-
-    g, jac = residual_and_jacobian(k)
-    cond = np.linalg.cond(jac)
-    if not np.isfinite(cond) or cond > 1e13:
+    g, w_mat, a_omg = residual(k)
+    jac = jacobian(w_mat, a_omg)
+    _, sv, _, info = dgesdd(jac, compute_uv=0)  # descending singular values
+    if info != 0 or not (0.0 < sv[-1] and sv[0] <= 1e13 * sv[-1]):
+        with np.errstate(all="ignore"):
+            cond = sv[0] / sv[-1] if info == 0 else np.inf
         raise SingularStage(f"stage matrix is singular (condition number {cond:.3e})")
-    scale = max(
-        1.0,
-        np.max(np.abs(forcing.f_tilde)),
-        np.max(np.abs(forcing.t_tilde)),
-        np.max(np.abs(t.composite)) * (np.max(np.abs(v_base)) + np.max(np.abs(omega_base))),
-    )
-    for _ in range(25):
-        if not np.all(np.isfinite(g)):
+    scale = max(1.0, np.abs(forcing_6).max(),
+                np.abs(comp).max() * (np.abs(v_base).max() + np.abs(omega_base).max()))
+    for it in range(25):
+        g_max = float(np.abs(g).max())
+        if not math.isfinite(g_max):
             raise NewtonDivergence("stage residual became non-finite")
-        if np.max(np.abs(g)) <= 1e-12 * scale:
+        if g_max <= 1e-12 * scale:
             return k
-        try:
-            k = k + np.linalg.solve(jac, -g)
-        except np.linalg.LinAlgError as exc:
-            raise SingularStage(f"stage Jacobian solve failed: {exc}") from exc
-        g, jac = residual_and_jacobian(k)
+        _, _, step, info = dgesv(jac if it == 0 else jacobian(w_mat, a_omg), -g)
+        if info > 0:
+            raise SingularStage("stage Jacobian solve failed: Singular matrix")
+        k = k + step
+        g, w_mat, a_omg = residual(k)
     raise NewtonDivergence(f"no convergence in 25 iterations (|G| = {np.max(np.abs(g)):.3e})")
 
 
@@ -272,31 +273,27 @@ def dirk_step(
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     gdt = tableau.gamma * dt
-    s = tableau.stages
-    k_x = np.zeros((s, 3))
-    k_v = np.zeros((s, 3))
-    k_w = np.zeros((s, 3))
-    k_e = np.zeros((s, 3, 3))
-    for i in range(s):
-        forcing = forcing_provider(t + tableau.c[i] * dt)
-        v_base = state.v + dt * (tableau.a[i, :i] @ k_v[:i])
-        w_base = state.omega + dt * (tableau.a[i, :i] @ k_w[:i])
-        e_base = state.E + dt * np.tensordot(tableau.a[i, :i], k_e[:i], axes=1)
+    a, b, c = tableau.a, tableau.b, tableau.c
+    # y = (x, v, omega, E) flattened; one row of stage slopes per stage
+    y0 = np.concatenate([state.x, state.v, state.omega, state.E.ravel()])
+    slopes = np.zeros((len(b), 18))
+    for i in range(len(b)):
+        forcing = forcing_provider(t + c[i] * dt)
+        base = y0 + dt * (a[i, :i] @ slopes[:i])
+        v_base, w_base = base[3:6], base[6:9]
         k = _solve_stage(inertia, forcing, gdt, v_base, w_base)
-        k_v[i], k_w[i] = k[:3], k[3:]
-        omega_i = w_base + gdt * k_w[i]
-        w_mat = cross_matrix(omega_i)
+        w_mat = cross_matrix(w_base + gdt * k[3:])
         # E row: k_e = W (e_base + gdt k_e) is linear; I - gdt W is always
         # nonsingular (eigenvalues 1, 1 +- i gdt |omega|)
-        k_e[i] = np.linalg.solve(np.eye(3) - gdt * w_mat, w_mat @ e_base)
-        k_x[i] = v_base + gdt * k_v[i]
-    x1 = state.x + dt * (tableau.b @ k_x)
-    v1 = state.v + dt * (tableau.b @ k_v)
-    w1 = state.omega + dt * (tableau.b @ k_w)
-    e1 = state.E + dt * np.tensordot(tableau.b, k_e, axes=1)
+        _, _, k_e, _ = dgesv(np.eye(3) - gdt * w_mat, w_mat @ base[9:].reshape(3, 3))
+        slopes[i, :3] = v_base + gdt * k[:3]
+        slopes[i, 3:9] = k
+        slopes[i, 9:] = k_e.ravel()
+    y1 = y0 + dt * (b @ slopes)
+    e1 = y1[9:].reshape(3, 3)
     if np.max(np.abs(e1.T @ e1 - np.eye(3))) > 1e-10:
         e1 = _reorthonormalize(e1)
-    return RigidBodyState3D(x1, v1, w1, e1)
+    return RigidBodyState3D(y1[:3], y1[3:6], y1[6:9], e1)
 
 
 # -- surface state projection -------------------------------------------------

@@ -293,6 +293,8 @@ class GrowthConfig:
             raise ValueError("courant must be in (0, 1]")
         if self.mass < 0.0:
             raise ValueError(f"mass must be >= 0, got {self.mass}")
+        if not (self.dt > 0.0 and np.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
     @property
     def dx(self) -> float:

@@ -346,6 +346,16 @@ def test_cli_validation_error_exits_2(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "converge", "stability", "addedmass", "rb3d"])
+@pytest.mark.parametrize("mass", ["nan", "inf"])
+def test_cli_non_finite_mass_is_a_config_error(command, mass, capsys):
+    """A NaN or infinite mass is refused up front with the mass named, not
+    later by an SVD, a body update or a grid spacing."""
+    assert main([command, "--mass", mass]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"mass must be finite and >= 0, got {mass}" in err
+
+
 def test_cli_unknown_config_key_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"bogus": 1}))

@@ -61,8 +61,9 @@ def test_state_rejects_non_orthogonal_axes():
 
 
 def test_inertia_validation():
-    with pytest.raises(ValueError):
-        BodyInertia(-1.0, np.eye(3))
+    for mass in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="mass must be finite and >= 0"):
+            BodyInertia(mass, np.eye(3))
     with pytest.raises(ValueError):
         BodyInertia(1.0, np.array([[1.0, 0.5, 0], [0, 1, 0], [0, 0, 1]]))
     with pytest.raises(ValueError):
@@ -445,6 +446,15 @@ def test_spin_tracks_exact_rotation():
                       [0.0, 0.0, 1.0]])
     assert np.max(np.abs(state.E - exact)) < 1e-6
     assert state.orthogonality_drift() <= 1e-10
+
+
+def test_non_finite_stage_matrix_is_singular():
+    # a NaN angular velocity makes the stage matrix's condition number
+    # undefined, which the stage check treats like an infinite one
+    state = RigidBodyState3D(np.zeros(3), np.zeros(3), np.array([np.nan, 0.0, 0.0]), np.eye(3))
+    with pytest.raises(SingularStage, match="condition number inf"):
+        dirk_step(state, BodyInertia(1.0, np.diag([1.0, 2.0, 3.0])),
+                  _still_forcing(_diag_tensors(1.0, 1.0)), DIRKTableau.dirk1(), 0.1)
 
 
 def test_non_finite_forcing_raises_divergence():

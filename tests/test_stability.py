@@ -533,6 +533,14 @@ def test_growth_rates_need_a_step():
             empirical_growth_rate(cfg, n_steps=n_steps)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+def test_growth_config_rejects_bad_dt(dt):
+    """The refusal names dt, not the grid spacing derived from it."""
+    mat = FluidMaterial(1.0, np.sqrt(2.0))
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        GrowthConfig(mat, 1e-3, dt, 0.8, mat.z, "first")
+
+
 def test_growth_config_rejects_negative_mass():
     mat = FluidMaterial(1.0, np.sqrt(2.0))
     with pytest.raises(ValueError, match="mass must be >= 0"):
