@@ -13,7 +13,9 @@ The files under tests/golden/ hold, for the reference setup:
 - `dirk_gyro.json`: DIRK1 and DIRK3 histories, 20 steps to t = 0.5, of the
   manufactured problem in `test_rigidbody3d.py` (A = diag(1, 2, 3),
   m = 0.7, random PSD tensors), whose gyroscopic term w x Aw is nonzero
-  and takes several Newton iterations per stage (`rb3d` has A = I).
+  and takes several Newton iterations per stage (`rb3d` has A = I);
+- `displacement.json`: the exact body displacement at seven times for eight
+  masses (0 to 50) and three density pairs (c_L = sqrt 2, c_R = sqrt 3).
 
 Tolerances: error norms 1e-10 relative, final body values 1e-10 relative
 or 1e-13 absolute (massless runs end near a zero crossing of v_body), field
@@ -23,7 +25,8 @@ relative, added-mass table values and their abs/rel differences from the
 reference 1e-12 of the largest |value| of their shape with identical `ok`
 flags, references and reference kinds, rigid-body histories 1e-12 of each
 series' largest magnitude (the axes' orthogonality drift against the unit
-scale of the axes themselves), the same for the gyroscopic DIRK histories.
+scale of the axes themselves), the same for the gyroscopic DIRK histories,
+and the displacement series 1e-12 of each series' largest magnitude.
 
 Regenerate (only when a change of output is intended and explained) with
 
@@ -38,6 +41,9 @@ import pytest
 
 from bodywave import (
     CoupledState,
+    FluidMaterial,
+    ModelProblem,
+    body_displacement_exact,
     FluidField1D,
     Grid1D,
     RunConfig,
@@ -70,6 +76,9 @@ RB3D_MASSES = (0.0, 0.5)
 RB3D_SERIES = ("t", "x", "v", "omega", "e_drift")
 GYRO_ORDERS, GYRO_STEPS, GYRO_T_FINAL = (1, 3), 20, 0.5
 GYRO_SERIES = ("t", "x", "v", "omega", "E")
+DISP_MASSES = (0.0, 1e-6, 1e-3, 0.0999, 0.1001, 0.5, 2.0, 50.0)
+DISP_DENSITIES = ((1.0, 1.0), (100.0, 100.0), (1000.0, 1.0))
+DISP_TIMES = (0.0, 0.05, 0.2, 0.35, 0.5, 0.75, 2.0)
 
 
 def _sim_key(scheme, coupling, mass):
@@ -157,6 +166,20 @@ def dirk_gyro_outputs_for(order) -> dict:
 
 def dirk_gyro_outputs() -> dict:
     return {f"dirk{order}": dirk_gyro_outputs_for(order) for order in GYRO_ORDERS}
+
+
+def _disp_key(rho_l, rho_r, mass):
+    return f"rho={rho_l!r},{rho_r!r}/m={mass!r}"
+
+
+def displacement_outputs() -> dict:
+    out = {}
+    for rho_l, rho_r in DISP_DENSITIES:
+        for mass in DISP_MASSES:
+            prob = ModelProblem(FluidMaterial(rho_l, 2.0**0.5), FluidMaterial(rho_r, 3.0**0.5), mass)
+            out[_disp_key(rho_l, rho_r, mass)] = body_displacement_exact(
+                prob, np.array(DISP_TIMES)).tolist()
+    return out
 
 
 def _load(name):
@@ -253,6 +276,15 @@ def test_gyroscopic_dirk_history_matches_golden(order):
         assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), name
 
 
+def test_displacement_matches_golden():
+    want_all, got_all = _load("displacement.json"), displacement_outputs()
+    assert set(got_all) == set(want_all)
+    for key, want in want_all.items():
+        w, g = np.array(want), np.array(got_all[key])
+        assert g.shape == w.shape == (len(DISP_TIMES),), key
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), (key, g, w)
+
+
 GOLDEN_BUILDERS = {
     "simulate.json": simulate_outputs,
     "states.json": state_outputs,
@@ -260,6 +292,7 @@ GOLDEN_BUILDERS = {
     "addedmass.json": addedmass_outputs,
     "rb3d.json": rb3d_outputs,
     "dirk_gyro.json": dirk_gyro_outputs,
+    "displacement.json": displacement_outputs,
 }
 
 
