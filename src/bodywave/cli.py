@@ -16,6 +16,9 @@ from .addedmass import DegenerateGeometry, UnsupportedShape
 from .coupling import SingularBodyUpdate
 from .exact import DomainError
 from .harness import (
+    COUPLINGS,
+    SCHEMES,
+    SHAPES,
     RunConfig,
     format_json,
     format_table,
@@ -59,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run mode {mode}")
         p.add_argument("--config", help="JSON config file; flags override its keys")
         p.add_argument("--out", help="output path (.json report or .csv table)")
-        p.add_argument("--scheme", choices=("first", "second"))
-        p.add_argument("--coupling", choices=("traditional", "projection", "custom"))
+        p.add_argument("--scheme", choices=SCHEMES)
+        p.add_argument("--coupling", choices=COUPLINGS)
         p.add_argument("--alpha-left", type=float, dest="alpha_left")
         p.add_argument("--alpha-right", type=float, dest="alpha_right")
         p.add_argument("--mass", type=float)
@@ -70,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tfinal", type=float, dest="t_final")
         p.add_argument("--seed", type=int)
         if name == "addedmass":
-            p.add_argument("--shape", choices=("ellipse", "sphere", "ellipsoid", "starfish", "all"))
+            p.add_argument("--shape", choices=SHAPES)
             p.add_argument("--resolution", type=int)
     return parser
 
@@ -84,13 +87,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ValueError("config file must hold a JSON object")
         data.update(file_data)
     data["mode"] = SUBCOMMAND_MODES[args.command]
-    for key in (
-        "out", "scheme", "coupling", "alpha_left", "alpha_right", "mass", "cfl",
-        "n_cells", "levels", "t_final", "seed", "shape", "resolution",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            data[key] = value
+    data.update((key, value) for key, value in vars(args).items()
+                if value is not None and key not in ("command", "config"))
     return RunConfig.from_dict(data)
 
 

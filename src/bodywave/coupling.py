@@ -166,18 +166,16 @@ class CoupledRun:
         return CoupledState(left, right, self.v_body, self.x_body, self.t)
 
 
-def partitioned_step(order: int, state: CoupledState, *args, **kwargs) -> CoupledState:
-    run = CoupledRun(order, state, *args, **kwargs)
+def step_algorithm1(state: CoupledState, *args, **kwargs) -> CoupledState:
+    """Algorithm 1 (upwind, backward Euler): one order-1 `CoupledRun` step
+    from `state`, returned as a new state (arguments as for CoupledRun)."""
+    run = CoupledRun(1, state, *args, **kwargs)
     run.step()
     return run.state()
 
 
-def step_algorithm1(state: CoupledState, *args, **kwargs) -> CoupledState:
-    """Algorithm 1 (upwind, backward Euler): one order-1 `CoupledRun` step
-    from `state`, returned as a new state (arguments as for CoupledRun)."""
-    return partitioned_step(1, state, *args, **kwargs)
-
-
 def step_algorithm2(state: CoupledState, *args, **kwargs) -> CoupledState:
     """Algorithm 2 (Lax-Wendroff, trapezoidal): the same at order 2."""
-    return partitioned_step(2, state, *args, **kwargs)
+    run = CoupledRun(2, state, *args, **kwargs)
+    run.step()
+    return run.state()

@@ -13,6 +13,9 @@ terms cancel catastrophically for small m and overflow once z/(m beta c) is
 large, so for every m > 0 each product e^P erfc(X) is evaluated through the
 scaled complement erfcx with the exponent differences P - X^2 simplified
 analytically.  For m = 0 the balance is quasi-steady: vb = g/(z_L + z_R).
+The body displacement is closed form too: the ODE integrated over (0, t)
+gives (z_L + z_R) int vb = int g - m (vb(t) - vb(0)), and int g is a sum of
+erf terms.
 
 Initial data (pulse centered at x0 < 0, width 1/beta):
 
@@ -32,8 +35,6 @@ import numpy as np
 from scipy.special import erf, erfcx
 
 from .materials import FluidMaterial
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 class DomainError(ValueError):
@@ -156,55 +157,20 @@ def body_velocity_exact(prob: ModelProblem, t):
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def _cumulative_vb_integral(prob: ModelProblem, taus: np.ndarray) -> np.ndarray:
-    """integral of vb from 0 to each tau (taus sorted ascending, >= 0).
-
-    Panels between consecutive taus are split to at most ~1/4 of the pulse
-    transit scale and integrated with 12-point Gauss-Legendre, which is far
-    below 1e-10 error for these analytic integrands.  When m is small an
-    extra geometric refinement resolves the O(m/Z) startup layer.
-    """
-    c_max = max(prob.mat_left.c, prob.mat_right.c)
-    h_max = 0.25 / (prob.beta * c_max)
-    edges = [np.asarray([0.0]), taus]
-    if prob.m_body > 0.0:
-        scale = prob.m_body / prob.z_total
-        if scale < h_max:
-            edges.append(scale * np.linspace(0.0, 40.0, 21))
-    bounds = np.unique(np.concatenate(edges))
-    bounds = bounds[bounds <= taus[-1] + 0.0]
-    # split any panel wider than h_max
-    refined = [np.asarray([bounds[0]])]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        k = max(1, int(np.ceil((hi - lo) / h_max)))
-        refined.append(np.linspace(lo, hi, k + 1)[1:])
-    pts = np.concatenate(refined)
-
-    mid = 0.5 * (pts[1:] + pts[:-1])
-    half = 0.5 * (pts[1:] - pts[:-1])
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = body_velocity_exact(prob, nodes.ravel()).reshape(nodes.shape)
-    panel = half * (vals @ _GL_WEIGHTS)
-    cum = np.concatenate(([0.0], np.cumsum(panel)))
-    return np.interp(taus, pts, cum)  # taus are panel edges: exact lookup
-
-
 def body_displacement_exact(prob: ModelProblem, t):
-    """Exact body displacement: U0(0) plus the integral of the velocity."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    """Exact body displacement U0(0) + int_0^t vb, from the body ODE integrated
+    over (0, t): Zt int vb = int g - m (vb(t) - vb(0)), where each incident
+    wave of g integrates to a sqrt(pi)/(2 beta c) [erf(beta q(t)) - erf(beta q(0))]."""
+    t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise DomainError("t must be >= 0")
-    u0 = float(prob.displacement0(0.0))
-    order = np.argsort(t_arr)
-    sorted_t = t_arr[order]
-    if sorted_t[-1] == 0.0:
-        out = np.zeros_like(sorted_t)
-    else:
-        out = _cumulative_vb_integral(prob, sorted_t)
-    result = np.empty_like(out)
-    result[order] = out
-    result += u0
-    return float(result[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else result
+    b, x0 = prob.beta, prob.x0
+    impulse = sum(a * sqrt(pi) / (2.0 * b * c) * (erf(b * (c * t_arr - s * x0)) - erf(-b * s * x0))
+                  for s, c, a in _incident_waves(prob))
+    if prob.m_body > 0.0:
+        impulse = impulse - prob.m_body * (body_velocity_exact(prob, t_arr) - prob.velocity0(0.0))
+    out = prob.displacement0(0.0) + impulse / prob.z_total
+    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
 def field_exact(prob: ModelProblem, side: str, x, t: float):

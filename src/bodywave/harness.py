@@ -75,30 +75,25 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.coupling not in COUPLINGS:
-            raise ValueError(f"coupling must be one of {COUPLINGS}, got {self.coupling!r}")
+        for name, choices in (("mode", MODES), ("scheme", SCHEMES), ("coupling", COUPLINGS),
+                              ("shape", SHAPES)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         if self.coupling == "custom" and (self.alpha_left is None or self.alpha_right is None):
             raise ValueError("custom coupling needs alpha_left and alpha_right")
         if not (isfinite(self.mass) and self.mass >= 0.0):
             raise ValueError(f"mass must be finite and >= 0, got {self.mass}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
-        if self.levels < 1:
-            raise ValueError(f"levels must be >= 1, got {self.levels}")
-        if not self.t_final > 0.0:
-            raise ValueError(f"t_final must be > 0, got {self.t_final}")
-        if self.n_cells < 3:
-            raise ValueError(f"n_cells must be >= 3, got {self.n_cells}")
-        if self.shape not in SHAPES:
-            raise ValueError(f"shape must be one of {SHAPES}, got {self.shape!r}")
-        if self.resolution < 8:
-            raise ValueError(f"resolution must be >= 8, got {self.resolution}")
-        if not self.domain_length > 0.0:
-            raise ValueError(f"domain_length must be > 0, got {self.domain_length}")
+        for name, low in (("levels", 1), ("n_cells", 3), ("resolution", 8), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("t_final", "domain_length"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name, value in self.to_dict().items():
+            if isinstance(value, float) and not isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -147,6 +142,9 @@ def _initial_state(prob: ModelProblem, dx: float, length: float, order: int,
 def _exact_interior(prob: ModelProblem, grid: Grid1D, t: float):
     """Exact (v, sigma) at the interior cell centers of `grid` at time t."""
     return field_exact(prob, grid.side, grid.cell_centers()[grid.interior], t)
+
+
+ERROR_KEYS = ("v_max", "sigma_max", "v_l1", "sigma_l1", "v_body_max")
 
 
 def _error_norms(state: CoupledState, prob: ModelProblem, v_body_err_max: float) -> dict:
@@ -198,7 +196,7 @@ def run_simulation(cfg: RunConfig) -> dict:
         errors = _error_norms(state, prob, v_body_err)
         diverged = not all(np.isfinite(v) for v in errors.values())
     else:
-        errors = {k: float("inf") for k in ("v_max", "sigma_max", "v_l1", "sigma_l1", "v_body_max")}
+        errors = dict.fromkeys(ERROR_KEYS, float("inf"))
         diverged = True
     return {
         "config": cfg.to_dict(),
@@ -214,8 +212,6 @@ def run_simulation(cfg: RunConfig) -> dict:
 
 
 # -- convergence --------------------------------------------------------------
-
-ERROR_KEYS = ("v_max", "sigma_max", "v_l1", "sigma_l1", "v_body_max")
 
 
 def run_convergence_study(cfg: RunConfig) -> dict:

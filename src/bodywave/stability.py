@@ -18,6 +18,7 @@ nu = +lambda.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -49,12 +50,14 @@ class StabilityQuery:
     def __post_init__(self):
         if not 0.0 < self.courant <= 1.0:
             raise ValueError(f"courant must be in (0, 1], got {self.courant}")
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if not self.z > 0.0:
-            raise ValueError(f"z must be > 0, got {self.z}")
-        if self.mass < 0.0:
-            raise ValueError(f"mass must be >= 0, got {self.mass}")
+        if not (self.dt > 0.0 and isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (self.z > 0.0 and isfinite(self.z)):
+            raise ValueError(f"z must be positive and finite, got {self.z}")
+        if not (self.mass >= 0.0 and isfinite(self.mass)):
+            raise ValueError(f"mass must be >= 0 and finite, got {self.mass}")
+        if not isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -143,15 +146,9 @@ class ContourFailure(ArithmeticError):
     """The argument-principle mode count could not be certified."""
 
 
-def _dense(entries: dict, A, n: int) -> np.ndarray:
-    out = np.zeros(np.shape(A) + (n, n), dtype=complex)
-    for (i, j), value in entries.items():
-        out[..., i, j] = value
-    return out
-
-
 def _first_order_entries(A, q: StabilityQuery):
-    """Entries (d, e, f, g) of the system [[d, 0, -e], [0, d, e], [f, -f, g]]."""
+    """Entries (d, e, f, g) of the first-order interface-mode system
+    [[d, 0, -e], [0, d, e], [f, -f, g]] in the unknowns (b_L0, a_R0, v/c)."""
     A = np.asarray(A, dtype=complex)
     lam, z, al, dt, m = q.courant, q.z, q.alpha, q.dt, q.mass
     r = (A - 1.0 + lam) / lam
@@ -162,23 +159,15 @@ def _first_order_entries(A, q: StabilityQuery):
     return d, e, f, g
 
 
-def first_order_system_matrix(A, q: StabilityQuery) -> np.ndarray:
-    """3x3 interface-mode system of the first-order scheme, vectorized over
-    complex A; unknowns (b_L0, a_R0, v/c).  Singular exactly at the
-    amplification factors."""
-    d, e, f, g = _first_order_entries(A, q)
-    return _dense({(0, 0): d, (0, 2): -e, (1, 1): d, (1, 2): e,
-                   (2, 0): f, (2, 1): -f, (2, 2): g}, A, 3)
-
-
 def first_order_determinant(A, q: StabilityQuery):
-    """det of first_order_system_matrix, d^2 g + 2 d e f, from its entries."""
+    """det of the first-order system, d^2 g + 2 d e f, from its entries."""
     d, e, f, g = _first_order_entries(A, q)
     return d * (d * g + 2.0 * e * f)
 
 
 def _second_order_entries(A, q: StabilityQuery) -> dict:
-    """Nonzero entries {(row, col): value} of second_order_system_matrix.
+    """Nonzero entries {(row, col): value} of the 5x5 second-order interface-mode
+    system at |A| > 1 in the unknowns (a_L0, b_L0, a_R0, b_R0, v/c).
 
     Left-domain modes carry the outside spatial root of each characteristic
     family (entering via its reciprocal), right-domain modes the inside
@@ -209,14 +198,8 @@ def _second_order_entries(A, q: StabilityQuery) -> dict:
     }
 
 
-def second_order_system_matrix(A, q: StabilityQuery) -> np.ndarray:
-    """5x5 interface-mode system of the second-order scheme, vectorized over
-    complex A with |A| > 1; unknowns (a_L0, b_L0, a_R0, b_R0, v/c)."""
-    return _dense(_second_order_entries(A, q), A, 5)
-
-
 def second_order_determinant(A, q: StabilityQuery):
-    """det of second_order_system_matrix by block elimination, without
+    """det of the second-order system by block elimination, without
     building it.  Rows 0, 2 touch only columns {0, 1, 4} and rows 1, 3 only
     {2, 3, 4}; the row order (0, 2, 1, 3, 4), an odd permutation, gives
     [[P, 0, p], [0, Q, q], [r, s, t]], so
@@ -289,12 +272,7 @@ class GrowthConfig:
     def __post_init__(self):
         if self.scheme not in ("first", "second"):
             raise ValueError(f"scheme must be 'first' or 'second', got {self.scheme!r}")
-        if not 0.0 < self.courant <= 1.0:
-            raise ValueError("courant must be in (0, 1]")
-        if self.mass < 0.0:
-            raise ValueError(f"mass must be >= 0, got {self.mass}")
-        if not (self.dt > 0.0 and np.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        StabilityQuery(self.courant, self.dt, self.mass, self.mat.z, self.alpha)  # the same rules
 
     @property
     def dx(self) -> float:

@@ -117,8 +117,12 @@ def test_causality_far_field_independent_of_mass():
     assert np.array_equal(v1, v2) and np.array_equal(s1, s2)
 
 
-def test_displacement_starts_at_initial_offset_and_integrates_velocity():
-    prob = ModelProblem.standard(1.0)
+@pytest.mark.parametrize("m,rho", [
+    *(pytest.param(m, 1.0, id=str(m)) for m in (1.0, 1e-6, 0.0)),
+    *(pytest.param(m, 100.0, id=f"rho=100.0-{m}") for m in (0.5, 0.0)),
+])
+def test_displacement_starts_at_initial_offset_and_integrates_velocity(m, rho):
+    prob = ModelProblem(FluidMaterial(rho, sqrt(2.0)), FluidMaterial(rho, sqrt(3.0)), m)
     u0 = float(prob.displacement0(0.0))
     assert body_displacement_exact(prob, 0.0) == pytest.approx(u0, abs=1e-15)
     for t in [0.2, 0.75]:

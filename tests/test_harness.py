@@ -13,7 +13,7 @@ import pytest
 
 import bodywave
 
-from bodywave.cli import build_parser, config_from_args, main
+from bodywave.cli import SUBCOMMAND_MODES, build_parser, config_from_args, main
 from bodywave.materials import FluidField1D, FluidMaterial
 from bodywave import coupling
 from bodywave.stability import GrowthConfig, empirical_growth_rate, growth_rates
@@ -354,6 +354,33 @@ def test_cli_non_finite_mass_is_a_config_error(command, mass, capsys):
     assert main([command, "--mass", mass]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and f"mass must be finite and >= 0, got {mass}" in err
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (["simulate", "--tfinal", "inf"], None, "t_final must be finite, got inf"),
+    (["simulate"], '{"domain_length": Infinity}', "domain_length must be finite, got inf"),
+    (["simulate", "--coupling", "custom", "--alpha-left", "nan", "--alpha-right", "1"], None,
+     "alpha_left must be finite, got nan"),
+    (["stability", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+], ids=["tfinal-inf", "domain-length-inf", "alpha-nan", "seed-negative"])
+def test_cli_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, argv, config, message):
+    """Each value is refused by the config loader with the field named, not
+    later by a traceback, a grid size, numpy's seeding or an all-null report."""
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
+def test_every_parser_option_is_a_config_field():
+    """config_from_args copies every option into RunConfig, so each one must
+    name a field; a new flag cannot bypass the loader's checks."""
+    fields = set(RunConfig.__dataclass_fields__)
+    for command in SUBCOMMAND_MODES:
+        dests = set(vars(build_parser().parse_args([command]))) - {"command", "config"}
+        assert dests and dests <= fields, (command, dests - fields)
 
 
 def test_cli_unknown_config_key_exits_2(tmp_path, capsys):

@@ -21,13 +21,13 @@ from bodywave.stability import (
     count_unstable_modes,
     empirical_growth_rate,
     growth_rates,
+    _first_order_entries,
+    _second_order_entries,
     first_order_determinant,
-    first_order_system_matrix,
     max_stable_dt_traditional,
     roots_first_order_projection,
     roots_first_order_traditional,
     second_order_determinant,
-    second_order_system_matrix,
 )
 
 
@@ -122,6 +122,16 @@ def test_projection_stable_for_random_queries():
             StabilityQuery(lam[i], dt[i], mass[i], z[i], z[i])
         )
         assert rep.stable and rep.max_modulus < 1.0
+
+
+@pytest.mark.parametrize("field,value", [
+    ("courant", np.nan), ("dt", np.inf), ("dt", np.nan), ("mass", np.nan), ("mass", np.inf),
+    ("z", np.inf), ("z", np.nan), ("alpha", np.nan), ("alpha", np.inf),
+])
+def test_query_rejects_non_finite_inputs(field, value):
+    args = dict(courant=0.8, dt=1e-3, mass=1e-3, z=np.sqrt(2.0), alpha=0.0)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        StabilityQuery(**{**args, field: value})
 
 
 # -- Lax-Wendroff spatial roots ----------------------------------------------
@@ -228,6 +238,28 @@ def test_count_unstable_second_order_traditional_light_body():
 
 
 # -- closed-form determinants and the adaptive contour -----------------------
+
+
+def _dense(entries: dict, A, n: int) -> np.ndarray:
+    out = np.zeros(np.shape(A) + (n, n), dtype=complex)
+    for (i, j), value in entries.items():
+        out[..., i, j] = value
+    return out
+
+
+def first_order_system_matrix(A, q: StabilityQuery) -> np.ndarray:
+    """3x3 interface-mode system of the first-order scheme, vectorized over
+    complex A; unknowns (b_L0, a_R0, v/c).  Singular exactly at the
+    amplification factors."""
+    d, e, f, g = _first_order_entries(A, q)
+    return _dense({(0, 0): d, (0, 2): -e, (1, 1): d, (1, 2): e,
+                   (2, 0): f, (2, 1): -f, (2, 2): g}, A, 3)
+
+
+def second_order_system_matrix(A, q: StabilityQuery) -> np.ndarray:
+    """5x5 interface-mode system of the second-order scheme, vectorized over
+    complex A with |A| > 1; unknowns (a_L0, b_L0, a_R0, b_R0, v/c)."""
+    return _dense(_second_order_entries(A, q), A, 5)
 
 
 def _random_exterior(n, seed):
@@ -545,3 +577,11 @@ def test_growth_config_rejects_negative_mass():
     mat = FluidMaterial(1.0, np.sqrt(2.0))
     with pytest.raises(ValueError, match="mass must be >= 0"):
         GrowthConfig(mat, -1e-3, 1e-3, 0.8, mat.z, "first")
+
+
+@pytest.mark.parametrize("mass", [np.nan, np.inf])
+def test_growth_config_rejects_non_finite_mass(mass):
+    """A NaN or infinite mass is refused up front, not measured as a NaN rate."""
+    mat = FluidMaterial(1.0, np.sqrt(2.0))
+    with pytest.raises(ValueError, match="mass must be >= 0 and finite"):
+        empirical_growth_rate(GrowthConfig(mat, mass, 1e-3, 0.8, 0.0, "first"), 50)
