@@ -159,8 +159,8 @@ def body_velocity_exact(prob: ModelProblem, t):
 
 def body_displacement_exact(prob: ModelProblem, t):
     """Exact body displacement U0(0) + int_0^t vb, from the body ODE integrated
-    over (0, t): Zt int vb = int g - m (vb(t) - vb(0)), where each incident
-    wave of g integrates to a sqrt(pi)/(2 beta c) [erf(beta q(t)) - erf(beta q(0))]."""
+    over (0, t): Zt int vb = int g - m (vb(t) - vb(0)), where each incident wave
+    of g, with q = c t - s x0, integrates to a sqrt(pi)/(2 beta c) [erf(beta q)]_0^t."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise DomainError("t must be >= 0")

@@ -117,22 +117,19 @@ def test_causality_far_field_independent_of_mass():
     assert np.array_equal(v1, v2) and np.array_equal(s1, s2)
 
 
-@pytest.mark.parametrize("m,rho", [
-    *(pytest.param(m, 1.0, id=str(m)) for m in (1.0, 1e-6, 0.0)),
-    *(pytest.param(m, 100.0, id=f"rho=100.0-{m}") for m in (0.5, 0.0)),
-])
-def test_displacement_starts_at_initial_offset_and_integrates_velocity(m, rho):
-    prob = ModelProblem(FluidMaterial(rho, sqrt(2.0)), FluidMaterial(rho, sqrt(3.0)), m)
-    u0 = float(prob.displacement0(0.0))
-    assert body_displacement_exact(prob, 0.0) == pytest.approx(u0, abs=1e-15)
-    for t in [0.2, 0.75]:
-        ref, err = quad(
-            lambda s: body_velocity_exact(prob, s), 0.0, t,
-            epsabs=1e-14, epsrel=1e-14, limit=500,
-        )
-        assert err < 1e-12
-        got = body_displacement_exact(prob, t)
-        assert abs(got - (u0 + ref)) < 1e-10, f"t={t}: {got} vs {u0 + ref}"
+def test_displacement_starts_at_initial_offset_and_integrates_velocity():
+    for m, rho in [(1.0, 1.0), (1e-6, 1.0), (0.0, 1.0), (0.5, 100.0), (0.0, 100.0)]:
+        prob = ModelProblem(FluidMaterial(rho, sqrt(2.0)), FluidMaterial(rho, sqrt(3.0)), m)
+        u0 = float(prob.displacement0(0.0))
+        assert body_displacement_exact(prob, 0.0) == pytest.approx(u0, abs=1e-15)
+        for t in [0.2, 0.75]:
+            ref, err = quad(
+                lambda s: body_velocity_exact(prob, s), 0.0, t,
+                epsabs=1e-14, epsrel=1e-14, limit=500,
+            )
+            assert err < 1e-12
+            got = body_displacement_exact(prob, t)
+            assert abs(got - (u0 + ref)) < 1e-10, f"m={m}, rho={rho}, t={t}: {got} vs {u0 + ref}"
 
 
 def test_displacement_vector_matches_scalar_calls():
