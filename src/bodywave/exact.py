@@ -31,8 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import sqrt, pi
 
-import numpy as np
-from scipy.special import erf, erfcx
+import numpy as np  # scipy is imported inside the functions that call it, off the start-up path
 
 from .materials import FluidMaterial
 
@@ -71,6 +70,7 @@ class ModelProblem:
     # -- initial data ------------------------------------------------------
 
     def displacement0(self, x):
+        from scipy.special import erf
         return -(sqrt(pi) / (4.0 * self.beta)) * erf(self.beta * (np.asarray(x, float) - self.x0))
 
     def strain0(self, x):
@@ -105,6 +105,7 @@ def _exp_p_erfc(p, p_minus_x2, x):
     used; for x < 0 the complement identity needs e^p itself, which is safe
     because p <= 0 whenever an argument goes negative in this solution.
     """
+    from scipy.special import erfcx
     p, p_minus_x2, x = np.broadcast_arrays(
         np.asarray(p, float), np.asarray(p_minus_x2, float), np.asarray(x, float)
     )
@@ -161,6 +162,7 @@ def body_displacement_exact(prob: ModelProblem, t):
     """Exact body displacement U0(0) + int_0^t vb, from the body ODE integrated
     over (0, t): Zt int vb = int g - m (vb(t) - vb(0)), where each incident wave
     of g, with q = c t - s x0, integrates to a sqrt(pi)/(2 beta c) [erf(beta q)]_0^t."""
+    from scipy.special import erf
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise DomainError("t must be >= 0")

@@ -7,8 +7,10 @@ import csv
 import json
 from dataclasses import dataclass, replace
 from math import ceil, isfinite, pi, sqrt
+from numbers import Integral, Real
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .addedmass import (
     Ellipse,
@@ -44,6 +46,7 @@ MODES = ("simulate1d", "converge1d", "stability_sweep", "addedmass_table", "rigi
 SCHEMES = ("first", "second")
 COUPLINGS = ("traditional", "projection", "custom")
 SHAPES = ("ellipse", "sphere", "ellipsoid", "starfish", "all")
+_FIELD_TYPES = {"str": str, "int": Integral, "float": Real}  # bool is Integral: refused separately
 
 
 @dataclass
@@ -81,6 +84,13 @@ class RunConfig:
                 raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         if self.coupling == "custom" and (self.alpha_left is None or self.alpha_right is None):
             raise ValueError("custom coupling needs alpha_left and alpha_right")
+        for name, field in self.__dataclass_fields__.items():
+            kind, _, optional = field.type.partition(" | ")  # "float", "int | None", ...
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
         if not (isfinite(self.mass) and self.mass >= 0.0):
             raise ValueError(f"mass must be finite and >= 0, got {self.mass}")
         if not 0.0 < self.cfl <= 1.0:
@@ -407,14 +417,15 @@ def _table_row(shape, params, entry, value, reference, tol, kind) -> dict:
 def run_addedmass_table(cfg: RunConfig) -> dict:
     """Tensor entries for the requested shapes, against analytic or printed
     reference values where those exist (invariant checks otherwise)."""
-    rows = []
+    rows, gauss = [], None  # one Gauss-Legendre rule serves every ellipsoid of the table
     for shape, params, body, kind, refs in ADDED_MASS_REFERENCES:
         if cfg.shape not in ("all", shape):
             continue
-        res = cfg.resolution
+        res, rule = cfg.resolution, None
         if isinstance(body, Ellipsoid):
             res = min(res, 256)  # per-dimension count; 256^2 nodes suffice
-        tens = added_mass_tensors(sample_surface(body, 1.0, res))
+            rule = gauss = gauss or leggauss(res)
+        tens = added_mass_tensors(sample_surface(body, 1.0, res, _gauss=rule))
         scale = float(np.max(np.abs(tens.composite)))
         for entry, (reference, tol) in refs.items():
             value = _entry_value(tens, entry)

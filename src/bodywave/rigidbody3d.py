@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.linalg.lapack import dgesdd, dgesv
+import numpy as np  # scipy is imported inside the functions that call it, off the start-up path
 
 from .addedmass import AddedMassTensors, SurfaceQuadrature, added_mass_tensors
 
@@ -75,6 +74,7 @@ class RigidBodyState3D:
 
 def _reorthonormalize(E: np.ndarray) -> np.ndarray:
     """Nearest orthogonal matrix: the polar factor U V^T of E = U S V^T."""
+    from scipy.linalg.lapack import dgesdd
     u, _, vt, _ = dgesdd(E)
     return u @ vt
 
@@ -217,6 +217,7 @@ def _solve_stage(inertia, forcing, gamma_dt, v_base, omega_base):
     The linear part L = gamma_dt A_m + diag(m I, A) and the constant part
     A_m u_base - (F~, T~) are built once; each iteration adds only the
     gyroscopic term Cross(w) A w and its Jacobian."""
+    from scipy.linalg.lapack import dgesdd, dgesv
     comp, A = forcing.tensors.composite, inertia.A
     forcing_6 = np.concatenate([forcing.f_tilde, forcing.t_tilde])
     g_const = comp @ np.concatenate([v_base, omega_base]) - forcing_6
@@ -270,6 +271,7 @@ def dirk_step(
 ) -> RigidBodyState3D:
     """One DIRK step; forcing_provider(time) returns the PartialForcing at a
     stage time (freeze it to reproduce tensors held fixed over the step)."""
+    from scipy.linalg.lapack import dgesv
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     gdt = tableau.gamma * dt

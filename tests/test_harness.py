@@ -263,6 +263,21 @@ def test_addedmass_table_single_shape():
     assert rep["all_ok"]
 
 
+def test_addedmass_table_builds_one_gauss_rule(monkeypatch):
+    """The three ellipsoids of `addedmass --shape all` share one leggauss(256)."""
+    from bodywave import addedmass, harness
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return np.polynomial.legendre.leggauss(n)
+
+    monkeypatch.setattr(harness, "leggauss", counted, raising=False)
+    monkeypatch.setattr(addedmass, "leggauss", counted)
+    run_addedmass_table(RunConfig(mode="addedmass_table", shape="all", resolution=16))
+    assert calls == [16]
+
+
 def test_rigidbody_demo_history():
     rep = run_rigidbody_demo(RunConfig(mode="rigidbody3d_demo"))
     hist = rep["history"]
@@ -362,10 +377,15 @@ def test_cli_non_finite_mass_is_a_config_error(command, mass, capsys):
     (["simulate", "--coupling", "custom", "--alpha-left", "nan", "--alpha-right", "1"], None,
      "alpha_left must be finite, got nan"),
     (["stability", "--seed", "-1"], None, "seed must be >= 0, got -1"),
-], ids=["tfinal-inf", "domain-length-inf", "alpha-nan", "seed-negative"])
+    (["simulate"], '{"mass": "1"}', "mass must be float, got '1'"),
+    (["simulate"], '{"n_cells": 10.5}', "n_cells must be int, got 10.5"),
+    (["simulate"], '{"levels": true}', "levels must be int, got True"),
+], ids=["tfinal-inf", "domain-length-inf", "alpha-nan", "seed-negative", "mass-str",
+        "cells-float", "levels-bool"])
 def test_cli_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, argv, config, message):
     """Each value is refused by the config loader with the field named, not
-    later by a traceback, a grid size, numpy's seeding or an all-null report."""
+    later by a traceback, a grid size, numpy's seeding, an all-null report or
+    a run on a fractional grid."""
     if config is not None:
         (tmp_path / "cfg.json").write_text(config)
         argv = [*argv, "--config", str(tmp_path / "cfg.json")]
@@ -381,6 +401,13 @@ def test_every_parser_option_is_a_config_field():
     for command in SUBCOMMAND_MODES:
         dests = set(vars(build_parser().parse_args([command]))) - {"command", "config"}
         assert dests and dests <= fields, (command, dests - fields)
+
+
+def test_config_accepts_an_int_in_a_float_field_and_none_only_where_optional():
+    assert RunConfig(mass=2, t_final=1).mass == 2
+    assert RunConfig(alpha_left=None, out=None).out is None
+    with pytest.raises(ValueError, match="mass must be float, got None"):
+        RunConfig(mass=None)
 
 
 def test_cli_unknown_config_key_exits_2(tmp_path, capsys):
@@ -414,6 +441,30 @@ def test_cli_json_to_stdout_appends_to_redirected_file(tmp_path):
     assert text.startswith("earlier line\n")
     report = json.JSONDecoder().raw_decode(text[len("earlier line\n"):])[0]
     assert report["config"]["n_cells"] == 16 and report["diverged"] is False
+
+
+def _scipy_modules_after(code: str) -> list:
+    """The scipy modules loaded once `code` has run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bodywave.__file__).parents[1]))
+    probe = code + ("\nimport json, sys; print(json.dumps(sorted("
+                    "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_start_up_loads_no_scipy():
+    """scipy is imported by the functions that call it, so building the CLI
+    parser costs no scipy import."""
+    assert _scipy_modules_after("import bodywave, bodywave.cli; bodywave.cli.build_parser()") == []
+
+
+def test_cli_stability_run_loads_neither_scipy_special_nor_lapack(tmp_path):
+    loaded = _scipy_modules_after(
+        "import bodywave.cli; bodywave.cli.main(['stability', '--mass', '1e-3', '--seed', '5', "
+        f"'--out', {str(tmp_path / 'sweep.csv')!r}])")
+    assert not {"scipy.special", "scipy.linalg"} & set(loaded), loaded
 
 
 def test_cli_numerical_failure_exits_3(capsys):
