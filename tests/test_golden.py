@@ -15,7 +15,11 @@ The files under tests/golden/ hold, for the reference setup:
   m = 0.7, random PSD tensors), whose gyroscopic term w x Aw is nonzero
   and takes several Newton iterations per stage (`rb3d` has A = I);
 - `displacement.json`: the exact body displacement at seven times for eight
-  masses (0 to 50) and three density pairs (c_L = sqrt 2, c_R = sqrt 3).
+  masses (0 to 50) and three density pairs (c_L = sqrt 2, c_R = sqrt 3);
+- `converge.json`: run_convergence_study reports (levels, ratios, rates,
+  diverged levels) for both schemes under projection coupling (m = 1, 1e-6),
+  n = 50, three levels, plus a first-order traditional run at m = 1e-6 to
+  t = 2 that diverges on both of its two levels.
 
 Tolerances: error norms 1e-10 relative, final body values 1e-10 relative
 or 1e-13 absolute (massless runs end near a zero crossing of v_body), field
@@ -26,7 +30,9 @@ reference 1e-12 of the largest |value| of their shape with identical `ok`
 flags, references and reference kinds, rigid-body histories 1e-12 of each
 series' largest magnitude (the axes' orthogonality drift against the unit
 scale of the axes themselves), the same for the gyroscopic DIRK histories,
-and the displacement series 1e-12 of each series' largest magnitude.
+the displacement series 1e-12 of each series' largest magnitude, and the
+convergence reports with identical keys, flags, levels and positions of
+non-finite values, and finite values 1e-12 relative.
 
 Regenerate (only when a change of output is intended and explained) with
 
@@ -54,6 +60,7 @@ from bodywave import (
 )
 from bodywave.harness import (
     run_addedmass_table,
+    run_convergence_study,
     run_rigidbody_demo,
     run_simulation,
     run_stability_sweep,
@@ -79,6 +86,10 @@ GYRO_SERIES = ("t", "x", "v", "omega", "E")
 DISP_MASSES = (0.0, 1e-6, 1e-3, 0.0999, 0.1001, 0.5, 2.0, 50.0)
 DISP_DENSITIES = ((1.0, 1.0), (100.0, 100.0), (1000.0, 1.0))
 DISP_TIMES = (0.0, 0.05, 0.2, 0.35, 0.5, 0.75, 2.0)
+# (scheme, coupling, mass, n_cells, levels, t_final); the last one diverges
+CONV_CASES = tuple((scheme, "projection", mass, 50, 3, 0.75)
+                   for scheme in ("first", "second") for mass in (1.0, 1e-6)) + (
+    ("first", "traditional", 1e-6, 50, 2, 2.0),)
 
 
 def _sim_key(scheme, coupling, mass):
@@ -180,6 +191,22 @@ def displacement_outputs() -> dict:
             out[_disp_key(rho_l, rho_r, mass)] = body_displacement_exact(
                 prob, np.array(DISP_TIMES)).tolist()
     return out
+
+
+def _conv_key(scheme, coupling, mass, n_cells, levels, t_final):
+    return f"{scheme}/{coupling}/m={mass!r}/n={n_cells}/levels={levels}/t={t_final!r}"
+
+
+def converge_outputs_for(case) -> dict:
+    scheme, coupling, mass, n_cells, levels, t_final = case
+    rep = run_convergence_study(RunConfig(mode="converge1d", scheme=scheme, coupling=coupling,
+                                          mass=mass, n_cells=n_cells, levels=levels,
+                                          t_final=t_final))
+    return {k: rep[k] for k in ("levels", "ratios", "rates", "diverged_levels")}
+
+
+def converge_outputs() -> dict:
+    return {_conv_key(*case): converge_outputs_for(case) for case in CONV_CASES}
 
 
 def _load(name):
@@ -285,6 +312,32 @@ def test_displacement_matches_golden():
         assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), (key, g, w)
 
 
+def _assert_report_matches(got, want, path="report"):
+    """Same structure, keys and exact non-floats; floats 1e-12 relative where
+    finite, and the same non-finite value (NaN, +inf or -inf) where not."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and set(got) == set(want), path
+        for key in want:
+            _assert_report_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_report_matches(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), (path, got)
+        if np.isfinite(want):
+            assert _close(got, want, 1e-12), (path, got, want)
+        else:
+            assert repr(got) == repr(want), (path, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+@pytest.mark.parametrize("case", CONV_CASES, ids=[_conv_key(*c) for c in CONV_CASES])
+def test_convergence_study_matches_golden(case):
+    _assert_report_matches(converge_outputs_for(case), _load("converge.json")[_conv_key(*case)])
+
+
 GOLDEN_BUILDERS = {
     "simulate.json": simulate_outputs,
     "states.json": state_outputs,
@@ -293,6 +346,7 @@ GOLDEN_BUILDERS = {
     "rb3d.json": rb3d_outputs,
     "dirk_gyro.json": dirk_gyro_outputs,
     "displacement.json": displacement_outputs,
+    "converge.json": converge_outputs,
 }
 
 
