@@ -16,7 +16,7 @@ exist for axis-aligned boxes, circles and spheres.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -252,46 +252,35 @@ def _sample_parametric_surface(shape: ParametricSurface3D, n: int):
     return pos, vec / metric[:, None], W * metric
 
 
-def _sample_rectangle(shape: Rectangle, n: int):
-    hx, hy = 0.5 * shape.lx, 0.5 * shape.ly
+def _sample_box(shape, n: int):
+    """Gauss points on the faces of an axis-aligned box whose full side lengths
+    are astuple(shape): a rectangle's 4 edges or a prism's 6 faces, ordered
+    +x, -x, +y, -y (, +z, -z), n points per face dimension."""
+    half = 0.5 * np.array(astuple(shape))
+    dim = len(half)
     xi, gw = leggauss(n)
+    # tangential coordinates (n^(dim-1), dim-1) and weights of the reference face
+    face = np.stack(np.meshgrid(*[xi] * (dim - 1), indexing="ij"), axis=-1).reshape(-1, dim - 1)
+    face_w = np.prod(np.meshgrid(*[gw] * (dim - 1), indexing="ij"), axis=0).ravel()
     pos, nrm, wts = [], [], []
-    for sign in (+1.0, -1.0):
-        pos.append(np.column_stack([np.full(n, sign * hx), hy * xi, np.zeros(n)]))
-        nrm.append(np.tile([sign, 0.0, 0.0], (n, 1)))
-        wts.append(hy * gw)
-        pos.append(np.column_stack([hx * xi, np.full(n, sign * hy), np.zeros(n)]))
-        nrm.append(np.tile([0.0, sign, 0.0], (n, 1)))
-        wts.append(hx * gw)
-    return np.vstack(pos), np.vstack(nrm), np.concatenate(wts)
-
-
-def _sample_prism(shape: Prism, n: int):
-    half = 0.5 * np.array([shape.lx, shape.ly, shape.lz])
-    xi, gw = leggauss(n)
-    A, B = np.meshgrid(xi, xi, indexing="ij")
-    A, B = A.ravel(), B.ravel()
-    GW = np.outer(gw, gw).ravel()
-    pos, nrm, wts = [], [], []
-    for axis in range(3):
-        i, j = (axis + 1) % 3, (axis + 2) % 3
+    for axis in range(dim):
+        others = [(axis + k) % dim for k in range(1, dim)]
         for sign in (+1.0, -1.0):
-            p = np.zeros((n * n, 3))
+            p = np.zeros((len(face), 3))
             p[:, axis] = sign * half[axis]
-            p[:, i] = half[i] * A
-            p[:, j] = half[j] * B
-            normal = np.zeros((n * n, 3))
+            p[:, others] = half[others] * face
+            normal = np.zeros((len(face), 3))
             normal[:, axis] = sign
             pos.append(p)
             nrm.append(normal)
-            wts.append(half[i] * half[j] * GW)
+            wts.append(np.prod(half[others]) * face_w)
     return np.vstack(pos), np.vstack(nrm), np.concatenate(wts)
 
 
 _SAMPLERS = {
-    Ellipse: _sample_ellipse, Starfish: _sample_starfish, Rectangle: _sample_rectangle,
+    Ellipse: _sample_ellipse, Starfish: _sample_starfish, Rectangle: _sample_box,
     ParametricCurve2D: _sample_parametric_curve, Ellipsoid: _sample_ellipsoid,
-    ParametricSurface3D: _sample_parametric_surface, Prism: _sample_prism,
+    ParametricSurface3D: _sample_parametric_surface, Prism: _sample_box,
 }
 
 

@@ -8,6 +8,7 @@ import json
 from dataclasses import dataclass, replace
 from math import ceil, isfinite, pi, sqrt
 from numbers import Integral, Real
+from sys import float_info
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -42,7 +43,6 @@ from .stability import (
     second_order_determinant,
 )
 
-MODES = ("simulate1d", "converge1d", "stability_sweep", "addedmass_table", "rigidbody3d_demo")
 SCHEMES = ("first", "second")
 COUPLINGS = ("traditional", "projection", "custom")
 SHAPES = ("ellipse", "sphere", "ellipsoid", "starfish", "all")
@@ -78,8 +78,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, choices in (("mode", MODES), ("scheme", SCHEMES), ("coupling", COUPLINGS),
-                              ("shape", SHAPES)):
+        for name, choices in (("mode", tuple(RUNNERS)), ("scheme", SCHEMES),
+                              ("coupling", COUPLINGS), ("shape", SHAPES)):
             if getattr(self, name) not in choices:
                 raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         if self.coupling == "custom" and (self.alpha_left is None or self.alpha_right is None):
@@ -91,6 +91,8 @@ class RunConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
                 raise ValueError(f"{name} must be {kind}, got {value!r}")
+            if kind == "float" and isinstance(value, Integral) and abs(value) > float_info.max:
+                raise ValueError(f"{name} must be finite, got an integer larger than any float")
         if not (isfinite(self.mass) and self.mass >= 0.0):
             raise ValueError(f"mass must be finite and >= 0, got {self.mass}")
         if not 0.0 < self.cfl <= 1.0:
@@ -107,8 +109,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
         return cls(**data)
@@ -120,8 +121,7 @@ class RunConfig:
         return FluidMaterial(self.rho_left, self.c_left), FluidMaterial(self.rho_right, self.c_right)
 
     def problem(self) -> ModelProblem:
-        mat_l, mat_r = self.materials()
-        return ModelProblem(mat_l, mat_r, self.mass, self.beta, self.x0)
+        return ModelProblem(*self.materials(), self.mass, self.beta, self.x0)
 
     def alphas(self) -> tuple[float, float]:
         """Interface weights for the chosen coupling."""
@@ -136,40 +136,12 @@ class RunConfig:
 # -- 1D simulation ------------------------------------------------------------
 
 
-def _initial_state(prob: ModelProblem, dx: float, length: float, order: int,
-                   alpha_l: float, alpha_r: float) -> CoupledState:
-    """Exact-solution initial data on both half-lines (ghosts via coupling)."""
-    fields = []
-    for side in ("left", "right"):
-        grid = Grid1D.uniform(side, length, dx)
-        v, s = np.zeros(grid.n_points), np.zeros(grid.n_points)
-        v[grid.interior], s[grid.interior] = _exact_interior(prob, grid, 0.0)
-        fields.append(FluidField1D(grid, v, s))
-    v0 = float(body_velocity_exact(prob, 0.0))
-    return CoupledState.initial(*fields, v0, alpha_l, alpha_r, order)
-
-
 def _exact_interior(prob: ModelProblem, grid: Grid1D, t: float):
     """Exact (v, sigma) at the interior cell centers of `grid` at time t."""
     return field_exact(prob, grid.side, grid.cell_centers()[grid.interior], t)
 
 
 ERROR_KEYS = ("v_max", "sigma_max", "v_l1", "sigma_l1", "v_body_max")
-
-
-def _error_norms(state: CoupledState, prob: ModelProblem, v_body_err_max: float) -> dict:
-    """Max and L1 norms of the field errors over both interiors at state.t."""
-    dv, ds = np.concatenate([
-        np.abs(np.array([f.v[f.grid.interior], f.sigma[f.grid.interior]])
-               - _exact_interior(prob, f.grid, state.t))
-        for f in (state.left, state.right)], axis=1)
-    return {
-        "v_max": float(np.max(dv)),
-        "sigma_max": float(np.max(ds)),
-        "v_l1": float(np.sum(dv) / dv.size),
-        "sigma_l1": float(np.sum(ds) / ds.size),
-        "v_body_max": float(v_body_err_max),
-    }
 
 
 def run_simulation(cfg: RunConfig) -> dict:
@@ -188,7 +160,14 @@ def run_simulation(cfg: RunConfig) -> dict:
     n_steps = max(1, ceil(cfg.t_final / dt - 1e-12))
     dt = cfg.t_final / n_steps
 
-    run = CoupledRun(order, _initial_state(prob, dx, cfg.domain_length, order, alpha_l, alpha_r),
+    fields = []  # exact-solution initial data on both half-lines (ghosts via coupling)
+    for side in ("left", "right"):
+        grid = Grid1D.uniform(side, cfg.domain_length, dx)
+        v, s = np.zeros(grid.n_points), np.zeros(grid.n_points)
+        v[grid.interior], s[grid.interior] = _exact_interior(prob, grid, 0.0)
+        fields.append(FluidField1D(grid, v, s))
+    v0 = float(body_velocity_exact(prob, 0.0))
+    run = CoupledRun(order, CoupledState.initial(*fields, v0, alpha_l, alpha_r, order),
                      mat_l, mat_r, cfg.mass, dt, alpha_l, alpha_r)
     v_body_hist = [run.v_body]
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
@@ -202,8 +181,17 @@ def run_simulation(cfg: RunConfig) -> dict:
     finite = np.all(np.isfinite(v_body_hist)) and np.all(
         np.isfinite(state.left.v)) and np.all(np.isfinite(state.right.v))
     if finite:
-        v_body_err = np.max(np.abs(v_body_hist - body_velocity_exact(prob, times)))
-        errors = _error_norms(state, prob, v_body_err)
+        dv, ds = np.concatenate([
+            np.abs(np.array([f.v[f.grid.interior], f.sigma[f.grid.interior]])
+                   - _exact_interior(prob, f.grid, state.t))
+            for f in (state.left, state.right)], axis=1)
+        errors = {
+            "v_max": float(np.max(dv)),
+            "sigma_max": float(np.max(ds)),
+            "v_l1": float(np.sum(dv) / dv.size),
+            "sigma_l1": float(np.sum(ds) / ds.size),
+            "v_body_max": float(np.max(np.abs(v_body_hist - body_velocity_exact(prob, times)))),
+        }
         diverged = not all(np.isfinite(v) for v in errors.values())
     else:
         errors = dict.fromkeys(ERROR_KEYS, float("inf"))
@@ -231,16 +219,8 @@ def run_convergence_study(cfg: RunConfig) -> dict:
     for j in range(cfg.levels):
         level_cfg = replace(cfg, mode="simulate1d", n_cells=cfg.n_cells * 2**j, levels=1)
         result = run_simulation(level_cfg)
-        levels.append(
-            {
-                "level": j,
-                "n_cells": level_cfg.n_cells,
-                "dx": result["dx"],
-                "dt": result["dt"],
-                "errors": result["errors"],
-                "diverged": result["diverged"],
-            }
-        )
+        levels.append({"level": j, "n_cells": level_cfg.n_cells,
+                       **{key: result[key] for key in ("dx", "dt", "errors", "diverged")}})
     ratios = {}
     rates = {}
     log_dx = np.log([lv["dx"] for lv in levels])
@@ -252,11 +232,8 @@ def run_convergence_study(cfg: RunConfig) -> dict:
                 for i in range(len(errs) - 1)
             ]
         good = np.isfinite(errs) & (errs > 0.0)
-        if np.count_nonzero(good) >= 2:
-            slope = np.polyfit(log_dx[good], np.log(errs[good]), 1)[0]
-            rates[key] = float(slope)
-        else:
-            rates[key] = float("nan")
+        rates[key] = (float(np.polyfit(log_dx[good], np.log(errs[good]), 1)[0])
+                      if np.count_nonzero(good) >= 2 else float("nan"))
     return {
         "config": cfg.to_dict(),
         "levels": levels,
@@ -346,10 +323,6 @@ def run_stability_sweep(cfg: RunConfig) -> dict:
 
 # -- added-mass table ---------------------------------------------------------
 
-def _nonnegative_part(value: float) -> float:
-    return max(value, 0.0)
-
-
 # One entry per body: (shape, params, body, kind, {entry: (reference, tol)});
 # entries without a reference are of kind "none".  Ellipse references
 # (a = 1, unit impedance) are three-significant-digit printed values to half
@@ -379,7 +352,7 @@ ADDED_MASS_REFERENCES = (
     ("starfish", "arms=5", Starfish.default(), "invariant",
      {"avv_11": (None, None), "avv_22": (None, None), "avv_33": (None, None),
       "aww_33": (None, None), "symmetry_drift": (0.0, 1e-12),
-      "min_eigenvalue": (_nonnegative_part, 1e-12)}),
+      "min_eigenvalue": (lambda value: max(value, 0.0), 1e-12)}),
 )
 
 
@@ -393,25 +366,6 @@ def _entry_value(tens, entry: str) -> float:
         return float(np.min(np.linalg.eigvalsh(tens.composite)))
     i = int(entry[-1]) - 1
     return float((tens.avv if entry.startswith("avv") else tens.aww)[i, i])
-
-
-def _table_row(shape, params, entry, value, reference, tol, kind) -> dict:
-    abs_diff = abs(value - reference) if reference is not None else None
-    rel_diff = (
-        abs_diff / abs(reference) if reference not in (None, 0.0) else None
-    )
-    ok = abs_diff <= tol if reference is not None else True
-    return {
-        "shape": shape,
-        "params": params,
-        "entry": entry,
-        "value": value,
-        "reference": reference,
-        "reference_kind": kind,
-        "abs_diff": abs_diff,
-        "rel_diff": rel_diff,
-        "ok": ok,
-    }
 
 
 def run_addedmass_table(cfg: RunConfig) -> dict:
@@ -433,8 +387,18 @@ def run_addedmass_table(cfg: RunConfig) -> dict:
                 reference = reference(value)
             if kind == "invariant" and tol is not None:
                 tol = tol * scale
-            rows.append(_table_row(shape, params, entry, value, reference, tol,
-                                   kind if reference is not None else "none"))
+            abs_diff = abs(value - reference) if reference is not None else None
+            rows.append({
+                "shape": shape,
+                "params": params,
+                "entry": entry,
+                "value": value,
+                "reference": reference,
+                "reference_kind": kind if reference is not None else "none",
+                "abs_diff": abs_diff,
+                "rel_diff": abs_diff / abs(reference) if reference not in (None, 0.0) else None,
+                "ok": reference is None or abs_diff <= tol,
+            })
     return {"config": cfg.to_dict(), "rows": rows, "all_ok": all(r["ok"] for r in rows)}
 
 
@@ -452,18 +416,13 @@ def run_rigidbody_demo(cfg: RunConfig) -> dict:
         )
 
     dt, n_steps = 0.05, 40
-    state = RigidBodyState3D.rest()
-    hist = {"t": [0.0], "v": [state.v.tolist()], "omega": [state.omega.tolist()],
-            "x": [state.x.tolist()], "e_drift": [state.orthogonality_drift()]}
-    t, tableau = 0.0, DIRKTableau.dirk3()
+    states, times, tableau = [RigidBodyState3D.rest()], [0.0], DIRKTableau.dirk3()
     for _ in range(n_steps):
-        state = dirk_step(state, inertia, provider, tableau, dt, t)
-        t += dt
-        hist["t"].append(t)
-        hist["v"].append(state.v.tolist())
-        hist["omega"].append(state.omega.tolist())
-        hist["x"].append(state.x.tolist())
-        hist["e_drift"].append(state.orthogonality_drift())
+        states.append(dirk_step(states[-1], inertia, provider, tableau, dt, times[-1]))
+        times.append(times[-1] + dt)
+    hist = {"t": times, **{name: [getattr(s, name).tolist() for s in states]
+                           for name in ("v", "omega", "x")},
+            "e_drift": [s.orthogonality_drift() for s in states]}
     return {
         "config": cfg.to_dict(),
         "dt": dt,
@@ -492,10 +451,6 @@ def _jsonable(obj):
     return obj
 
 
-def _config_echo_lines(config: dict) -> list[str]:
-    return [f"# {key} = {config[key]}" for key in sorted(config)]
-
-
 def format_json(report: dict) -> str:
     """Report as strict (no NaN/Infinity), indented, key-sorted JSON text
     ending in a newline."""
@@ -514,8 +469,8 @@ def write_csv_table(path: str, rows: list[dict], config: dict) -> None:
         raise ValueError("no rows to write")
     fieldnames = list(rows[0].keys())
     with open(path, "w", newline="") as fh:
-        for line in _config_echo_lines(config):
-            fh.write(line + "\n")
+        for key in sorted(config):
+            fh.write(f"# {key} = {config[key]}\n")
         writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
         for row in rows:
@@ -537,10 +492,8 @@ def format_table(rows: list[dict]) -> str:
     cols = list(rows[0].keys())
     rendered = [[_text_cell(r[c]) for c in cols] for r in rows]
     widths = [max(len(c), *(len(row[i]) for row in rendered)) for i, c in enumerate(cols)]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(cols, widths))]
-    for row in rendered:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+                     for row in [cols, *rendered])
 
 
 def _text_cell(value) -> str:
@@ -551,13 +504,16 @@ def _text_cell(value) -> str:
     return str(value)
 
 
+# mode -> runner; RunConfig accepts exactly these modes, in this order
+RUNNERS = {
+    "simulate1d": run_simulation,
+    "converge1d": run_convergence_study,
+    "stability_sweep": run_stability_sweep,
+    "addedmass_table": run_addedmass_table,
+    "rigidbody3d_demo": run_rigidbody_demo,
+}
+
+
 def run_mode(cfg: RunConfig) -> dict:
     """Dispatch on cfg.mode; returns the report dict."""
-    runners = {
-        "simulate1d": run_simulation,
-        "converge1d": run_convergence_study,
-        "stability_sweep": run_stability_sweep,
-        "addedmass_table": run_addedmass_table,
-        "rigidbody3d_demo": run_rigidbody_demo,
-    }
-    return runners[cfg.mode](cfg)
+    return RUNNERS[cfg.mode](cfg)

@@ -18,6 +18,7 @@ from bodywave.materials import FluidField1D, FluidMaterial
 from bodywave import coupling
 from bodywave.stability import GrowthConfig, empirical_growth_rate, growth_rates
 from bodywave.harness import (
+    RUNNERS,
     RunConfig,
     format_json,
     format_table,
@@ -380,8 +381,12 @@ def test_cli_non_finite_mass_is_a_config_error(command, mass, capsys):
     (["simulate"], '{"mass": "1"}', "mass must be float, got '1'"),
     (["simulate"], '{"n_cells": 10.5}', "n_cells must be int, got 10.5"),
     (["simulate"], '{"levels": true}', "levels must be int, got True"),
+    (["simulate"], '{"mass": 1%s}' % ("0" * 400),
+     "mass must be finite, got an integer larger than any float"),
+    (["converge"], '{"t_final": 1%s}' % ("0" * 400),
+     "t_final must be finite, got an integer larger than any float"),
 ], ids=["tfinal-inf", "domain-length-inf", "alpha-nan", "seed-negative", "mass-str",
-        "cells-float", "levels-bool"])
+        "cells-float", "levels-bool", "mass-int-too-large", "tfinal-int-too-large"])
 def test_cli_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, argv, config, message):
     """Each value is refused by the config loader with the field named, not
     later by a traceback, a grid size, numpy's seeding, an all-null report or
@@ -401,6 +406,16 @@ def test_every_parser_option_is_a_config_field():
     for command in SUBCOMMAND_MODES:
         dests = set(vars(build_parser().parse_args([command]))) - {"command", "config"}
         assert dests and dests <= fields, (command, dests - fields)
+
+
+def test_one_mode_table_serves_the_cli_the_config_and_the_dispatch():
+    """Every subcommand runs a mode of harness.RUNNERS, and RunConfig names
+    that table's modes, in its order, when it refuses one."""
+    assert all(mode in RUNNERS for mode in SUBCOMMAND_MODES.values())
+    with pytest.raises(ValueError) as err:
+        RunConfig(mode="nope")
+    assert str(err.value) == ("mode must be one of ('simulate1d', 'converge1d', 'stability_sweep', "
+                              "'addedmass_table', 'rigidbody3d_demo'), got 'nope'")
 
 
 def test_config_accepts_an_int_in_a_float_field_and_none_only_where_optional():
