@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .materials import FluidField1D, FluidMaterial
 from .schemes import Characteristics, lax_wendroff_step, upwind_step
 
@@ -135,6 +137,8 @@ class CoupledRun:
         self.v_body, self.x_body, self.t = state.v_body, state.x_body, state.t
         phi_l, phi_r = edge_fluxes(self.chars.x, self.sides, self.scheme.edge)[1]
         self.flux = phi_r + phi_l
+        self.ghosts = np.arange(4) * self.chars.x.shape[-1]  # flat rows: uL, wL, uR, wR
+        self.cells = (self.ghosts[:, None] + [1, 2]).ravel()
 
     def step(self) -> None:
         """One partitioned step: interior update of both fluids, then `couple`."""
@@ -146,17 +150,24 @@ class CoupledRun:
         at the new level.  m (v' - v)/dt = theta F(v', new) + (1 - theta)
         F(v, old), F = sigma_I_right - sigma_I_left = Phi - (aL + aR) v with
         Phi the sum of both edge fluxes, gives (m + theta dt (aL+aR)) v' =
-        (m - (1-theta) dt (aL+aR)) v + dt [theta Phi' + (1-theta) Phi]."""
-        x, sides, (edge, theta, reflect) = self.chars.x, self.sides, self.scheme
-        cells, (phi_l, phi_r) = edge_fluxes(x, sides, edge)
+        (m - (1-theta) dt (aL+aR)) v + dt [theta Phi' + (1-theta) Phi].  It is
+        edge_fluxes, interface_stresses, fill_ghosts inlined: one gather, one scatter."""
+        flat, ((e1, e2), theta, r) = self.chars.flat, self.scheme
+        (sl, cl, ml, pl, al, zl, kl), (sr, cr, mr, pr, ar, zr, kr) = self.sides
+        ul1, ul2, wl1, wl2, ur1, ur2, wr1, wr2 = flat[self.cells].tolist()
+        phi_l, phi_r = cl * (ml * ul1 + pl * wl1), cr * (mr * ur1 + pr * wr1)
+        if e2:
+            phi_l, phi_r = (e1 * phi_l + e2 * (cl * (ml * ul2 + pl * wl2)),
+                            e1 * phi_r + e2 * (cr * (mr * ur2 + pr * wr2)))
         flux = theta * (phi_r + phi_l)
         if theta < 1.0:
             flux += (1.0 - theta) * self.flux
-        v_old = self.v_body
+        v_old, q = self.v_body, 1.0 + r
         v = (self.keep * v_old + self.dt * flux) / self.denom
-        fill_ghosts(x, cells, sides, v, interface_stresses(sides, (phi_l, phi_r), v), reflect)
-        self.flux = phi_r + phi_l
-        self.v_body = v
+        sig_l, sig_r, zvl, zvr = sl * (phi_l - al * v), sr * (phi_r - ar * v), zl * v, zr * v
+        flat[self.ghosts] = (q * (kl * (sig_l - zvl)) - r * ul1, q * (kl * (sig_l + zvl)) - r * wl1,
+                             q * (kr * (sig_r - zvr)) - r * ur1, q * (kr * (sig_r + zvr)) - r * wr1)
+        self.flux, self.v_body = phi_r + phi_l, v
         self.x_body += self.dt * (theta * v + (1.0 - theta) * v_old)
         self.t += self.dt
 

@@ -91,7 +91,8 @@ class RunConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
                 raise ValueError(f"{name} must be {kind}, got {value!r}")
-            if kind == "float" and isinstance(value, Integral) and abs(value) > float_info.max:
+            # a size or count feeds float arithmetic; numpy seeds from an int of any size
+            if name != "seed" and isinstance(value, Integral) and abs(value) > float_info.max:
                 raise ValueError(f"{name} must be finite, got an integer larger than any float")
         if not (isfinite(self.mass) and self.mass >= 0.0):
             raise ValueError(f"mass must be finite and >= 0, got {self.mass}")

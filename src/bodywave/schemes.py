@@ -12,11 +12,13 @@ one virtual cell past the far end.  With lam = c dt/dx:
                    (cw, ce) = (lam/2)(lam + 1, lam - 1) for u, reversed for w
 
 The virtual far cell copies the last cell (zeroth-order extrapolation) or
-holds given values.  The ghost is read, never written: couplers own it.  A
+holds given values.  The ghost is read, never written (couplers own it);
+kernels write interior columns only.  `Characteristics.stack` puts B records
+of one shape on a batch axis, x of shape (B, sides, 2, n + 2).  Each kernel
+operation is one ufunc call over the whole record as one flat run of rows,
+on per-element coefficients, views and scratch built once per record, so
+one call steps all B, each at its own Courant numbers, bit-identically.  A
 FluidField1D is converted in and out; a new field returns, ghost unchanged.
-`Characteristics.stack` puts B records of one shape on a batch axis, x of
-shape (B, sides, 2, n + 2); the kernels index from the last axes, so one
-call steps all B, each at its own Courant numbers, bit-identically.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 from math import isfinite
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .materials import FluidField1D, FluidMaterial
 
@@ -58,28 +61,47 @@ class Characteristics:
         if dt is None:
             return
         lam = np.array([_courant(g, m, dt) for g, m in zip(self.grids, self.mats)])[:, None]
-        self.lam, half, half2, sign = lam, 0.5 * lam, 0.5 * lam * lam, np.array([[[1.0], [-1.0]]])
-        self.lw = (half2[:, None] + sign * half[:, None], 1.0 - lam[:, None] ** 2,
-                   half2[:, None] - sign * half[:, None])
-        self.tmp = np.empty((2,) + self.x[..., 1:-1].shape)
+        half, half2, sign = 0.5 * lam, 0.5 * lam * lam, np.array([1.0, -1.0])
+        # per row (side, family): upwind -lam (u) / +lam (w), Lax-Wendroff cw, c0, ce
+        self.rows = np.stack([-sign * lam, half2 + sign * half, (1.0 - lam ** 2).repeat(2, axis=1),
+                              half2 - sign * half], -1).reshape(-1, 4)
         self.far = []
         for i, fv in enumerate(far_values):
             if fv is not None:
-                m, k = self.mats[i], 1.0 / (2.0 * self.mats[i].c * self.mats[i].z)
-                ab = (fv[1] - m.z * fv[0]) * k, (fv[1] + m.z * fv[0]) * k
-                self.far.append((i, ab[:: self.grids[i].outward]))
+                (v, s), z, k = fv, self.mats[i].z, 1.0 / (2.0 * self.mats[i].c * self.mats[i].z)
+                self.far.append((i, ((s - z * v) * k, (s + z * v) * k)[:: self.grids[i].outward]))
+        self._scratch()
 
     @classmethod
     def stack(cls, members) -> "Characteristics":
         """Steppable `members` of one shape copied onto a batch axis, with
-        their coefficients and shared scratch; `grid`, the first's, sizes work."""
+        their coefficients and own scratch; `grid`, the first's, sizes work."""
         ch = cls.__new__(cls)
         ch.grid, ch.x = members[0].grid, np.stack([m.x for m in members])
-        ch.lam = np.stack([m.lam for m in members])
-        ch.lw = tuple(np.stack(c) for c in zip(*(m.lw for m in members)))
-        ch.tmp = np.empty((2,) + ch.x[..., 1:-1].shape)
+        ch.rows = np.concatenate([m.rows for m in members])
         ch.far = [((b, i), uw) for b, m in enumerate(members) for i, uw in m.far]
+        ch._scratch()
         return ch
+
+    def _bind(self, x: np.ndarray) -> None:
+        """Bind the state x (C-contiguous) and the flat views of it that steppers
+        and couplers use, so rebinding x (a stack member's slice) leaves none stale."""
+        if not x.flags.c_contiguous:
+            raise ValueError("a record's x must be C-contiguous")
+        m, f = x.shape[-1], x.reshape(-1)
+        self._x, self.flat, self.shifts = x, f, (f[:-2], f[1:-1], f[2:], f[:-1], f[1:])
+        self.inner, self.edge = x.reshape(-1, 2, m)[..., 1:-1], (f[m - 1::m], f[m - 2::m])
+
+    x = property(lambda self: self._x, _bind)
+
+    def _scratch(self) -> None:
+        """Per-element coefficients and scratch over the flat record, built once."""
+        m, b = self.x.shape[-1], self.x.itemsize
+        coef, (t, u) = np.repeat(self.rows.T, m, axis=1), np.empty((2, self.x.size))
+        self.lam, self.lw = coef[0, 1:], tuple(coef[1:, 1:-1])
+        # upwind: u at flat j adds t[j], w adds t[j + 1], as one (pairs, 2, n) view
+        self.diffs = t[1:], as_strided(t[1:], self.inner.shape, (2 * m * b, (m + 1) * b, b))
+        self.tmp = t[1:-1], u[1:-1], t.reshape(-1, 2, m)[..., 1:-1], u.reshape(-1, 2, m)[..., 1:-1]
 
     def physical(self, i: int) -> np.ndarray:
         """View of side i's (a, b) in physical array order, ghost included."""
@@ -92,23 +114,20 @@ class Characteristics:
                 for i, (g, m) in enumerate(zip(self.grids, self.mats))]
 
 
-def _upwind(x, ch):
-    t = ch.tmp[0, ..., 0, :]
-    np.subtract(x[..., 0, 1:-1], x[..., 0, :-2], out=t)
-    t *= ch.lam
-    x[..., 0, 1:-1] -= t
-    np.subtract(x[..., 1, 2:], x[..., 1, 1:-1], out=t)
-    t *= ch.lam
-    x[..., 1, 1:-1] += t
+def _upwind(ch):
+    (_, _, _, xw, xc), (d, d_inner) = ch.shifts, ch.diffs
+    np.subtract(xc, xw, out=d)
+    d *= ch.lam
+    np.add(ch.inner, d_inner, out=ch.inner)
 
 
-def _lax_wendroff(x, ch):
-    (cw, c0, ce), (t, u) = ch.lw, ch.tmp
-    np.multiply(x[..., :-2], cw, out=t)
-    np.multiply(x[..., 1:-1], c0, out=u)
+def _lax_wendroff(ch):
+    (xw, xc, xe, _, _), (cw, c0, ce), (t, u, t_inner, u_inner) = ch.shifts, ch.lw, ch.tmp
+    np.multiply(xw, cw, out=t)
+    np.multiply(xc, c0, out=u)
     t += u
-    np.multiply(x[..., 2:], ce, out=u)
-    np.add(t, u, out=x[..., 1:-1])
+    np.multiply(xe, ce, out=u)
+    np.add(t_inner, u_inner, out=ch.inner)
 
 
 def _step(kernel, field, mat, dt, far_values):
@@ -117,11 +136,10 @@ def _step(kernel, field, mat, dt, far_values):
     else:
         _courant(field.grid, mat, dt)  # a field can only be stepped by a valid dt
         ch = Characteristics((field,), (mat,), dt, (far_values,))
-    x = ch.x
-    x[..., -1] = x[..., -2]
+    np.copyto(*ch.edge)  # the far cell copies the last
     for i, uw in ch.far:
-        x[i][:, -1] = uw
-    kernel(x, ch)
+        ch.x[i][:, -1] = uw
+    kernel(ch)
     if ch is field:
         return field
     out = ch.fields()[0]

@@ -9,6 +9,7 @@ characteristics of the fields it starts from.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bodywave.coupling import (
     CoupledRun,
@@ -21,6 +22,7 @@ from bodywave.coupling import (
     step_algorithm2,
 )
 from bodywave.materials import FluidMaterial, Grid1D, FluidField1D
+from bodywave.schemes import lax_wendroff_step, upwind_step
 
 RNG = np.random.default_rng(7)
 MAT = FluidMaterial(1.3, 1.7)
@@ -302,3 +304,46 @@ def test_step_commutes_with_mirror_reflection(order, alpha_scale):
     assert abs(got.v_body - out.v_body) <= 1e-14 * scale
     assert abs(got.x_body - out.x_body) <= 1e-14 * scale
     assert got.t == out.t
+
+
+def _couple_by_helpers(run):
+    """`couple` as edge_fluxes -> interface_stresses -> fill_ghosts compose it:
+    the oracle of the straight-line form."""
+    x, sides, (edge, theta, reflect) = run.chars.x, run.sides, run.scheme
+    cells, (phi_l, phi_r) = edge_fluxes(x, sides, edge)
+    flux = theta * (phi_r + phi_l)
+    if theta < 1.0:
+        flux += (1.0 - theta) * run.flux
+    v_old = run.v_body
+    v = (run.keep * v_old + run.dt * flux) / run.denom
+    fill_ghosts(x, cells, sides, v, interface_stresses(sides, (phi_l, phi_r), v), reflect)
+    run.flux = phi_r + phi_l
+    run.v_body = v
+    run.x_body += run.dt * (theta * v + (1.0 - theta) * v_old)
+    run.t += run.dt
+
+
+@given(order=st.sampled_from([1, 2]), coupling=st.sampled_from(["traditional", "projection", "custom"]),
+       mass=st.sampled_from([0.0, 1e-6, 1e-3, 1.0, 100.0]), custom=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
+       v_body=st.floats(-2.0, 2.0), seed=st.integers(0, 2**31))
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_straight_line_couple_equals_the_helper_path(order, coupling, mass, custom, v_body, seed):
+    """Over random states, masses, both orders and alpha in {0, z, custom},
+    each step's v_body, x_body, flux, t and ghosts equal (==) those of the
+    edge_fluxes -> interface_stresses -> fill_ghosts path."""
+    rng = np.random.default_rng(seed)
+    mats = FluidMaterial(*rng.uniform(0.5, 2.0, 2)), FluidMaterial(*rng.uniform(0.5, 2.0, 2))
+    alphas = {"traditional": (0.0, 0.0), "projection": (mats[0].z, mats[1].z), "custom": custom}[coupling]
+    if mass + sum(alphas) == 0.0:
+        return  # singular: refused, see test_singular_body_update_raised
+    fl, fr = _pair(n=10, seed_shift=int(rng.integers(1000)))
+    dt = 0.9 * fl.grid.dx / max(m.c for m in mats)
+    state = CoupledState(fl, fr, v_body, float(rng.normal()), float(rng.uniform(0.0, 1.0)))
+    run, oracle = (CoupledRun(order, state, *mats, mass, dt, *alphas) for _ in range(2))
+    stepper = upwind_step if order == 1 else lax_wendroff_step
+    for _ in range(6):
+        run.step()
+        stepper(oracle.chars)
+        _couple_by_helpers(oracle)
+        assert (run.v_body, run.x_body, run.flux, run.t) == (oracle.v_body, oracle.x_body, oracle.flux, oracle.t)
+        assert np.array_equal(run.chars.x, oracle.chars.x)

@@ -385,8 +385,13 @@ def test_cli_non_finite_mass_is_a_config_error(command, mass, capsys):
      "mass must be finite, got an integer larger than any float"),
     (["converge"], '{"t_final": 1%s}' % ("0" * 400),
      "t_final must be finite, got an integer larger than any float"),
+    (["simulate"], '{"n_cells": 1%s}' % ("0" * 400),
+     "n_cells must be finite, got an integer larger than any float"),
+    (["addedmass"], '{"resolution": 1%s}' % ("0" * 400),
+     "resolution must be finite, got an integer larger than any float"),
 ], ids=["tfinal-inf", "domain-length-inf", "alpha-nan", "seed-negative", "mass-str",
-        "cells-float", "levels-bool", "mass-int-too-large", "tfinal-int-too-large"])
+        "cells-float", "levels-bool", "mass-int-too-large", "tfinal-int-too-large",
+        "cells-int-too-large", "resolution-int-too-large"])
 def test_cli_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, argv, config, message):
     """Each value is refused by the config loader with the field named, not
     later by a traceback, a grid size, numpy's seeding, an all-null report or
@@ -397,6 +402,13 @@ def test_cli_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, argv, c
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
+
+
+def test_config_refuses_levels_larger_than_any_float():
+    """Checked on the loader, not through `converge`: before the check such
+    a value started a study whose grids kept doubling."""
+    with pytest.raises(ValueError, match="levels must be finite, got an integer larger than any float"):
+        RunConfig.from_dict({"mode": "converge1d", "levels": 10 ** 400})
 
 
 def test_every_parser_option_is_a_config_field():

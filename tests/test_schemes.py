@@ -2,13 +2,16 @@
 
 The oracle applies  u' = u + dt (R L- Rinv D- u + R L+ Rinv D+ u)  (upwind)
 and  u' = u + (dt/2) C D0 u + (dt^2/2) C^2 D+D- u  (Lax-Wendroff) cell by
-cell in primitive variables, with C = [[0, 1/rho], [kappa, 0]].
+cell in primitive variables, with C = [[0, 1/rho], [kappa, 0]].  A second,
+bitwise oracle is the broadcasting form of the characteristic kernels,
+which the flat per-element kernels must reproduce exactly.
 """
 
 import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bodywave.materials import FluidMaterial, Grid1D, FluidField1D
 from bodywave.schemes import Characteristics, CflViolation, lax_wendroff_step, upwind_step
@@ -157,3 +160,58 @@ def test_stacked_records_step_like_each_alone(stepper):
             stepper(a)
     for x, a in zip(stack.x, alone):
         assert np.array_equal(x, a.x)
+
+
+def _broadcast_step(x, lam, scheme, far):
+    """One step of x, shape (..., sides, 2, n + 2), in place by the
+    broadcasting kernels, lam of shape (..., sides, 1); far = [(index, uw)]."""
+    x[..., -1] = x[..., -2]
+    for i, uw in far:
+        x[i][:, -1] = uw
+    t, u = np.empty((2,) + x[..., 1:-1].shape)
+    if scheme == "upwind":
+        t = t[..., 0, :]
+        np.subtract(x[..., 0, 1:-1], x[..., 0, :-2], out=t)
+        t *= lam
+        x[..., 0, 1:-1] -= t
+        np.subtract(x[..., 1, 2:], x[..., 1, 1:-1], out=t)
+        t *= lam
+        x[..., 1, 1:-1] += t
+        return
+    half, half2, sign = 0.5 * lam[..., None], 0.5 * lam[..., None] * lam[..., None], np.array([[1.0], [-1.0]])
+    np.multiply(x[..., :-2], half2 + sign * half, out=t)
+    np.multiply(x[..., 1:-1], 1.0 - lam[..., None] ** 2, out=u)
+    t += u
+    np.multiply(x[..., 2:], half2 - sign * half, out=u)
+    np.add(t, u, out=x[..., 1:-1])
+
+
+@given(n=st.integers(3, 64), members=st.lists(st.tuples(
+    st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(1e-3, 1.0),
+    st.one_of(st.none(), st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))),
+    st.one_of(st.none(), st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))), min_size=1, max_size=4),
+    seed=st.integers(0, 2**31))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_flat_kernels_equal_the_broadcasting_kernels_bitwise(n, members, seed):
+    """Stacks of 1-4 records (per-side c, own dt with lam <= 1, optional far
+    values) and one record alone step exactly as the broadcasting kernels
+    step them, over the whole array: ghost and far columns included."""
+    rng, dx = np.random.default_rng(seed), 1.0 / n
+    records = []
+    for lam_l, lam_r, dt, far_l, far_r in members:
+        mats = (FluidMaterial(1.3, lam_l * dx / dt), FluidMaterial(0.7, lam_r * dx / dt))
+        ch = Characteristics((_random_field("left", n, dx), _random_field("right", n, dx)), mats, dt,
+                             (far_l, far_r))
+        ch.x[:] = rng.standard_normal(ch.x.shape)  # ghosts and far cells too
+        records.append(ch)
+    lam = np.array([[[m.c * dt / dx] for m in ch.mats] for ch, (_, _, dt, _, _) in zip(records, members)])
+    for stepper, scheme in ((upwind_step, "upwind"), (lax_wendroff_step, "lw")):
+        stack, alone = Characteristics.stack(records), copy.copy(records[0])
+        alone.x = records[0].x.copy()
+        want, want_alone = stack.x.copy(), alone.x.copy()
+        for _ in range(4):
+            stepper(stack)
+            stepper(alone)
+            _broadcast_step(want, lam, scheme, stack.far)
+            _broadcast_step(want_alone, lam[0], scheme, records[0].far)
+        assert np.array_equal(stack.x, want) and np.array_equal(alone.x, want_alone), scheme
