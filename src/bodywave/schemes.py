@@ -99,7 +99,7 @@ class Characteristics:
         m, b = self.x.shape[-1], self.x.itemsize
         coef, (t, u) = np.repeat(self.rows.T, m, axis=1), np.empty((2, self.x.size))
         self.lam, self.lw = coef[0, 1:], tuple(coef[1:, 1:-1])
-        # upwind: u at flat j adds t[j], w adds t[j + 1], as one (pairs, 2, n) view
+        # upwind t[j] = -+lam (x[j] - x[j-1]): u at flat j adds t[j], w adds t[j + 1]
         self.diffs = t[1:], as_strided(t[1:], self.inner.shape, (2 * m * b, (m + 1) * b, b))
         self.tmp = t[1:-1], u[1:-1], t.reshape(-1, 2, m)[..., 1:-1], u.reshape(-1, 2, m)[..., 1:-1]
 
