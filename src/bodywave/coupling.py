@@ -19,7 +19,11 @@ order selects the interior stepper and a scheme record (SCHEMES):
     2      Lax-Wendroff  (3/2, -1/2)    1/2 (trapezoidal)     2 chars(v_b, sigma_I) - chars(cell 1)
 
 The body update is implicit in the interface stresses, which keeps the loop
-stable for any mass ratio; it reduces to a scalar solve per step.  Runs of one
+stable for any mass ratio; it reduces to a scalar solve per step.  The
+interface rule is written once, over a record's flat view: `_edges` gathers
+cells 1-2 of both sides and gives phi_e, `_fill` forms sigma_I and writes the
+four ghosts.  `couple`, a run's starting flux and `CoupledState.initial` all
+use them, with a record's constants built once by `_interface`.  Runs of one
 order and shape can advance as a (B, 2, 2, n + 2) stack (`Characteristics.stack`,
 each run's chars.x a view of its slice): one stencil call, then each `couple`.
 """
@@ -51,37 +55,41 @@ class Scheme(NamedTuple):
 SCHEMES = {1: Scheme((1.0, 0.0), 1.0, 0.0), 2: Scheme((1.5, -0.5), 0.5, 1.0)}
 
 
-def interface_sides(chars: Characteristics, alphas) -> list[tuple]:
-    """Per-side constants (s, s c, z - alpha, z + alpha, alpha, s z, 1/(2cz))."""
-    return [(g.outward, g.outward * m.c, m.z - a, m.z + a, a, g.outward * m.z,
-             1.0 / (2.0 * m.c * m.z)) for g, m, a in zip(chars.grids, chars.mats, alphas)]
+def _interface(chars: Characteristics, alphas, scheme: Scheme) -> tuple[tuple, tuple]:
+    """A record's constants, built once: for `_edges` the flat indices of cells
+    1-2 of rows uL, wL, uR, wR, the edge weights and per side (s c, z - alpha,
+    z + alpha); for `_fill` the flat ghosts of rows wL, uR, wR (uL's is 0), r
+    and per side (s, alpha, s z, 1/(2cz)); left side first."""
+    m = chars.x.shape[-1]
+    (cl, ml, pl, *fill_l), (cr, mr, pr, *fill_r) = [
+        (g.outward * mat.c, mat.z - a, mat.z + a, g.outward, a, g.outward * mat.z,
+         1.0 / (2.0 * mat.c * mat.z)) for g, mat, a in zip(chars.grids, chars.mats, alphas)]
+    return ((np.arange(4)[:, None] * m + [1, 2]).ravel(), *scheme.edge, cl, ml, pl, cr, mr, pr), \
+        (m, 2 * m, 3 * m, scheme.reflect, *fill_l, *fill_r)
 
 
-def edge_fluxes(x, sides, edge) -> tuple[list, list[float]]:
-    """Cells 1 and 2 of each side as Python floats, and each side's edge
-    flux phi_e, the side's part of the force on the body before -alpha v_body."""
-    cells = x[:, :, 1:3].tolist()
-    e1, e2 = edge
-    phis = []
-    for (_, sc, zma, zpa, _, _, _), ((u1, u2), (w1, w2)) in zip(sides, cells):
-        phi = sc * (zma * u1 + zpa * w1)
-        if e2:
-            phi = e1 * phi + e2 * (sc * (zma * u2 + zpa * w2))
-        phis.append(phi)
-    return cells, phis
+def _edges(flat, gather: tuple) -> tuple:
+    """Cells 1-2 of rows uL, wL, uR, wR as Python floats, and phi_e left and
+    right, each side's part of the force on the body before -alpha v_body."""
+    at, e1, e2, cl, ml, pl, cr, mr, pr = gather
+    cells = ul1, ul2, wl1, wl2, ur1, ur2, wr1, wr2 = flat[at].tolist()
+    phi_l, phi_r = cl * (ml * ul1 + pl * wl1), cr * (mr * ur1 + pr * wr1)
+    if e2:
+        phi_l, phi_r = (e1 * phi_l + e2 * (cl * (ml * ul2 + pl * wl2)),
+                        e1 * phi_r + e2 * (cr * (mr * ur2 + pr * wr2)))
+    return cells, phi_l, phi_r
 
 
-def interface_stresses(sides, phis, v_body: float) -> list[float]:
-    """sigma_I = s (phi_e - alpha v_body) per side."""
-    return [s * (phi - alpha * v_body) for (s, _, _, _, alpha, _, _), phi in zip(sides, phis)]
-
-
-def fill_ghosts(x, cells, sides, v_body: float, stresses, reflect: float) -> None:
-    """Set each ghost, in place, to (1 + r) chars(v_body, sigma_I) - r chars(cell 1)."""
-    r = reflect
-    for i, ((_, _, _, _, _, sz, k), ((u1, _), (w1, _)), sig) in enumerate(zip(sides, cells, stresses)):
-        x[i, 0, 0] = (1.0 + r) * (k * (sig - sz * v_body)) - r * u1
-        x[i, 1, 0] = (1.0 + r) * (k * (sig + sz * v_body)) - r * w1
+def _fill(flat, ghosts: tuple, cells, phi_l: float, phi_r: float, v: float) -> None:
+    """With sigma_I = s (phi_e - alpha v) per side, set the four ghosts to
+    (1 + r) chars(v, sigma_I) - r chars(cell 1), as four scalar stores."""
+    wl, ur, wr, r, sl, al, zl, kl, sr, ar, zr, kr = ghosts
+    ul1, _, wl1, _, ur1, _, wr1, _ = cells
+    sig_l, sig_r, zvl, zvr, q = sl * (phi_l - al * v), sr * (phi_r - ar * v), zl * v, zr * v, 1.0 + r
+    flat[0] = q * (kl * (sig_l - zvl)) - r * ul1
+    flat[wl] = q * (kl * (sig_l + zvl)) - r * wl1
+    flat[ur] = q * (kr * (sig_r - zvr)) - r * ur1
+    flat[wr] = q * (kr * (sig_r + zvr)) - r * wr1
 
 
 @dataclass
@@ -103,9 +111,8 @@ class CoupledState:
         same ghost; a unit material's are used."""
         unit = FluidMaterial(1.0, 1.0)
         chars = Characteristics((left, right), (unit, unit))
-        sides, (edge, _, reflect) = interface_sides(chars, (alpha_left, alpha_right)), SCHEMES[order]
-        cells, phis = edge_fluxes(chars.x, sides, edge)
-        fill_ghosts(chars.x, cells, sides, v_body, interface_stresses(sides, phis, v_body), reflect)
+        gather, ghosts = _interface(chars, (alpha_left, alpha_right), SCHEMES[order])
+        _fill(chars.flat, ghosts, *_edges(chars.flat, gather), v_body)
         left, right = left.copy(), right.copy()
         for f, filled in zip((left, right), chars.fields()):
             g = f.grid.ghost_index
@@ -133,12 +140,10 @@ class CoupledRun:
             raise SingularBodyUpdate(f"m + {theta:g}*dt*(alpha_L + alpha_R) = {self.denom:.3g}"
                                      " <= 0; massless bodies need alpha > 0")
         self.keep = m_body - (1.0 - theta) * dt * a_sum
-        self.sides = interface_sides(self.chars, (alpha_left, alpha_right))
+        self.gather, self.ghosts = _interface(self.chars, (alpha_left, alpha_right), self.scheme)
         self.v_body, self.x_body, self.t = state.v_body, state.x_body, state.t
-        phi_l, phi_r = edge_fluxes(self.chars.x, self.sides, self.scheme.edge)[1]
+        _, phi_l, phi_r = _edges(self.chars.flat, self.gather)
         self.flux = phi_r + phi_l
-        self.ghosts = np.arange(4) * self.chars.x.shape[-1]  # flat rows: uL, wL, uR, wR
-        self.cells = (self.ghosts[:, None] + [1, 2]).ravel()
 
     def step(self) -> None:
         """One partitioned step: interior update of both fluids, then `couple`."""
@@ -151,22 +156,16 @@ class CoupledRun:
         F(v, old), F = sigma_I_right - sigma_I_left = Phi - (aL + aR) v with
         Phi the sum of both edge fluxes, gives (m + theta dt (aL+aR)) v' =
         (m - (1-theta) dt (aL+aR)) v + dt [theta Phi' + (1-theta) Phi].  It is
-        edge_fluxes, interface_stresses, fill_ghosts inlined: one gather, one scatter."""
-        flat, ((e1, e2), theta, r) = self.chars.flat, self.scheme
-        (sl, cl, ml, pl, al, zl, kl), (sr, cr, mr, pr, ar, zr, kr) = self.sides
-        ul1, ul2, wl1, wl2, ur1, ur2, wr1, wr2 = flat[self.cells].tolist()
-        phi_l, phi_r = cl * (ml * ul1 + pl * wl1), cr * (mr * ur1 + pr * wr1)
-        if e2:
-            phi_l, phi_r = (e1 * phi_l + e2 * (cl * (ml * ul2 + pl * wl2)),
-                            e1 * phi_r + e2 * (cr * (mr * ur2 + pr * wr2)))
+        `_edges`, this solve, then `_fill`, on the record's flat view as bound
+        now (a stacked run's x is rebound to its slice of the stack)."""
+        flat, theta = self.chars.flat, self.scheme.theta
+        cells, phi_l, phi_r = _edges(flat, self.gather)
         flux = theta * (phi_r + phi_l)
         if theta < 1.0:
             flux += (1.0 - theta) * self.flux
-        v_old, q = self.v_body, 1.0 + r
+        v_old = self.v_body
         v = (self.keep * v_old + self.dt * flux) / self.denom
-        sig_l, sig_r, zvl, zvr = sl * (phi_l - al * v), sr * (phi_r - ar * v), zl * v, zr * v
-        flat[self.ghosts] = (q * (kl * (sig_l - zvl)) - r * ul1, q * (kl * (sig_l + zvl)) - r * wl1,
-                             q * (kr * (sig_r - zvr)) - r * ur1, q * (kr * (sig_r + zvr)) - r * wr1)
+        _fill(flat, self.ghosts, cells, phi_l, phi_r, v)
         self.flux, self.v_body = phi_r + phi_l, v
         self.x_body += self.dt * (theta * v + (1.0 - theta) * v_old)
         self.t += self.dt

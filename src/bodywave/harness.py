@@ -13,24 +13,12 @@ from sys import float_info
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .addedmass import (
-    Ellipse,
-    Ellipsoid,
-    Starfish,
-    added_mass_tensors,
-    sample_surface,
-)
+from .addedmass import Ellipse, Ellipsoid, Starfish, added_mass_tensors, sample_surface
 from .coupling import CoupledRun, CoupledState
 from .coupling import step_algorithm1, step_algorithm2  # noqa: F401  looked up here by perfbench/spans.py
 from .exact import ModelProblem, body_velocity_exact, field_exact
 from .materials import FluidField1D, FluidMaterial, Grid1D
-from .rigidbody3d import (
-    BodyInertia,
-    DIRKTableau,
-    PartialForcing,
-    RigidBodyState3D,
-    dirk_step,
-)
+from .rigidbody3d import BodyInertia, DIRKTableau, PartialForcing, RigidBodyState3D, dirk_step
 from .stability import (
     GrowthConfig,
     StabilityQuery,
@@ -46,6 +34,7 @@ from .stability import (
 SCHEMES = ("first", "second")
 COUPLINGS = ("traditional", "projection", "custom")
 SHAPES = ("ellipse", "sphere", "ellipsoid", "starfish", "all")
+MAX_CELLS = 2 ** 20  # cap on the finest grid per side, n_cells * 2**(levels - 1)
 _FIELD_TYPES = {"str": str, "int": Integral, "float": Real}  # bool is Integral: refused separately
 
 
@@ -101,6 +90,10 @@ class RunConfig:
         for name, low in (("levels", 1), ("n_cells", 3), ("resolution", 8), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        # levels may be near 1e308: shift only once levels - 1 is known to be at most 20
+        if self.levels > MAX_CELLS.bit_length() or self.n_cells << (self.levels - 1) > MAX_CELLS:
+            raise ValueError(f"n_cells * 2**(levels - 1), the finest grid per side, must be <= "
+                             f"{MAX_CELLS}, got n_cells {self.n_cells} and levels {self.levels}")
         for name in ("t_final", "domain_length"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")

@@ -43,6 +43,11 @@ def cross_matrix(w: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -w2, w1], [w2, 0.0, -w0], [-w1, w0, 0.0]])
 
 
+def _drift(E: np.ndarray) -> float:
+    """Orthogonality drift of the axes E, max |E^T E - I|."""
+    return float(np.max(np.abs(E.T @ E - np.eye(3))))
+
+
 @dataclass(frozen=True)
 class RigidBodyState3D:
     """Center of mass, its velocity, angular velocity, and principal axes."""
@@ -60,7 +65,7 @@ class RigidBodyState3D:
         E = np.asarray(self.E, dtype=float)
         object.__setattr__(self, "E", E)
         assert E.shape == (3, 3)
-        drift = np.max(np.abs(E.T @ E - np.eye(3)))
+        drift = _drift(E)
         if drift > 1e-8:
             raise ValueError(f"E is not orthogonal: drift {drift:.3e}")
 
@@ -69,7 +74,7 @@ class RigidBodyState3D:
         return cls(np.zeros(3), np.zeros(3), np.zeros(3), np.eye(3))
 
     def orthogonality_drift(self) -> float:
-        return float(np.max(np.abs(self.E.T @ self.E - np.eye(3))))
+        return _drift(self.E)
 
 
 def _reorthonormalize(E: np.ndarray) -> np.ndarray:
@@ -293,7 +298,7 @@ def dirk_step(
         slopes[i, 9:] = k_e.ravel()
     y1 = y0 + dt * (b @ slopes)
     e1 = y1[9:].reshape(3, 3)
-    if np.max(np.abs(e1.T @ e1 - np.eye(3))) > 1e-10:
+    if _drift(e1) > 1e-10:
         e1 = _reorthonormalize(e1)
     return RigidBodyState3D(y1[:3], y1[3:6], y1[6:9], e1)
 

@@ -4,7 +4,9 @@ The implicit body solves are linear in the unknown velocity, so evaluating
 the defining residual at two points and intersecting gives an oracle root
 that never touches the hand-derived update formulas.  Interface stresses,
 ghosts and body solves are those of a `CoupledRun`, whose state is the
-characteristics of the fields it starts from.
+characteristics of the fields it starts from: edge fluxes from its gather
+`_edges`, ghosts from its fill `_fill`.  The interface rule composed of
+general helpers, kept here, is the oracle of the straight-line code.
 """
 
 import numpy as np
@@ -12,17 +14,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bodywave.coupling import (
+    SCHEMES,
     CoupledRun,
     CoupledState,
     SingularBodyUpdate,
-    edge_fluxes,
-    fill_ghosts,
-    interface_stresses,
+    _edges,
+    _fill,
     step_algorithm1,
     step_algorithm2,
 )
 from bodywave.materials import FluidMaterial, Grid1D, FluidField1D
-from bodywave.schemes import lax_wendroff_step, upwind_step
+from bodywave.schemes import Characteristics, lax_wendroff_step, upwind_step
 
 RNG = np.random.default_rng(7)
 MAT = FluidMaterial(1.3, 1.7)
@@ -42,10 +44,11 @@ def _run(fl, fr, order, al, ar, m=1.0, vb=0.0, dt=0.004):
     return CoupledRun(order, CoupledState(fl, fr, vb), MAT, MAT, m, dt, al, ar)
 
 
-def _stresses(run, v_body):
-    """(left, right) interface stresses at the run's current interiors."""
-    return interface_stresses(run.sides, edge_fluxes(run.chars.x, run.sides, run.scheme.edge)[1],
-                              v_body)
+def _stresses(run, v_body, alphas):
+    """(left, right) interface stresses s (phi_e - alpha v_body), phi_e from
+    the run's gather at its current interiors."""
+    _, *phis = _edges(run.chars.flat, run.gather)
+    return [g.outward * (phi - a * v_body) for g, phi, a in zip(run.chars.grids, phis, alphas)]
 
 
 def _outward(f):
@@ -62,7 +65,7 @@ def test_interface_stress_first_order_values():
     fl, fr = _pair()
     vb, alpha = 0.37, 1.9
     (vl, sl), (vr, sr) = _outward(fl), _outward(fr)
-    got_l, got_r = _stresses(_run(fl, fr, 1, alpha, alpha), vb)
+    got_l, got_r = _stresses(_run(fl, fr, 1, alpha, alpha), vb, (alpha, alpha))
     assert got_l == pytest.approx(sl[1] + alpha * (vb - vl[1]), rel=1e-15)
     assert got_r == pytest.approx(sr[1] + alpha * (vr[1] - vb), rel=1e-15)
 
@@ -70,7 +73,7 @@ def test_interface_stress_first_order_values():
 def test_interface_stress_second_order_uses_extrapolant():
     fl, fr = _pair()
     vb, alpha = -0.2, 0.8
-    for f, got in zip((fl, fr), _stresses(_run(fl, fr, 2, alpha, alpha), vb)):
+    for f, got in zip((fl, fr), _stresses(_run(fl, fr, 2, alpha, alpha), vb, (alpha, alpha))):
         v, sigma = _outward(f)
         ev = 1.5 * v[1] - 0.5 * v[2]
         es = 1.5 * sigma[1] - 0.5 * sigma[2]
@@ -85,8 +88,8 @@ def test_alpha_zero_returns_raw_edge_stress():
     fl, fr = _pair()
     run = _run(fl, fr, 1, 0.0, 0.0)
     u, w = run.chars.x[0, :, 1]
-    assert _stresses(run, 123.0)[0] == MAT.c * (MAT.z * u + MAT.z * w)
-    assert _stresses(run, 123.0)[0] == pytest.approx(_outward(fl)[1][1], rel=1e-15)
+    assert _stresses(run, 123.0, (0.0, 0.0))[0] == MAT.c * (MAT.z * u + MAT.z * w)
+    assert _stresses(run, 123.0, (0.0, 0.0))[0] == pytest.approx(_outward(fl)[1][1], rel=1e-15)
 
 
 def _check_body_solve(order, theta, new_seed, old_seed, m, vb, dt, al, ar, tol):
@@ -97,7 +100,7 @@ def _check_body_solve(order, theta, new_seed, old_seed, m, vb, dt, al, ar, tol):
     new = _run(*_pair(seed_shift=new_seed), order, al, ar, m=m, vb=vb, dt=dt)
 
     def force(run, v):
-        left, right = _stresses(run, v)
+        left, right = _stresses(run, v, (al, ar))
         return right - left
 
     force_old = force(old, vb)
@@ -130,19 +133,19 @@ def test_singular_body_update_raised():
         _run(fl, fr, order, 1.0, 1.0, m=0.0, vb=1.0, dt=0.01)
 
 
-def _fill(order, v_body, sigma_i):
-    """A run's ghosts refilled from (v_body, sigma_i) on both sides; the
-    buffer before the fill is returned too."""
-    run = _run(*_pair(), order, 1.0, 1.0)
+def _refill(order, v_body, sigma_i):
+    """A run's ghosts refilled by `_fill` from (v_body, sigma_i) on both
+    sides; the buffer before the fill is returned too.  At alpha = 0,
+    sigma_I = s phi_e, so the edge fluxes s sigma_i give sigma_i exactly."""
+    run = _run(*_pair(), order, 0.0, 0.0)
     before = run.chars.x.copy()
-    cells = edge_fluxes(run.chars.x, run.sides, run.scheme.edge)[0]
-    fill_ghosts(run.chars.x, cells, run.sides, v_body, (sigma_i, sigma_i), run.scheme.reflect)
+    _fill(run.chars.flat, run.ghosts, _edges(run.chars.flat, run.gather)[0], -sigma_i, sigma_i, v_body)
     return run, before
 
 
 def test_ghost_fill_first_order_sets_interface_values():
     """Each ghost holds exactly the characteristics of (v_body, sigma_I)."""
-    run, before = _fill(1, 0.9, -1.1)
+    run, before = _refill(1, 0.9, -1.1)
     k = 1.0 / (2.0 * MAT.c * MAT.z)
     a, b = (-1.1 - MAT.z * 0.9) * k, (-1.1 + MAT.z * 0.9) * k
     for i, grid in enumerate(run.chars.grids):
@@ -152,7 +155,7 @@ def test_ghost_fill_first_order_sets_interface_values():
 
 def test_ghost_fill_second_order_reflects_through_interface():
     vb, si = 0.25, 2.0
-    run, before = _fill(2, vb, si)
+    run, before = _refill(2, vb, si)
     for f in (run.state().left, run.state().right):
         v, sigma = _outward(f)
         assert 0.5 * (v[0] + v[1]) == pytest.approx(vb, rel=1e-15)
@@ -257,7 +260,7 @@ def test_step_bookkeeping():
 def test_initial_state_ghosts_consistent():
     fl, fr = _pair()
     st = CoupledState.initial(fl, fr, 0.5, 1.0, 2.0, order=2)
-    stresses = _stresses(_run(st.left, st.right, 2, 1.0, 2.0), 0.5)
+    stresses = _stresses(_run(st.left, st.right, 2, 1.0, 2.0), 0.5, (1.0, 2.0))
     for f, given, si in zip((st.left, st.right), (fl, fr), stresses):
         v, sigma = _outward(f)
         assert 0.5 * (sigma[0] + sigma[1]) == pytest.approx(si, rel=1e-13)
@@ -306,10 +309,57 @@ def test_step_commutes_with_mirror_reflection(order, alpha_scale):
     assert got.t == out.t
 
 
-def _couple_by_helpers(run):
-    """`couple` as edge_fluxes -> interface_stresses -> fill_ghosts compose it:
-    the oracle of the straight-line form."""
-    x, sides, (edge, theta, reflect) = run.chars.x, run.sides, run.scheme
+# The interface rule as general helpers over a (sides, 2, n + 2) record: the
+# oracle of the straight-line `_edges` / `_fill` in `coupling`.
+
+
+def interface_sides(chars, alphas) -> list[tuple]:
+    """Per-side constants (s, s c, z - alpha, z + alpha, alpha, s z, 1/(2cz))."""
+    return [(g.outward, g.outward * m.c, m.z - a, m.z + a, a, g.outward * m.z,
+             1.0 / (2.0 * m.c * m.z)) for g, m, a in zip(chars.grids, chars.mats, alphas)]
+
+
+def edge_fluxes(x, sides, edge) -> tuple[list, list[float]]:
+    """Cells 1 and 2 of each side as Python floats, and each side's edge
+    flux phi_e, the side's part of the force on the body before -alpha v_body."""
+    cells = x[:, :, 1:3].tolist()
+    e1, e2 = edge
+    phis = []
+    for (_, sc, zma, zpa, _, _, _), ((u1, u2), (w1, w2)) in zip(sides, cells):
+        phi = sc * (zma * u1 + zpa * w1)
+        if e2:
+            phi = e1 * phi + e2 * (sc * (zma * u2 + zpa * w2))
+        phis.append(phi)
+    return cells, phis
+
+
+def interface_stresses(sides, phis, v_body: float) -> list[float]:
+    """sigma_I = s (phi_e - alpha v_body) per side."""
+    return [s * (phi - alpha * v_body) for (s, _, _, _, alpha, _, _), phi in zip(sides, phis)]
+
+
+def fill_ghosts(x, cells, sides, v_body: float, stresses, reflect: float) -> None:
+    """Set each ghost, in place, to (1 + r) chars(v_body, sigma_I) - r chars(cell 1)."""
+    r = reflect
+    for i, ((_, _, _, _, _, sz, k), ((u1, _), (w1, _)), sig) in enumerate(zip(sides, cells, stresses)):
+        x[i, 0, 0] = (1.0 + r) * (k * (sig - sz * v_body)) - r * u1
+        x[i, 1, 0] = (1.0 + r) * (k * (sig + sz * v_body)) - r * w1
+
+
+def _initial_ghosts_by_helpers(fl, fr, v_body, alphas, order):
+    """`CoupledState.initial`'s ghosts as the helpers give them: (v, sigma)
+    at each side's ghost, from a unit material's characteristics."""
+    unit = FluidMaterial(1.0, 1.0)
+    chars = Characteristics((fl, fr), (unit, unit))
+    sides, (edge, _, reflect) = interface_sides(chars, alphas), SCHEMES[order]
+    cells, phis = edge_fluxes(chars.x, sides, edge)
+    fill_ghosts(chars.x, cells, sides, v_body, interface_stresses(sides, phis, v_body), reflect)
+    return [(f.v[f.grid.ghost_index], f.sigma[f.grid.ghost_index]) for f in chars.fields()]
+
+
+def _couple_by_helpers(run, alphas):
+    """`couple` as edge_fluxes -> interface_stresses -> fill_ghosts compose it."""
+    x, sides, (edge, theta, reflect) = run.chars.x, interface_sides(run.chars, alphas), run.scheme
     cells, (phi_l, phi_r) = edge_fluxes(x, sides, edge)
     flux = theta * (phi_r + phi_l)
     if theta < 1.0:
@@ -330,7 +380,8 @@ def _couple_by_helpers(run):
 @settings(max_examples=80, derandomize=True, deadline=None)
 def test_straight_line_couple_equals_the_helper_path(order, coupling, mass, custom, v_body, seed):
     """Over random states, masses, both orders and alpha in {0, z, custom},
-    each step's v_body, x_body, flux, t and ghosts equal (==) those of the
+    the ghosts `CoupledState.initial` writes, a new run's flux, and each
+    step's v_body, x_body, flux, t and ghosts equal (==) those of the
     edge_fluxes -> interface_stresses -> fill_ghosts path."""
     rng = np.random.default_rng(seed)
     mats = FluidMaterial(*rng.uniform(0.5, 2.0, 2)), FluidMaterial(*rng.uniform(0.5, 2.0, 2))
@@ -338,13 +389,19 @@ def test_straight_line_couple_equals_the_helper_path(order, coupling, mass, cust
     if mass + sum(alphas) == 0.0:
         return  # singular: refused, see test_singular_body_update_raised
     fl, fr = _pair(n=10, seed_shift=int(rng.integers(1000)))
+    initial = CoupledState.initial(fl, fr, v_body, *alphas, order)
+    assert [(f.v[f.grid.ghost_index], f.sigma[f.grid.ghost_index]) for f in (initial.left, initial.right)] \
+        == _initial_ghosts_by_helpers(fl, fr, v_body, alphas, order)
     dt = 0.9 * fl.grid.dx / max(m.c for m in mats)
     state = CoupledState(fl, fr, v_body, float(rng.normal()), float(rng.uniform(0.0, 1.0)))
     run, oracle = (CoupledRun(order, state, *mats, mass, dt, *alphas) for _ in range(2))
+    _, (phi_l, phi_r) = edge_fluxes(oracle.chars.x, interface_sides(oracle.chars, alphas), oracle.scheme.edge)
+    oracle.flux = phi_r + phi_l
+    assert run.flux == oracle.flux
     stepper = upwind_step if order == 1 else lax_wendroff_step
     for _ in range(6):
         run.step()
         stepper(oracle.chars)
-        _couple_by_helpers(oracle)
+        _couple_by_helpers(oracle, alphas)
         assert (run.v_body, run.x_body, run.flux, run.t) == (oracle.v_body, oracle.x_body, oracle.flux, oracle.t)
         assert np.array_equal(run.chars.x, oracle.chars.x)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from math import sqrt
 from pathlib import Path
@@ -18,6 +19,7 @@ from bodywave.materials import FluidField1D, FluidMaterial
 from bodywave import coupling
 from bodywave.stability import GrowthConfig, empirical_growth_rate, growth_rates
 from bodywave.harness import (
+    MAX_CELLS,
     RUNNERS,
     RunConfig,
     format_json,
@@ -389,9 +391,16 @@ def test_cli_non_finite_mass_is_a_config_error(command, mass, capsys):
      "n_cells must be finite, got an integer larger than any float"),
     (["addedmass"], '{"resolution": 1%s}' % ("0" * 400),
      "resolution must be finite, got an integer larger than any float"),
+    (["converge"], '{"levels": 40}', "n_cells * 2**(levels - 1), the finest grid per side, "
+     "must be <= 1048576, got n_cells 100 and levels 40"),
+    (["converge", "--cells", "3", "--levels", "20"], None,
+     "the finest grid per side, must be <= 1048576, got n_cells 3 and levels 20"),
+    (["simulate"], '{"n_cells": 1000000000000}',
+     "the finest grid per side, must be <= 1048576, got n_cells 1000000000000 and levels 1"),
 ], ids=["tfinal-inf", "domain-length-inf", "alpha-nan", "seed-negative", "mass-str",
         "cells-float", "levels-bool", "mass-int-too-large", "tfinal-int-too-large",
-        "cells-int-too-large", "resolution-int-too-large"])
+        "cells-int-too-large", "resolution-int-too-large", "levels-finest-grid-too-large",
+        "levels-one-past-the-cap", "cells-finest-grid-too-large"])
 def test_cli_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, argv, config, message):
     """Each value is refused by the config loader with the field named, not
     later by a traceback, a grid size, numpy's seeding, an all-null report or
@@ -409,6 +418,20 @@ def test_config_refuses_levels_larger_than_any_float():
     a value started a study whose grids kept doubling."""
     with pytest.raises(ValueError, match="levels must be finite, got an integer larger than any float"):
         RunConfig.from_dict({"mode": "converge1d", "levels": 10 ** 400})
+
+
+def test_config_refuses_a_huge_levels_at_once_and_accepts_the_cap():
+    """levels 10**300 is refused by integer arithmetic, without forming
+    2**(levels - 1); a finest grid of exactly MAX_CELLS per side is accepted."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"finest grid per side, must be <= 1048576"):
+        RunConfig.from_dict({"mode": "converge1d", "levels": 10 ** 300})
+    assert time.perf_counter() - start < 0.1
+    assert MAX_CELLS == 2 ** 20
+    for n_cells, levels in ((MAX_CELLS, 1), (MAX_CELLS // 4, 3), (3, 19)):
+        RunConfig.from_dict({"mode": "converge1d", "n_cells": n_cells, "levels": levels})
+    with pytest.raises(ValueError, match="finest grid"):
+        RunConfig.from_dict({"mode": "converge1d", "n_cells": MAX_CELLS // 4 + 1, "levels": 3})
 
 
 def test_every_parser_option_is_a_config_field():
