@@ -86,26 +86,6 @@ class Prism:
 
 
 @dataclass(frozen=True)
-class ParametricCurve2D:
-    """Closed curve s in [0,1) -> (x, y); fn must satisfy fn(0) = fn(1).
-
-    Derivatives are taken spectrally from equispaced samples, so fn should
-    be smooth and periodic.
-    """
-
-    fn: object  # callable s-array -> (n, 2) positions
-
-
-@dataclass(frozen=True)
-class ParametricSurface3D:
-    """Surface (theta, u) in [0, 2pi) x (-1, 1) -> (x, y, z), periodic in
-    theta, oriented so d_theta x d_u points outward.  Partials are taken by
-    central differences."""
-
-    fn: object  # callable (theta-array, u-array) -> (n, 3) positions
-
-
-@dataclass(frozen=True)
 class Starfish:
     """Pinwheel star curve
 
@@ -144,7 +124,8 @@ class SurfaceQuadrature:
         if np.any(self.weights <= 0.0):
             raise DegenerateGeometry("non-positive quadrature weight")
         norms = np.linalg.norm(self.normals, axis=1)
-        assert np.all(np.abs(norms - 1.0) < 1e-10), "normals not unit length"
+        if not np.all(np.abs(norms - 1.0) < 1e-10):
+            raise DegenerateGeometry("normals not unit length")
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -203,21 +184,6 @@ def _sample_starfish(shape: Starfish, n: int):
     return _curve_samples(pos, tan, n)
 
 
-def _sample_parametric_curve(shape: ParametricCurve2D, n: int):
-    ends = np.asarray(shape.fn(np.array([0.0, 1.0])), dtype=float)
-    scale = 1.0 + np.max(np.abs(ends))
-    if np.max(np.abs(ends[0] - ends[1])) > 1e-12 * scale:
-        raise ValueError("parametric curve is not closed: fn(0) != fn(1)")
-    s = np.arange(n) / n
-    pos = np.asarray(shape.fn(s), dtype=float)
-    assert pos.shape == (n, 2), f"curve fn returned shape {pos.shape}"
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    if n % 2 == 0:
-        k[n // 2] = 0.0  # drop the unmatched Nyquist mode
-    tan = np.real(np.fft.ifft(np.fft.fft(pos, axis=0) * (2j * np.pi * k)[:, None], axis=0))
-    return _curve_samples(pos, tan, n)
-
-
 def _theta_u_grid(n: int, gauss=None):
     """n theta nodes on [0, 2 pi), n Gauss-Legendre u nodes, flattened (n, n) weights."""
     u, gw = leggauss(n) if gauss is None else gauss
@@ -235,20 +201,6 @@ def _sample_ellipsoid(shape: Ellipsoid, n: int, gauss=None):
     metric = np.linalg.norm(vec, axis=1)
     if np.any(metric <= 0.0):
         raise DegenerateGeometry("ellipsoid metric factor <= 0")
-    return pos, vec / metric[:, None], W * metric
-
-
-def _sample_parametric_surface(shape: ParametricSurface3D, n: int):
-    th, u, W = _theta_u_grid(n)
-    TH, U = (g.ravel() for g in np.meshgrid(th, u, indexing="ij"))
-    h = 1e-6
-    pos = np.asarray(shape.fn(TH, U), dtype=float)
-    d_th = (np.asarray(shape.fn(TH + h, U)) - np.asarray(shape.fn(TH - h, U))) / (2 * h)
-    d_u = (np.asarray(shape.fn(TH, U + h)) - np.asarray(shape.fn(TH, U - h))) / (2 * h)
-    vec = np.cross(d_th, d_u)
-    metric = np.linalg.norm(vec, axis=1)
-    if np.any(metric <= 1e-14):
-        raise DegenerateGeometry("surface metric factor <= 0")
     return pos, vec / metric[:, None], W * metric
 
 
@@ -279,8 +231,7 @@ def _sample_box(shape, n: int):
 
 _SAMPLERS = {
     Ellipse: _sample_ellipse, Starfish: _sample_starfish, Rectangle: _sample_box,
-    ParametricCurve2D: _sample_parametric_curve, Ellipsoid: _sample_ellipsoid,
-    ParametricSurface3D: _sample_parametric_surface, Prism: _sample_box,
+    Ellipsoid: _sample_ellipsoid, Prism: _sample_box,
 }
 
 
@@ -290,7 +241,7 @@ def sample_surface(shape, impedance_fn=None, resolution: int = 64, *,
 
     resolution means: samples along a closed curve; Gauss points per edge
     (rectangle) or per face dimension (prism); theta x u points per
-    dimension for ellipsoids and parametric surfaces (resolution^2 total).
+    dimension for ellipsoids (resolution^2 total).
     impedance_fn is a constant or a callable mapping (n, 3) positions to
     per-sample z_f >= 0; default 1.  _gauss is leggauss(resolution) for an
     ellipsoid, so that one added-mass table builds the rule once.
@@ -320,11 +271,13 @@ class AddedMassTensors:
 
     def __post_init__(self):
         comp = np.array(self.composite, dtype=float)
-        assert comp.shape == (6, 6)
+        if comp.shape != (6, 6):
+            raise ValueError(f"composite must be 6x6, got shape {comp.shape}")
         comp.flags.writeable = False
         object.__setattr__(self, "composite", comp)
         scale = max(np.max(np.abs(comp)), 1e-300)
-        assert np.max(np.abs(comp - comp.T)) <= 1e-10 * scale, "composite not symmetric"
+        if not np.max(np.abs(comp - comp.T)) <= 1e-10 * scale:
+            raise ValueError("composite not symmetric")
 
     avv = property(lambda self: self.composite[:3, :3])
     avw = property(lambda self: self.composite[:3, 3:])
@@ -336,15 +289,13 @@ class AddedMassTensors:
         return cls(np.block([[avv, avw], [awv, aww]]))
 
 
-def added_mass_tensors(quad: SurfaceQuadrature, origin=None) -> AddedMassTensors:
+def added_mass_tensors(quad: SurfaceQuadrature) -> AddedMassTensors:
     """Assemble the composite as the weighted Gram product G^T diag(z_f w) G
-    with rows g = [n, y x n].  Moment arms y = r - origin are measured from
-    origin (default: the coordinate origin); pass the body center when the
-    nodes live in world coordinates."""
+    with rows g = [n, y x n], moment arms y = r measured from the coordinate
+    origin (the body center in body coordinates)."""
     if len(quad) == 0:
         raise ValueError("no surface samples")
-    y = quad.positions if origin is None else quad.positions - np.asarray(origin, dtype=float)
-    g = np.hstack([quad.normals, np.cross(y, quad.normals)])
+    g = np.hstack([quad.normals, np.cross(quad.positions, quad.normals)])
     return AddedMassTensors(g.T @ ((quad.z_f * quad.weights)[:, None] * g))
 
 

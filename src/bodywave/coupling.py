@@ -129,11 +129,9 @@ class CoupledRun:
 
     def __init__(self, order: int, state: CoupledState, mat_left: FluidMaterial,
                  mat_right: FluidMaterial, m_body: float, dt: float, alpha_left: float,
-                 alpha_right: float, far_left: tuple[float, float] | None = None,
-                 far_right: tuple[float, float] | None = None):
+                 alpha_right: float):
         self.order, self.scheme, self.dt = order, SCHEMES[order], dt
-        self.chars = Characteristics((state.left, state.right), (mat_left, mat_right), dt,
-                                     (far_left, far_right))
+        self.chars = Characteristics((state.left, state.right), (mat_left, mat_right), dt)
         theta, a_sum = self.scheme.theta, alpha_left + alpha_right
         self.denom = m_body + theta * dt * a_sum
         if self.denom <= 0.0:

@@ -43,9 +43,9 @@ class FluidMaterial:
 class Grid1D:
     """Uniform cell-centered half-line grid on one side of the body.
 
-    The body occupies [-body_half_width, +body_half_width].  Interior cells
-    sit outside the body; one ghost cell sits just inside, so the body edge
-    lies midway between the ghost center and the nearest interior center.
+    The body is a point at x = 0.  Interior cells sit outside it; one ghost
+    cell sits just inside, so the body lies midway between the ghost center
+    and the nearest interior center.
     Arrays are stored in physical x order, which puts the ghost cell at the
     *last* index on the left side and at index 0 on the right side.
     """
@@ -53,7 +53,6 @@ class Grid1D:
     side: str
     n_cells: int
     dx: float
-    body_half_width: float = 0.0
 
     def __post_init__(self):
         if self.side not in ("left", "right"):
@@ -62,13 +61,11 @@ class Grid1D:
             raise ValueError(f"need n_cells >= 3, got {self.n_cells}")
         if not (self.dx > 0.0 and np.isfinite(self.dx)):
             raise ValueError(f"dx must be positive and finite, got {self.dx}")
-        if self.body_half_width < 0.0:
-            raise ValueError("body_half_width must be >= 0")
 
     @classmethod
-    def uniform(cls, side: str, length: float, dx: float, body_half_width: float = 0.0) -> "Grid1D":
+    def uniform(cls, side: str, length: float, dx: float) -> "Grid1D":
         """Grid covering `length` of fluid with cell size dx (n rounded)."""
-        return cls(side, int(round(length / dx)), dx, body_half_width)
+        return cls(side, int(round(length / dx)), dx)
 
     @property
     def n_points(self) -> int:
@@ -92,7 +89,7 @@ class Grid1D:
     def cell_centers(self) -> np.ndarray:
         """Centers of all cells (ghost included), in array order."""
         k = np.arange(self.n_points)  # cells counted from the body, ghost k = 0
-        return (self.outward * (self.body_half_width + (k - 0.5) * self.dx))[:: self.outward]
+        return (self.outward * ((k - 0.5) * self.dx))[:: self.outward]
 
 
 @dataclass

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np  # scipy is imported inside the functions that call it, off the start-up path
 
-from .addedmass import AddedMassTensors, SurfaceQuadrature, added_mass_tensors
+from .addedmass import AddedMassTensors
 
 
 class SingularStage(RuntimeError):
@@ -61,10 +61,12 @@ class RigidBodyState3D:
         for name in ("x", "v", "omega"):
             vec = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, vec)
-            assert vec.shape == (3,), f"{name} must be a 3-vector, got {vec.shape}"
+            if vec.shape != (3,):
+                raise ValueError(f"{name} must be a 3-vector, got {vec.shape}")
         E = np.asarray(self.E, dtype=float)
         object.__setattr__(self, "E", E)
-        assert E.shape == (3, 3)
+        if E.shape != (3, 3):
+            raise ValueError(f"E must be 3x3, got {E.shape}")
         drift = _drift(E)
         if drift > 1e-8:
             raise ValueError(f"E is not orthogonal: drift {drift:.3e}")
@@ -96,7 +98,8 @@ class BodyInertia:
             raise ValueError(f"mass must be finite and >= 0, got {self.mass}")
         A = np.asarray(self.A, dtype=float)
         object.__setattr__(self, "A", A)
-        assert A.shape == (3, 3)
+        if A.shape != (3, 3):
+            raise ValueError(f"A must be 3x3, got {A.shape}")
         scale = max(np.max(np.abs(A)), 1e-300)
         if np.max(np.abs(A - A.T)) > 1e-10 * scale:
             raise ValueError("inertia matrix must be symmetric")
@@ -119,37 +122,8 @@ class PartialForcing:
     def __post_init__(self):
         object.__setattr__(self, "f_tilde", np.asarray(self.f_tilde, dtype=float))
         object.__setattr__(self, "t_tilde", np.asarray(self.t_tilde, dtype=float))
-        assert self.f_tilde.shape == (3,) and self.t_tilde.shape == (3,)
-
-
-def partial_forcing_from_surface(
-    quad: SurfaceQuadrature,
-    p_f: np.ndarray,
-    v_f: np.ndarray,
-    f_b: np.ndarray,
-    g_b: np.ndarray,
-    state: RigidBodyState3D,
-) -> PartialForcing:
-    """Quadrature of F~ = int(-p_f n + z_f (n.v_f) n) ds + f_b and the
-    matching torque with moment arm y = r - x_b; p_f, v_f are the fluid
-    pressure/velocity per node."""
-    p_f = np.asarray(p_f, dtype=float)
-    v_f = np.asarray(v_f, dtype=float)
-    assert p_f.shape == (len(quad),) and v_f.shape == (len(quad), 3)
-    nrm = quad.normals
-    strength = (-p_f + quad.z_f * np.sum(nrm * v_f, axis=1)) * quad.weights  # (-p + z n.v) w
-    f_tilde = np.sum(strength[:, None] * nrm, axis=0) + np.asarray(f_b, dtype=float)
-    y = quad.positions - state.x
-    t_tilde = np.sum(strength[:, None] * np.cross(y, nrm), axis=0) + np.asarray(g_b, dtype=float)
-    return PartialForcing(f_tilde, t_tilde, added_mass_tensors(quad, origin=state.x))
-
-
-def force_and_torque(state: RigidBodyState3D, forcing: PartialForcing):
-    """Net force and torque: F = -A^vv v - A^vw w + F~ and likewise T."""
-    t = forcing.tensors
-    force = -t.avv @ state.v - t.avw @ state.omega + forcing.f_tilde
-    torque = -t.awv @ state.v - t.aww @ state.omega + forcing.t_tilde
-    return force, torque
+        if self.f_tilde.shape != (3,) or self.t_tilde.shape != (3,):
+            raise ValueError("f_tilde and t_tilde must be 3-vectors")
 
 
 # -- DIRK integration ---------------------------------------------------------
@@ -172,7 +146,8 @@ class DIRKTableau:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         s = len(b)
-        assert a.shape == (s, s) and c.shape == (s,)
+        if a.shape != (s, s) or c.shape != (s,):
+            raise ValueError(f"a must be {s}x{s} and c of length {s} for {s} weights")
         if self.order not in (1, 3):
             raise ValueError(f"order must be 1 or 3, got {self.order}")
         if np.max(np.abs(np.triu(a, 1))) != 0.0:

@@ -11,14 +11,14 @@ one virtual cell past the far end.  With lam = c dt/dx:
     Lax-Wendroff:  x' = cw x_{k-1} + (1 - lam^2) x + ce x_{k+1},
                    (cw, ce) = (lam/2)(lam + 1, lam - 1) for u, reversed for w
 
-The virtual far cell copies the last cell (zeroth-order extrapolation) or
-holds given values.  The ghost is read, never written (couplers own it);
-kernels write interior columns only.  `Characteristics.stack` puts B records
-of one shape on a batch axis, x of shape (B, sides, 2, n + 2).  Each kernel
-operation is one ufunc call over the whole record as one flat run of rows,
-on per-element coefficients, views and scratch built once per record, so
-one call steps all B, each at its own Courant numbers, bit-identically.  A
-FluidField1D is converted in and out; a new field returns, ghost unchanged.
+The virtual far cell copies the last cell (zeroth-order extrapolation).  The
+ghost is read, never written (couplers own it); kernels write interior
+columns only.  `Characteristics.stack` puts B records of one shape on a batch
+axis, x of shape (B, sides, 2, n + 2).  Each kernel operation is one ufunc
+call over the whole record as one flat run of rows, on per-element
+coefficients, views and scratch built once per record, so one call steps all
+B, each at its own Courant numbers, bit-identically.  A FluidField1D is
+converted in and out; a new field returns, ghost unchanged.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ class Characteristics:
     """Outward characteristics of `fields` (ghosts included), all with one
     n_cells; `grid`, the first side's, gives the cells per side (perfbench
     counts work by it).  Given dt it can be stepped, each side at its own
-    Courant number; far_values[i] = (v, sigma) fixes side i's far cell."""
+    Courant number."""
 
-    def __init__(self, fields, mats, dt: float | None = None, far_values=()):
+    def __init__(self, fields, mats, dt: float | None = None):
         self.grids, self.mats, self.grid = tuple(f.grid for f in fields), tuple(mats), fields[0].grid
         if any(g.n_cells != self.grid.n_cells for g in self.grids):
             raise ValueError("all sides need the same n_cells")
@@ -65,11 +65,6 @@ class Characteristics:
         # per row (side, family): upwind -lam (u) / +lam (w), Lax-Wendroff cw, c0, ce
         self.rows = np.stack([-sign * lam, half2 + sign * half, (1.0 - lam ** 2).repeat(2, axis=1),
                               half2 - sign * half], -1).reshape(-1, 4)
-        self.far = []
-        for i, fv in enumerate(far_values):
-            if fv is not None:
-                (v, s), z, k = fv, self.mats[i].z, 1.0 / (2.0 * self.mats[i].c * self.mats[i].z)
-                self.far.append((i, ((s - z * v) * k, (s + z * v) * k)[:: self.grids[i].outward]))
         self._scratch()
 
     @classmethod
@@ -79,7 +74,6 @@ class Characteristics:
         ch = cls.__new__(cls)
         ch.grid, ch.x = members[0].grid, np.stack([m.x for m in members])
         ch.rows = np.concatenate([m.rows for m in members])
-        ch.far = [((b, i), uw) for b, m in enumerate(members) for i, uw in m.far]
         ch._scratch()
         return ch
 
@@ -130,15 +124,13 @@ def _lax_wendroff(ch):
     np.add(t_inner, u_inner, out=ch.inner)
 
 
-def _step(kernel, field, mat, dt, far_values):
+def _step(kernel, field, mat, dt):
     if isinstance(field, Characteristics):
         ch = field
     else:
         _courant(field.grid, mat, dt)  # a field can only be stepped by a valid dt
-        ch = Characteristics((field,), (mat,), dt, (far_values,))
+        ch = Characteristics((field,), (mat,), dt)
     np.copyto(*ch.edge)  # the far cell copies the last
-    for i, uw in ch.far:
-        ch.x[i][:, -1] = uw
     kernel(ch)
     if ch is field:
         return field
@@ -148,11 +140,11 @@ def _step(kernel, field, mat, dt, far_values):
     return out
 
 
-def upwind_step(field, mat=None, dt=None, far_values=None):
+def upwind_step(field, mat=None, dt=None):
     """First-order upwind step of a record (in place) or a FluidField1D."""
-    return _step(_upwind, field, mat, dt, far_values)
+    return _step(_upwind, field, mat, dt)
 
 
-def lax_wendroff_step(field, mat=None, dt=None, far_values=None):
+def lax_wendroff_step(field, mat=None, dt=None):
     """Second-order Lax-Wendroff step of a record (in place) or a FluidField1D."""
-    return _step(_lax_wendroff, field, mat, dt, far_values)
+    return _step(_lax_wendroff, field, mat, dt)

@@ -321,7 +321,7 @@ def _stacked_rates(runs: list[CoupledRun], n_steps: int) -> list[float]:
         if k >= n_steps - tail:
             norms[:, k - n_steps + tail] = norm
         scale[:, 0, 0, 0] = div = [r or 1.0 for r in norm]  # a zero state stays zero
-        stack.x /= scale
+        np.divide(stack.x, scale, out=stack.x)  # in place: no rebinding of the flat views
         for run, r in zip(runs, div):
             run.v_body /= r
             run.flux /= r

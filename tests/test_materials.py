@@ -19,27 +19,26 @@ def test_material_validation():
 
 class TestGrid1D:
     def test_left_cell_centers(self):
-        g = Grid1D("left", 4, 0.5, body_half_width=1.0)
+        g = Grid1D("left", 4, 0.5)
         x = g.cell_centers()
-        # i = -4..0 with x_i = -half_width + (i + 1/2) dx, ghost last
-        assert np.allclose(x, [-2.75, -2.25, -1.75, -1.25, -0.75])
+        # i = -4..0 with x_i = (i - 1/2) dx, ghost last (just inside the body at 0)
+        assert np.allclose(x, [-1.75, -1.25, -0.75, -0.25, 0.25])
         assert g.ghost_index == 4
         # viewed from the body outward: ghost, cells 1..4 (the last is the far end)
         assert list(np.arange(g.n_points)[:: g.outward]) == [4, 3, 2, 1, 0]
 
     def test_right_cell_centers(self):
-        g = Grid1D("right", 4, 0.5, body_half_width=1.0)
+        g = Grid1D("right", 4, 0.5)
         x = g.cell_centers()
-        assert np.allclose(x, [0.75, 1.25, 1.75, 2.25, 2.75])
+        assert np.allclose(x, [-0.25, 0.25, 0.75, 1.25, 1.75])
         assert g.ghost_index == 0
         assert list(np.arange(g.n_points)[:: g.outward]) == [0, 1, 2, 3, 4]
 
     def test_body_edge_midway_between_ghost_and_interior(self):
         for side in ("left", "right"):
-            g = Grid1D(side, 5, 0.1, body_half_width=0.3)
+            g = Grid1D(side, 5, 0.1)
             x = g.cell_centers()[:: g.outward]
-            mid = 0.5 * (x[0] + x[1])
-            assert abs(mid - g.outward * g.body_half_width) < 1e-15
+            assert 0.5 * (x[0] + x[1]) == 0.0  # the body sits at x = 0
 
     def test_interior_slice_excludes_ghost(self):
         gl = Grid1D("left", 5, 0.1)

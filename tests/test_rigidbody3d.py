@@ -1,5 +1,8 @@
 """Added-mass Newton-Euler integration and surface projection."""
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+import bodywave
 from bodywave.addedmass import (
     AddedMassTensors,
     Ellipsoid,
@@ -23,8 +27,6 @@ from bodywave.rigidbody3d import (
     SingularStage,
     cross_matrix,
     dirk_step,
-    force_and_torque,
-    partial_forcing_from_surface,
     project_surface_state,
 )
 
@@ -60,6 +62,23 @@ def test_state_rejects_non_orthogonal_axes():
         RigidBodyState3D(np.zeros(3), np.zeros(3), np.zeros(3), np.eye(3) + 1e-4)
 
 
+def test_state_shape_check_survives_python_O():
+    """Shape checks raise ValueError, so `python -O` keeps them."""
+    src = os.path.dirname(os.path.dirname(bodywave.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = ("import numpy as np\n"
+              "from bodywave.rigidbody3d import RigidBodyState3D\n"
+              "assert False, 'asserts run: not optimized'\n"
+              "try:\n"
+              "    RigidBodyState3D(np.zeros(2), np.zeros(3), np.zeros(3), np.eye(3))\n"
+              "except ValueError as e:\n"
+              "    print(e)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "x must be a 3-vector, got (2,)"
+
+
 def test_inertia_validation():
     for mass in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="mass must be finite and >= 0"):
@@ -86,79 +105,48 @@ def test_tableau_construction_and_validation():
                     np.array([0.5, 0.5]), order=3)
 
 
-# -- partial forcing -----------------------------------------------------------
+# -- surface forcing by the tensors ---------------------------------------------
 
 
 def test_constant_pressure_gives_zero_net_force():
+    # on a closed surface, sum w n = 0 and sum w (y x n) = 0 about any point
     quad = sample_surface(Ellipsoid(1.0, 2.0, 3.0), 1.5, 48)
-    p0 = 7.0
-    p_f = np.full(len(quad), p0)
-    v_f = np.zeros((len(quad), 3))
-    state = RigidBodyState3D(np.array([0.3, -0.2, 0.1]), np.zeros(3), np.zeros(3), np.eye(3))
-    forcing = partial_forcing_from_surface(quad, p_f, v_f, np.zeros(3), np.zeros(3), state)
+    p0, point = 7.0, np.array([0.3, -0.2, 0.1])
+    w = p0 * quad.weights[:, None]
+    force = -np.sum(w * quad.normals, axis=0)
+    torque = -np.sum(w * np.cross(quad.positions - point, quad.normals), axis=0)
     total = p0 * quad.weights.sum()
-    assert np.max(np.abs(forcing.f_tilde)) < 1e-10 * total
-    assert np.max(np.abs(forcing.t_tilde)) < 1e-10 * total
+    assert np.max(np.abs(force)) < 1e-10 * total
+    assert np.max(np.abs(torque)) < 1e-10 * total
 
 
 def test_uniform_fluid_velocity_gives_avv_force():
     quad = sample_surface(Ellipsoid(1.0, 1.0, 2.0), 2.0, 48)
     v0 = np.array([0.4, -0.3, 0.9])
-    v_f = np.tile(v0, (len(quad), 1))
-    forcing = partial_forcing_from_surface(
-        quad, np.zeros(len(quad)), v_f, np.zeros(3), np.zeros(3), RigidBodyState3D.rest()
-    )
-    want = forcing.tensors.avv @ v0
-    assert np.max(np.abs(forcing.f_tilde - want)) < 1e-12 * np.max(np.abs(want))
-
-
-def test_body_force_passthrough():
-    quad = sample_surface(Ellipsoid(1.0, 1.0, 1.0), 1.0, 16)
-    zeros = np.zeros(len(quad))
-    forcing = partial_forcing_from_surface(
-        quad, zeros, np.zeros((len(quad), 3)),
-        np.array([1.0, 0.0, 0.0]), np.array([0.0, 2.0, 0.0]), RigidBodyState3D.rest()
-    )
-    assert np.allclose(forcing.f_tilde, [1.0, 0.0, 0.0], atol=1e-12)
-    assert np.allclose(forcing.t_tilde, [0.0, 2.0, 0.0], atol=1e-12)
-
-
-def test_force_and_torque_basics():
-    rng = np.random.default_rng(2)
-    tens = _random_psd_tensors(rng)
-    forcing = PartialForcing(rng.standard_normal(3), rng.standard_normal(3), tens)
-    f, t = force_and_torque(RigidBodyState3D.rest(), forcing)
-    assert np.array_equal(f, forcing.f_tilde) and np.array_equal(t, forcing.t_tilde)
-    # a sphere has no rotational added mass: torque ignores omega entirely
-    sph = added_mass_tensors(sample_surface(Ellipsoid(1.0, 1.0, 1.0), 1.0, 32))
-    forcing_s = PartialForcing(np.zeros(3), np.zeros(3), sph)
-    state = RigidBodyState3D(np.zeros(3), np.zeros(3), rng.standard_normal(3), np.eye(3))
-    _, torque = force_and_torque(state, forcing_s)
-    assert np.max(np.abs(torque)) < 1e-12
+    force = np.sum((quad.z_f * quad.weights * (quad.normals @ v0))[:, None] * quad.normals, axis=0)
+    want = added_mass_tensors(quad).avv @ v0
+    assert np.max(np.abs(force - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_force_matches_projected_pressure_quadrature():
-    # Net force/torque from the tensors must equal direct integration of the
-    # projected surface pressure -p_I n with p_I = p_f - z n.(v_f - rdot).
+    # The tensor blocks applied to (v, omega) must equal direct integration of
+    # the surface force z (n.rdot) n and its moment y x (z (n.rdot) n), with
+    # rdot = v + omega x y the body's surface velocity, y measured from its
+    # center at the origin.
     rng = np.random.default_rng(3)
     q = sample_surface(Ellipsoid(1.0, 2.0, 1.5), 1.3, 48)
-    n_s = len(q)
-    p_f = rng.standard_normal(n_s)
-    v_f = rng.standard_normal((n_s, 3))
-    state = RigidBodyState3D(
-        rng.standard_normal(3) * 0.1, rng.standard_normal(3), rng.standard_normal(3), np.eye(3)
-    )
-    f_b, g_b = rng.standard_normal(3), rng.standard_normal(3)
-    forcing = partial_forcing_from_surface(q, p_f, v_f, f_b, g_b, state)
-    force, torque = force_and_torque(state, forcing)
+    tens = added_mass_tensors(q)
+    v, omega = rng.standard_normal(3), rng.standard_normal(3)
+    force = tens.avv @ v + tens.avw @ omega
+    torque = tens.awv @ v + tens.aww @ omega
 
-    f_direct, t_direct = f_b.copy(), g_b.copy()
-    for i in range(n_s):
-        y = q.positions[i] - state.x
-        rdot = state.v + np.cross(state.omega, y)
-        p_i = p_f[i] - q.z_f[i] * (q.normals[i] @ (v_f[i] - rdot))
-        f_direct += -p_i * q.normals[i] * q.weights[i]
-        t_direct += np.cross(y, -p_i * q.normals[i]) * q.weights[i]
+    f_direct, t_direct = np.zeros(3), np.zeros(3)
+    for i in range(len(q)):
+        y = q.positions[i]
+        rdot = v + np.cross(omega, y)
+        traction = q.z_f[i] * (q.normals[i] @ rdot) * q.normals[i]
+        f_direct += traction * q.weights[i]
+        t_direct += np.cross(y, traction) * q.weights[i]
     scale = max(np.max(np.abs(f_direct)), np.max(np.abs(t_direct)), 1.0)
     assert np.max(np.abs(force - f_direct)) < 1e-10 * scale
     assert np.max(np.abs(torque - t_direct)) < 1e-10 * scale

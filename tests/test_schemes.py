@@ -24,19 +24,17 @@ def _random_field(side, n=12, dx=0.05):
     return FluidField1D(g, RNG.normal(size=n + 1), RNG.normal(size=n + 1))
 
 
-def _padded(field, far_values):
-    """State as (n+3, 2) array with a virtual far cell appended physically."""
+def _padded(field):
+    """State as (n+3, 2) array with a virtual far cell, a copy of the last,
+    appended physically."""
     u = np.column_stack([field.v, field.sigma])
-    if far_values is None:
-        far = u[::field.grid.outward][-1]
-    else:
-        far = np.asarray(far_values, dtype=float)
+    far = u[::field.grid.outward][-1]
     if field.grid.side == "left":
         return np.vstack([far, u]), 1
     return np.vstack([u, far]), 0
 
 
-def _oracle_step(field, mat, dt, scheme, far_values=None):
+def _oracle_step(field, mat, dt, scheme):
     c, rho = mat.c, mat.rho
     C = np.array([[0.0, 1.0 / rho], [mat.kappa, 0.0]])
     R = c * np.array([[-1.0, 1.0], [mat.z, mat.z]])
@@ -44,7 +42,7 @@ def _oracle_step(field, mat, dt, scheme, far_values=None):
     Lm = np.diag([-c, 0.0])
     Lp = np.diag([0.0, c])
     dx = field.grid.dx
-    upad, shift = _padded(field, far_values)
+    upad, shift = _padded(field)
     out = np.column_stack([field.v, field.sigma])
     interior = field.grid.interior
     for j in range(*interior.indices(field.grid.n_points)):
@@ -122,34 +120,17 @@ def test_constant_state_is_fixed_point(side, stepper):
     assert np.allclose(out.sigma, -0.5, atol=1e-15)
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_far_values_override_extrapolation(side):
-    mat = FluidMaterial(1.0, 1.0)
-    f = _random_field(side)
-    dt = 0.6 * f.grid.dx / mat.c
-    default = upwind_step(f, mat, dt)
-    forced = upwind_step(f, mat, dt, far_values=(3.0, -2.0))
-    ref_v, ref_s = _oracle_step(f, mat, dt, "upwind", far_values=(3.0, -2.0))
-    assert np.allclose(forced.v, np.where(np.arange(f.grid.n_points) == f.grid.ghost_index, f.v, ref_v))
-    assert np.allclose(forced.sigma, np.where(np.arange(f.grid.n_points) == f.grid.ghost_index, f.sigma, ref_s))
-    # only cells fed by the far stencil arm can differ from the default closure
-    diff = np.abs(forced.v - default.v) + np.abs(forced.sigma - default.sigma)
-    far = np.arange(f.grid.n_points)[:: f.grid.outward][-1]
-    assert diff[far] > 0.0
-    inner = [j for j in range(f.grid.n_points) if abs(j - far) > 0]
-    assert np.allclose(np.asarray(diff)[inner], 0.0, atol=1e-15)
-
-
 @pytest.mark.parametrize("stepper", [upwind_step, lax_wendroff_step])
 def test_stacked_records_step_like_each_alone(stepper):
-    """A stack of records with different steps, materials and far values
-    steps each member bit-identically to the member stepped on its own."""
-    mats = (FluidMaterial(1.0, 1.3), FluidMaterial(2.0, 0.7))
+    """A stack of records with different steps and materials steps each
+    member bit-identically to the member stepped on its own."""
+    slow = (FluidMaterial(1.0, 1.3), FluidMaterial(2.0, 0.7))
+    fast = (FluidMaterial(0.8, 2.1), FluidMaterial(1.5, 0.4))
 
-    def record(dt, far_values):
-        return Characteristics((_random_field("left"), _random_field("right")), mats, dt, far_values)
+    def record(dt, mats):
+        return Characteristics((_random_field("left"), _random_field("right")), mats, dt)
 
-    members = [record(0.01, ((1.0, 2.0), None)), record(0.02, (None, (3.0, -1.0))), record(0.035, ())]
+    members = [record(0.01, slow), record(0.02, fast), record(0.035, slow)]
     alone = [copy.copy(m) for m in members]
     for a in alone:
         a.x = a.x.copy()
@@ -162,12 +143,10 @@ def test_stacked_records_step_like_each_alone(stepper):
         assert np.array_equal(x, a.x)
 
 
-def _broadcast_step(x, lam, scheme, far):
+def _broadcast_step(x, lam, scheme):
     """One step of x, shape (..., sides, 2, n + 2), in place by the
-    broadcasting kernels, lam of shape (..., sides, 1); far = [(index, uw)]."""
+    broadcasting kernels, lam of shape (..., sides, 1)."""
     x[..., -1] = x[..., -2]
-    for i, uw in far:
-        x[i][:, -1] = uw
     t, u = np.empty((2,) + x[..., 1:-1].shape)
     if scheme == "upwind":
         t = t[..., 0, :]
@@ -187,24 +166,22 @@ def _broadcast_step(x, lam, scheme, far):
 
 
 @given(n=st.integers(3, 64), members=st.lists(st.tuples(
-    st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(1e-3, 1.0),
-    st.one_of(st.none(), st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))),
-    st.one_of(st.none(), st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))), min_size=1, max_size=4),
+    st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(1e-3, 1.0)), min_size=1, max_size=4),
     seed=st.integers(0, 2**31))
 @settings(max_examples=60, derandomize=True, deadline=None)
 def test_flat_kernels_equal_the_broadcasting_kernels_bitwise(n, members, seed):
-    """Stacks of 1-4 records (per-side c, own dt with lam <= 1, optional far
-    values) and one record alone step exactly as the broadcasting kernels
-    step them, over the whole array: ghost and far columns included."""
+    """Stacks of 1-4 records (per-side c, own dt with lam <= 1) and one
+    record alone step exactly as the broadcasting kernels step them, over
+    the whole array: ghost and far columns included."""
     rng, dx = np.random.default_rng(seed), 1.0 / n
     records = []
-    for lam_l, lam_r, dt, far_l, far_r in members:
+    for lam_l, lam_r, dt in members:
         mats = (FluidMaterial(1.3, lam_l * dx / dt), FluidMaterial(0.7, lam_r * dx / dt))
-        ch = Characteristics((_random_field("left", n, dx), _random_field("right", n, dx)), mats, dt,
-                             (far_l, far_r))
+        fields = (_random_field("left", n, dx), _random_field("right", n, dx))
+        ch = Characteristics(fields, mats, dt)
         ch.x[:] = rng.standard_normal(ch.x.shape)  # ghosts and far cells too
         records.append(ch)
-    lam = np.array([[[m.c * dt / dx] for m in ch.mats] for ch, (_, _, dt, _, _) in zip(records, members)])
+    lam = np.array([[[m.c * dt / dx] for m in ch.mats] for ch, (_, _, dt) in zip(records, members)])
     for stepper, scheme in ((upwind_step, "upwind"), (lax_wendroff_step, "lw")):
         stack, alone = Characteristics.stack(records), copy.copy(records[0])
         alone.x = records[0].x.copy()
@@ -212,6 +189,6 @@ def test_flat_kernels_equal_the_broadcasting_kernels_bitwise(n, members, seed):
         for _ in range(4):
             stepper(stack)
             stepper(alone)
-            _broadcast_step(want, lam, scheme, stack.far)
-            _broadcast_step(want_alone, lam[0], scheme, records[0].far)
+            _broadcast_step(want, lam, scheme)
+            _broadcast_step(want_alone, lam[0], scheme)
         assert np.array_equal(stack.x, want) and np.array_equal(alone.x, want_alone), scheme
