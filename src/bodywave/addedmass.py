@@ -184,15 +184,15 @@ def _sample_starfish(shape: Starfish, n: int):
     return _curve_samples(pos, tan, n)
 
 
-def _theta_u_grid(n: int, gauss=None):
+def _theta_u_grid(n: int):
     """n theta nodes on [0, 2 pi), n Gauss-Legendre u nodes, flattened (n, n) weights."""
-    u, gw = leggauss(n) if gauss is None else gauss
+    u, gw = leggauss(n)
     return 2.0 * np.pi * np.arange(n) / n, u, np.outer(np.full(n, 2.0 * np.pi / n), gw).ravel()
 
 
-def _sample_ellipsoid(shape: Ellipsoid, n: int, gauss=None):
+def _sample_ellipsoid(shape: Ellipsoid, n: int):
     a, b, c = shape.a, shape.b, shape.c
-    th, u, W = _theta_u_grid(n, gauss)
+    th, u, W = _theta_u_grid(n)
     rt, cos, sin = np.sqrt(1.0 - u * u), np.cos(th)[:, None], np.sin(th)[:, None]
     # positions (a rt cos, b rt sin, c u) and cross(d_theta, d_u) =
     # (b c rt cos, a c rt sin, a b u), outward, as rows over the theta x u grid
@@ -235,24 +235,21 @@ _SAMPLERS = {
 }
 
 
-def sample_surface(shape, impedance_fn=None, resolution: int = 64, *,
-                   _gauss=None) -> SurfaceQuadrature:
+def sample_surface(shape, impedance_fn=None, resolution: int = 64) -> SurfaceQuadrature:
     """Quadrature nodes covering the body surface, as one record of arrays.
 
     resolution means: samples along a closed curve; Gauss points per edge
     (rectangle) or per face dimension (prism); theta x u points per
     dimension for ellipsoids (resolution^2 total).
     impedance_fn is a constant or a callable mapping (n, 3) positions to
-    per-sample z_f >= 0; default 1.  _gauss is leggauss(resolution) for an
-    ellipsoid, so that one added-mass table builds the rule once.
+    per-sample z_f >= 0; default 1.
     """
     if resolution < 8:
         raise ValueError(f"resolution must be >= 8, got {resolution}")
     sampler = next((f for kind, f in _SAMPLERS.items() if isinstance(shape, kind)), None)
     if sampler is None:
         raise UnsupportedShape(f"cannot sample {type(shape).__name__}")
-    extra = () if _gauss is None else (_gauss,)
-    pos, nrm, wts = sampler(shape, resolution, *extra)
+    pos, nrm, wts = sampler(shape, resolution)
     z = _impedance_values(impedance_fn, pos)
     if np.any(z < 0.0):
         raise ValueError("impedance must be >= 0")

@@ -6,14 +6,14 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
-from math import ceil, isfinite, pi, sqrt
+from math import ceil, isfinite, sqrt
 from numbers import Integral, Real
 from sys import float_info
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .addedmass import Ellipse, Ellipsoid, Starfish, added_mass_tensors, sample_surface
+from .addedmass import (Ellipse, Ellipsoid, Starfish, added_mass_analytic, added_mass_tensors,
+                        sample_surface)
 from .coupling import CoupledRun, CoupledState
 from .coupling import step_algorithm1, step_algorithm2  # noqa: F401  looked up here by perfbench/spans.py
 from .exact import ModelProblem, body_velocity_exact, field_exact
@@ -318,16 +318,17 @@ def run_stability_sweep(cfg: RunConfig) -> dict:
 # -- added-mass table ---------------------------------------------------------
 
 # One entry per body: (shape, params, body, kind, {entry: (reference, tol)});
-# entries without a reference are of kind "none".  Ellipse references
-# (a = 1, unit impedance) are three-significant-digit printed values to half
-# a printed ulp, except b = 0.01 avv_22, where the printed 3.99 truncates the
-# true 3.999102 (one full ulp); the ellipsoid references are printed
-# four-to-six digit values.  Invariant tolerances are relative to the largest
-# |entry| of the composite tensor, and the smallest eigenvalue is checked
-# against its nonnegative part.
+# entries without a reference are of kind "none".  Analytic references are
+# taken from added_mass_analytic(body), so they are None here.  Ellipse
+# references (a = 1, unit impedance) are three-significant-digit printed values
+# to half a printed ulp, except b = 0.01 avv_22, where the printed 3.99
+# truncates the true 3.999102 (one full ulp); the ellipsoid references are
+# printed four-to-six digit values.  Invariant tolerances are relative to the
+# largest |entry| of the composite tensor, and the smallest eigenvalue is
+# checked against its nonnegative part.
 ADDED_MASS_REFERENCES = (
     ("ellipse", "a=1 b=1.0", Ellipse(1.0, 1.0), "analytic",
-     {"avv_11": (pi, 1e-10), "avv_22": (pi, 1e-10), "aww_33": (0.0, 1e-10)}),
+     dict.fromkeys(("avv_11", "avv_22", "aww_33"), (None, 1e-10))),
     ("ellipse", "a=1 b=0.5", Ellipse(1.0, 0.5), "printed",
      {"avv_11": (1.26, 5e-3), "avv_22": (3.58, 5e-3), "aww_33": (0.581, 5e-4)}),
     ("ellipse", "a=1 b=0.1", Ellipse(1.0, 0.1), "printed",
@@ -335,8 +336,7 @@ ADDED_MASS_REFERENCES = (
     ("ellipse", "a=1 b=0.01", Ellipse(1.0, 0.01), "printed",
      {"avv_11": (0.0020, 5e-5), "avv_22": (3.99, 1e-2), "aww_33": (1.33, 5e-3)}),
     ("sphere", "a=1", Ellipsoid(1.0, 1.0, 1.0), "analytic",
-     {"avv_11": (4.0 * pi / 3.0, 1e-10), "avv_22": (4.0 * pi / 3.0, 1e-10),
-      "avv_33": (4.0 * pi / 3.0, 1e-10), "aww_max": (0.0, 1e-10)}),
+     dict.fromkeys(("avv_11", "avv_22", "avv_33", "aww_max"), (None, 1e-10))),
     ("ellipsoid", "a=1.0 b=1.0 c=2.0", Ellipsoid(1.0, 1.0, 2.0), "printed",
      {"avv_11": (9.25387, 1e-3), "avv_22": (9.25387, 1e-3), "avv_33": (2.97069, 1e-3),
       "aww_11": (4.71239, 1e-3), "aww_22": (4.71239, 1e-3), "aww_33": (0.0, 1e-3)}),
@@ -348,6 +348,12 @@ ADDED_MASS_REFERENCES = (
       "aww_33": (None, None), "symmetry_drift": (0.0, 1e-12),
       "min_eigenvalue": (lambda value: max(value, 0.0), 1e-12)}),
 )
+
+
+# Largest per-dimension count for the table's ellipsoids, a measured choice:
+# at 64 each one's composite is within 1.7e-13 of its value at 256 (largest
+# entry 53.5), while at 32 Ellipsoid(1, 2, 3) is off by 2.8e-7.
+ELLIPSOID_RESOLUTION = 64
 
 
 def _entry_value(tens, entry: str) -> float:
@@ -365,19 +371,19 @@ def _entry_value(tens, entry: str) -> float:
 def run_addedmass_table(cfg: RunConfig) -> dict:
     """Tensor entries for the requested shapes, against analytic or printed
     reference values where those exist (invariant checks otherwise)."""
-    rows, gauss = [], None  # one Gauss-Legendre rule serves every ellipsoid of the table
+    rows = []
     for shape, params, body, kind, refs in ADDED_MASS_REFERENCES:
         if cfg.shape not in ("all", shape):
             continue
-        res, rule = cfg.resolution, None
-        if isinstance(body, Ellipsoid):
-            res = min(res, 256)  # per-dimension count; 256^2 nodes suffice
-            rule = gauss = gauss or leggauss(res)
-        tens = added_mass_tensors(sample_surface(body, 1.0, res, _gauss=rule))
+        res = min(cfg.resolution, ELLIPSOID_RESOLUTION) if isinstance(body, Ellipsoid) else cfg.resolution
+        tens = added_mass_tensors(sample_surface(body, 1.0, res))
+        exact = added_mass_analytic(body) if kind == "analytic" else None
         scale = float(np.max(np.abs(tens.composite)))
         for entry, (reference, tol) in refs.items():
             value = _entry_value(tens, entry)
-            if callable(reference):
+            if exact is not None:
+                reference = _entry_value(exact, entry)
+            elif callable(reference):
                 reference = reference(value)
             if kind == "invariant" and tol is not None:
                 tol = tol * scale

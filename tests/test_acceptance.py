@@ -16,7 +16,8 @@ from bodywave.addedmass import (
 )
 from bodywave.coupling import CoupledRun, CoupledState, step_algorithm1, step_algorithm2
 from bodywave.exact import ModelProblem, body_ode_forcing, body_velocity_exact
-from bodywave.harness import RunConfig, run_addedmass_table, run_convergence_study
+from bodywave.harness import (ELLIPSOID_RESOLUTION, RunConfig, run_addedmass_table,
+                             run_convergence_study)
 from bodywave.materials import FluidField1D, FluidMaterial, Grid1D
 from bodywave.rigidbody3d import (
     BodyInertia,
@@ -235,7 +236,7 @@ def test_criterion_07_added_mass_reference_tables():
     n_ref = sum(1 for r in rep["rows"] if r["reference_kind"] in ("analytic", "printed"))
     ok = rep["all_ok"] and n_ref >= 28
     print(f"criterion 7: {_verdict(ok)} - {n_ref} tabulated entries at the printed "
-          f"precision (ellipse res 512, ellipsoid res 256^2); mismatches: {bad or 'none'}")
+          f"precision (ellipse res 512, ellipsoid res {ELLIPSOID_RESOLUTION}^2); mismatches: {bad or 'none'}")
     assert ok, f"reference-table mismatches: {bad}"
 
 

@@ -18,7 +18,10 @@ from bodywave.cli import SUBCOMMAND_MODES, build_parser, config_from_args, main
 from bodywave.materials import FluidField1D, FluidMaterial
 from bodywave import coupling
 from bodywave.stability import GrowthConfig, empirical_growth_rate, growth_rates
+from bodywave.addedmass import Ellipsoid, added_mass_tensors, sample_surface
 from bodywave.harness import (
+    ADDED_MASS_REFERENCES,
+    ELLIPSOID_RESOLUTION,
     MAX_CELLS,
     RUNNERS,
     RunConfig,
@@ -266,19 +269,15 @@ def test_addedmass_table_single_shape():
     assert rep["all_ok"]
 
 
-def test_addedmass_table_builds_one_gauss_rule(monkeypatch):
-    """The three ellipsoids of `addedmass --shape all` share one leggauss(256)."""
-    from bodywave import addedmass, harness
-    calls = []
-
-    def counted(n):
-        calls.append(n)
-        return np.polynomial.legendre.leggauss(n)
-
-    monkeypatch.setattr(harness, "leggauss", counted, raising=False)
-    monkeypatch.setattr(addedmass, "leggauss", counted)
-    run_addedmass_table(RunConfig(mode="addedmass_table", shape="all", resolution=16))
-    assert calls == [16]
+def test_addedmass_table_ellipsoid_count_is_converged():
+    """Each ellipsoid of the table, at the table's per-dimension count, agrees
+    with its value at 256 to 1e-12 of its composite's largest |entry|."""
+    bodies = [body for _, _, body, _, _ in ADDED_MASS_REFERENCES if isinstance(body, Ellipsoid)]
+    assert len(bodies) == 3
+    for body in bodies:
+        fine = added_mass_tensors(sample_surface(body, 1.0, 256)).composite
+        used = added_mass_tensors(sample_surface(body, 1.0, ELLIPSOID_RESOLUTION)).composite
+        assert np.max(np.abs(used - fine)) <= 1e-12 * np.max(np.abs(fine)), body
 
 
 def test_rigidbody_demo_history():
