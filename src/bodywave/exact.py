@@ -120,23 +120,23 @@ def _exp_p_erfc(p, p_minus_x2, x):
 def _vb_response(prob: ModelProblem, t: np.ndarray, s: float, c: float, a: float) -> np.ndarray:
     """Response of m vb' + Zt vb = a exp(-beta^2 (c t - s x0)^2) from rest (m > 0).
 
-    With q = c t - s x0 the integral is -(a sqrt(pi)/(2 c beta m))
-    e^P (erf A - erf B), where
+    With q = c t - s x0 and r = Zt/(2 c beta m) the integral is
+    -(a sqrt(pi)/(2 c beta m)) e^P (erf A - erf B), where
 
-        A = (Zt - 2 c beta^2 m q)/(2 c m beta)    B = (Zt + 2 c beta^2 m s x0)/(2 c m beta)
-        P = Zt (Zt - 4 c beta^2 m q)/(2 c m beta)^2,
+        A = r - beta q    B = r + beta s x0    P = r (r - 2 beta q),
 
     and e^P (erf A - erf B) = e^P erfc(B) - e^P erfc(A) is evaluated from the
     simplified exponents P - A^2 = -beta^2 q^2 and P - B^2 = -Zt t/m - beta^2 x0^2,
-    so no factor overflows for any m > 0.
+    so no factor overflows for any m > 0; r is never squared, so a heavy body
+    (r near 0) overflows nothing either.
     """
     zt, m, b, x0 = prob.z_total, prob.m_body, prob.beta, prob.x0
     b2 = b * b
     q = c * t - s * x0
-    den = 2.0 * c * m * b
-    p = zt * (zt - 4.0 * c * b2 * m * q) / den**2
-    big_a = (zt - 2.0 * c * b2 * m * q) / den
-    big_b = (zt + 2.0 * c * b2 * m * s * x0) / den
+    r = zt / (2.0 * c * m * b)
+    p = r * (r - 2.0 * b * q)
+    big_a = r - b * q
+    big_b = r + b * s * x0
     pref = -a * sqrt(pi) / (2.0 * c * b * m)
     return pref * (_exp_p_erfc(p, -zt * t / m - b2 * x0 * x0, big_b)
                    - _exp_p_erfc(p, -b2 * q * q, big_a))

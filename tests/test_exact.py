@@ -58,6 +58,16 @@ def test_body_velocity_matches_ode_oracle(m, rho):
     assert err < 1e-8, f"m={m}, rho={rho}: closed form vs ODE oracle differ by {err:.3e}"
 
 
+def test_heavy_body_keeps_its_initial_velocity():
+    """At m = 1e300 the waves cannot move the body, and the closed form, whose
+    r = Zt/(2 c beta m) is never squared, gives V0(0) without overflow."""
+    prob = ModelProblem.standard(1e300)
+    v0 = float(prob.velocity0(0.0))
+    with np.errstate(over="raise", invalid="raise"):
+        got = body_velocity_exact(prob, T_GRID)
+    assert np.max(np.abs(got - v0)) <= 1e-15 * v0
+
+
 def test_zero_mass_is_quasi_steady_limit():
     prob = ModelProblem.standard(0.0)
     got = body_velocity_exact(prob, T_GRID)

@@ -597,6 +597,19 @@ def test_cli_diverged_run_emits_no_warnings(tmp_path):
     assert all(r is None for ratios in report["ratios"].values() for r in ratios)
 
 
+@pytest.mark.parametrize("mass", ["1e153", "1.7e308"])
+def test_cli_simulate_heavy_body_exits_0(tmp_path, mass):
+    """A body heavier than about 4e152 once overflowed the exact solution's
+    (2 c beta m)^2; it stays at rest, as the exact solution says."""
+    out = tmp_path / "rep.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--mass", mass, "--cells", "10", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["diverged"] is False and report["errors"]["v_body_max"] == 0.0
+
+
 def test_cli_simulate_dense_fluids_is_not_reported_diverged(tmp_path):
     # rho = 100 on both sides makes z/(m beta c) large at m = 0.5; the exact
     # solution the errors are measured against must stay finite there.
