@@ -2,7 +2,7 @@
 
 Subcommands: simulate, converge, stability, addedmass, rb3d.  Options come
 from an optional JSON config file with individual flags overriding keys.
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation or output error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -146,6 +146,9 @@ def main(argv=None) -> int:
         # downstream closed the pipe (e.g. `bodywave ... | head`); point
         # stdout at devnull so the interpreter's exit flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:  # e.g. --out names a missing directory or a directory
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -12,8 +12,7 @@ from sys import float_info
 
 import numpy as np
 
-from .addedmass import (Ellipse, Ellipsoid, Starfish, added_mass_analytic, added_mass_tensors,
-                        sample_surface)
+from .addedmass import Ellipse, Ellipsoid, Starfish, added_mass_analytic, added_mass_tensors, sample_surface
 from .coupling import CoupledRun, CoupledState
 from .coupling import step_algorithm1, step_algorithm2  # noqa: F401  looked up here by perfbench/spans.py
 from .exact import ModelProblem, body_velocity_exact, field_exact

@@ -516,6 +516,17 @@ def test_cli_stability_run_loads_neither_scipy_special_nor_lapack(tmp_path):
     assert not {"scipy.special", "scipy.linalg"} & set(loaded), loaded
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["simulate", "--cells", "10", "--tfinal", "0.05"], "missing/r.json"),
+    (["addedmass", "--shape", "sphere", "--resolution", "16"], "missing/t.csv"),
+    (["simulate", "--cells", "10", "--tfinal", "0.05"], "."),
+], ids=["json-missing-dir", "csv-missing-dir", "directory"])
+def test_cli_unwritable_out_is_an_output_error(tmp_path, capsys, argv, out):
+    assert main([*argv, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and len(err.splitlines()) == 1, err
+
+
 def test_cli_numerical_failure_exits_3(capsys):
     code = main([
         "simulate", "--coupling", "traditional", "--mass", "0",
