@@ -58,11 +58,6 @@ class ModelProblem:
         if not self.x0 < 0.0:
             raise ValueError(f"pulse center x0 must be < 0, got {self.x0}")
 
-    @classmethod
-    def standard(cls, m_body: float, beta: float = 10.0, x0: float = -0.5) -> "ModelProblem":
-        """The reference configuration: rho = 1 both sides, c_L = sqrt(2), c_R = sqrt(3)."""
-        return cls(FluidMaterial(1.0, sqrt(2.0)), FluidMaterial(1.0, sqrt(3.0)), m_body, beta, x0)
-
     @property
     def z_total(self) -> float:
         return self.mat_left.z + self.mat_right.z
@@ -78,10 +73,6 @@ class ModelProblem:
 
     def velocity0(self, x):
         return (self.mat_left.c / 2.0) * np.exp(-(self.beta * (np.asarray(x, float) - self.x0)) ** 2)
-
-    def stress0(self, x, side: str):
-        kappa = self.mat_left.kappa if side == "left" else self.mat_right.kappa
-        return kappa * self.strain0(x)
 
 
 def _incident_waves(prob: ModelProblem):

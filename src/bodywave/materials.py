@@ -108,10 +108,6 @@ class FluidField1D:
             raise ValueError(f"field arrays must have shape ({npts},), "
                              f"got v {self.v.shape} sigma {self.sigma.shape}")
 
-    @classmethod
-    def quiescent(cls, grid: Grid1D) -> "FluidField1D":
-        return cls(grid, np.zeros(grid.n_points), np.zeros(grid.n_points))
-
     def copy(self) -> "FluidField1D":
         return FluidField1D(self.grid, self.v.copy(), self.sigma.copy())
 

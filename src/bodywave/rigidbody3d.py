@@ -106,10 +106,6 @@ class BodyInertia:
         if np.linalg.eigvalsh(A).min() < -1e-10 * scale:
             raise ValueError("inertia matrix must be positive semi-definite")
 
-    @classmethod
-    def zero(cls) -> "BodyInertia":
-        return cls(0.0, np.zeros((3, 3)))
-
 
 @dataclass(frozen=True)
 class PartialForcing:
@@ -170,16 +166,8 @@ class DIRKTableau:
                     raise ValueError(f"order-3 condition failed: {name} (err {err:.2e})")
 
     @property
-    def stages(self) -> int:
-        return len(self.b)
-
-    @property
     def gamma(self) -> float:
         return float(self.a[0, 0])
-
-    @classmethod
-    def dirk1(cls) -> "DIRKTableau":
-        return cls(np.array([[1.0]]), np.array([1.0]), np.array([1.0]), order=1)
 
     @classmethod
     def dirk3(cls) -> "DIRKTableau":

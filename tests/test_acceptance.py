@@ -15,7 +15,7 @@ from bodywave.addedmass import (
     sample_surface,
 )
 from bodywave.coupling import CoupledRun, CoupledState, step_algorithm1, step_algorithm2
-from bodywave.exact import ModelProblem, body_ode_forcing, body_velocity_exact
+from bodywave.exact import body_ode_forcing, body_velocity_exact
 from bodywave.harness import (ELLIPSOID_RESOLUTION, RunConfig, run_addedmass_table,
                              run_convergence_study)
 from bodywave.materials import FluidField1D, FluidMaterial, Grid1D
@@ -34,6 +34,9 @@ from bodywave.stability import (
     empirical_growth_rate,
     max_stable_dt_traditional,
 )
+from test_coupling import _quiescent
+from test_exact import _standard, _stress0
+from test_rigidbody3d import _dirk1, _massless
 
 FIELD_KEYS = ("v_max", "sigma_max", "v_body_max")
 
@@ -159,7 +162,7 @@ def test_criterion_04_massless_projection_long_run():
             s = np.zeros(grid.n_points)
             sl = grid.interior
             v[sl] = prob.velocity0(x[sl])
-            s[sl] = prob.stress0(x[sl], side)
+            s[sl] = _stress0(prob, x[sl], side)
             fields[side] = FluidField1D(grid, v, s)
         state = CoupledState.initial(fields["left"], fields["right"],
                                      float(prob.velocity0(0.0)),
@@ -190,8 +193,8 @@ def test_criterion_05_quiescent_decay_ratios():
         for m in (1.0, 1e-3):
             target = (m / (m + 2.0 * dt * z) if order == 1
                       else (m - dt * z) / (m + dt * z))
-            left = FluidField1D.quiescent(Grid1D.uniform("left", length, dx))
-            right = FluidField1D.quiescent(Grid1D.uniform("right", length, dx))
+            left = _quiescent(Grid1D.uniform("left", length, dx))
+            right = _quiescent(Grid1D.uniform("right", length, dx))
             state = CoupledState.initial(left, right, 1.0, z, z, order)
             rel = 0.0
             for _ in range(6):
@@ -210,7 +213,7 @@ def test_criterion_06_exact_solution_ode_oracle():
     times = np.linspace(0.0, 0.75, 61)
     errs, ok = {}, True
     for m in (1.0, 1e-2, 1e-6):
-        prob = ModelProblem.standard(m)
+        prob = _standard(m)
         closed = body_velocity_exact(prob, times)
         ok = ok and bool(np.all(np.isfinite(closed)))
 
@@ -396,7 +399,7 @@ def test_criterion_09_dirk_orders_and_instant_response():
     t_final = 0.5
     ref = solve_ivp(rhs, [0.0, t_final], y0, rtol=1e-12, atol=1e-14).y[:, -1]
     orders, ok = {}, True
-    for tableau, lo, hi in ((DIRKTableau.dirk1(), 0.9, 1.1),
+    for tableau, lo, hi in ((_dirk1(), 0.9, 1.1),
                             (DIRKTableau.dirk3(), 2.8, 3.2)):
         errs = []
         for n in (20, 40, 80, 160, 320):
@@ -420,8 +423,8 @@ def test_criterion_09_dirk_orders_and_instant_response():
     tens0 = AddedMassTensors.from_blocks(2.0 * np.eye(3), np.zeros((3, 3)),
                                          np.zeros((3, 3)), np.eye(3))
     still = lambda t: PartialForcing(np.array([3.0, 0.0, 0.0]), np.zeros(3), tens0)
-    out = dirk_step(RigidBodyState3D.rest(), BodyInertia.zero(), still,
-                    DIRKTableau.dirk1(), 0.1)
+    out = dirk_step(RigidBodyState3D.rest(), _massless(), still,
+                    _dirk1(), 0.1)
     instant = float(np.max(np.abs(out.v - [1.5, 0.0, 0.0])))
     ok = ok and instant < 1e-12
     print(f"criterion 9: {_verdict(ok)} - observed orders {orders} "

@@ -66,7 +66,7 @@ from bodywave.harness import (
     run_stability_sweep,
 )
 from bodywave.rigidbody3d import DIRKTableau, RigidBodyState3D, dirk_step
-from test_rigidbody3d import _manufactured_problem
+from test_rigidbody3d import _dirk1, _manufactured_problem
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -162,7 +162,7 @@ def rb3d_outputs() -> dict:
 
 def dirk_gyro_outputs_for(order) -> dict:
     inertia, provider, _, y0 = _manufactured_problem()
-    tableau = DIRKTableau.dirk1() if order == 1 else DIRKTableau.dirk3()
+    tableau = _dirk1() if order == 1 else DIRKTableau.dirk3()
     state = RigidBodyState3D(y0[:3], y0[3:6], y0[6:9], y0[9:].reshape(3, 3))
     dt, t = GYRO_T_FINAL / GYRO_STEPS, 0.0
     hist = {name: [] for name in GYRO_SERIES}

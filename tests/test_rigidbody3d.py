@@ -47,6 +47,15 @@ def _still_forcing(tensors):
     return lambda t: PartialForcing(np.zeros(3), np.zeros(3), tensors)
 
 
+def _dirk1():
+    """Backward Euler as a one-stage DIRK tableau."""
+    return DIRKTableau(np.array([[1.0]]), np.array([1.0]), np.array([1.0]), order=1)
+
+
+def _massless():
+    return BodyInertia(0.0, np.zeros((3, 3)))
+
+
 # -- basic types ---------------------------------------------------------------
 
 
@@ -91,9 +100,9 @@ def test_inertia_validation():
 
 
 def test_tableau_construction_and_validation():
-    d1, d3 = DIRKTableau.dirk1(), DIRKTableau.dirk3()
-    assert d1.stages == 1 and d1.order == 1 and d1.gamma == 1.0
-    assert d3.stages == 2 and d3.order == 3
+    d1, d3 = _dirk1(), DIRKTableau.dirk3()
+    assert len(d1.b) == 1 and d1.order == 1 and d1.gamma == 1.0
+    assert len(d3.b) == 2 and d3.order == 3
     assert abs(d3.gamma - (0.5 + np.sqrt(3) / 6)) < 1e-15
     with pytest.raises(ValueError, match="sum to 1"):
         DIRKTableau(np.array([[1.0]]), np.array([0.9]), np.array([1.0]), order=1)
@@ -243,8 +252,8 @@ def test_residual_massless_reduces_to_balance():
     state = RigidBodyState3D(np.zeros(3), rng.standard_normal(3), rng.standard_normal(3), np.eye(3))
     dot_a = StateSlope(state.v, rng.standard_normal(3), rng.standard_normal(3), np.zeros((3, 3)))
     dot_b = StateSlope(state.v, rng.standard_normal(3), rng.standard_normal(3), np.zeros((3, 3)))
-    res_a = added_mass_rhs_residual(dot_a, state, forcing, BodyInertia.zero())
-    res_b = added_mass_rhs_residual(dot_b, state, forcing, BodyInertia.zero())
+    res_a = added_mass_rhs_residual(dot_a, state, forcing, _massless())
+    res_b = added_mass_rhs_residual(dot_b, state, forcing, _massless())
     assert np.array_equal(res_a[3:9], res_b[3:9])
     want = tens.avv @ state.v + tens.avw @ state.omega - forcing.f_tilde
     assert np.allclose(res_a[3:6], want, atol=1e-14)
@@ -264,7 +273,7 @@ def test_residual_vanishes_on_dirk1_step(mass):
     y0 = RigidBodyState3D(rng.standard_normal(3), rng.standard_normal(3),
                           rng.standard_normal(3), e0)
     dt = 0.05
-    y1 = dirk_step(y0, inertia, lambda t: forcing, DIRKTableau.dirk1(), dt)
+    y1 = dirk_step(y0, inertia, lambda t: forcing, _dirk1(), dt)
     dot = StateSlope((y1.x - y0.x) / dt, (y1.v - y0.v) / dt,
                      (y1.omega - y0.omega) / dt, (y1.E - y0.E) / dt)
     res = added_mass_rhs_residual(dot, y1, forcing, inertia)
@@ -325,7 +334,7 @@ def test_dirk_convergence_orders():
     t_final = 0.5
     sol = solve_ivp(rhs, [0.0, t_final], y0, rtol=1e-12, atol=1e-14)
     y_ref = sol.y[:, -1]
-    for tableau, lo, hi in [(DIRKTableau.dirk1(), 0.9, 1.1), (DIRKTableau.dirk3(), 2.8, 3.2)]:
+    for tableau, lo, hi in [(_dirk1(), 0.9, 1.1), (DIRKTableau.dirk3(), 2.8, 3.2)]:
         errs = [
             _state_error(_integrate(inertia, provider, tableau, y0, t_final, n), y_ref)
             for n in (20, 40, 80, 160)
@@ -343,7 +352,7 @@ def test_dirk1_matches_hand_backward_euler():
     v0, w0 = rng.standard_normal(3), 1e-4 * rng.standard_normal(3)
     state = RigidBodyState3D(np.zeros(3), v0, w0, np.eye(3))
     dt = 0.01
-    out = dirk_step(state, inertia, provider, DIRKTableau.dirk1(), dt)
+    out = dirk_step(state, inertia, provider, _dirk1(), dt)
 
     lhs = np.zeros((6, 6))
     lhs[:3, :3] = inertia.mass * np.eye(3) + dt * tens.avv
@@ -368,12 +377,12 @@ def test_zero_mass_body_responds_instantly():
     # not stiffly accurate, so it relaxes there geometrically instead.
     tens = _diag_tensors(2.0, 1.0)
     provider = lambda t: PartialForcing(np.array([3.0, 0.0, 0.0]), np.zeros(3), tens)
-    out = dirk_step(RigidBodyState3D.rest(), BodyInertia.zero(), provider,
-                    DIRKTableau.dirk1(), 0.1)
+    out = dirk_step(RigidBodyState3D.rest(), _massless(), provider,
+                    _dirk1(), 0.1)
     assert np.max(np.abs(out.v - [1.5, 0.0, 0.0])) < 1e-13
     state = RigidBodyState3D.rest()
     for _ in range(100):
-        state = dirk_step(state, BodyInertia.zero(), provider, DIRKTableau.dirk3(), 0.1)
+        state = dirk_step(state, _massless(), provider, DIRKTableau.dirk3(), 0.1)
     assert np.max(np.abs(state.v - [1.5, 0.0, 0.0])) < 1e-10
 
 
@@ -384,7 +393,7 @@ def test_scalar_reduction_matches_1d_decay():
     tens = _diag_tensors(a, 1.0)
     state = RigidBodyState3D(np.zeros(3), np.array([1.0, 0.0, 0.0]), np.zeros(3), np.eye(3))
     out = dirk_step(state, BodyInertia(m, np.eye(3)), _still_forcing(tens),
-                    DIRKTableau.dirk1(), dt)
+                    _dirk1(), dt)
     assert abs(out.v[0] - m / (m + dt * a)) < 1e-15
 
 
@@ -392,13 +401,13 @@ def test_sphere_with_zero_inertia_is_singular():
     sph = added_mass_tensors(sample_surface(Ellipsoid(1.0, 1.0, 1.0), 1.0, 32))
     provider = lambda t: PartialForcing(np.ones(3), np.ones(3), sph)
     with pytest.raises(SingularStage, match="condition number"):
-        dirk_step(RigidBodyState3D.rest(), BodyInertia.zero(), provider,
-                  DIRKTableau.dirk1(), 0.1)
+        dirk_step(RigidBodyState3D.rest(), _massless(), provider,
+                  _dirk1(), 0.1)
 
 
 def test_rest_state_is_fixed_point():
     tens = _diag_tensors(1.0, 1.0)
-    for tableau in (DIRKTableau.dirk1(), DIRKTableau.dirk3()):
+    for tableau in (_dirk1(), DIRKTableau.dirk3()):
         out = dirk_step(RigidBodyState3D.rest(), BodyInertia(1.0, np.eye(3)),
                         _still_forcing(tens), tableau, 0.5)
         assert np.array_equal(out.x, np.zeros(3))
@@ -412,7 +421,7 @@ def test_stiff_decay_is_a_stable():
     tens = _diag_tensors(k, 1.0)
     state = RigidBodyState3D(np.zeros(3), np.array([1.0, 0.0, 0.0]), np.zeros(3), np.eye(3))
     inertia = BodyInertia(1.0, np.eye(3))
-    r1 = dirk_step(state, inertia, _still_forcing(tens), DIRKTableau.dirk1(), dt).v[0]
+    r1 = dirk_step(state, inertia, _still_forcing(tens), _dirk1(), dt).v[0]
     r3 = dirk_step(state, inertia, _still_forcing(tens), DIRKTableau.dirk3(), dt).v[0]
     assert abs(r1) < 1.0 and abs(r3) < 1.0
     # the DIRK3 stability function tends to 1 - sqrt(3) at -infinity
@@ -442,7 +451,7 @@ def test_non_finite_stage_matrix_is_singular():
     state = RigidBodyState3D(np.zeros(3), np.zeros(3), np.array([np.nan, 0.0, 0.0]), np.eye(3))
     with pytest.raises(SingularStage, match="condition number inf"):
         dirk_step(state, BodyInertia(1.0, np.diag([1.0, 2.0, 3.0])),
-                  _still_forcing(_diag_tensors(1.0, 1.0)), DIRKTableau.dirk1(), 0.1)
+                  _still_forcing(_diag_tensors(1.0, 1.0)), _dirk1(), 0.1)
 
 
 def test_non_finite_forcing_raises_divergence():
@@ -450,13 +459,13 @@ def test_non_finite_forcing_raises_divergence():
     provider = lambda t: PartialForcing(np.array([np.inf, 0.0, 0.0]), np.zeros(3), tens)
     with pytest.raises(NewtonDivergence):
         dirk_step(RigidBodyState3D.rest(), BodyInertia(1.0, np.eye(3)), provider,
-                  DIRKTableau.dirk1(), 0.1)
+                  _dirk1(), 0.1)
 
 
 def test_dirk_step_rejects_bad_dt():
     with pytest.raises(ValueError):
         dirk_step(RigidBodyState3D.rest(), BodyInertia(1.0, np.eye(3)),
-                  _still_forcing(_diag_tensors(1.0, 1.0)), DIRKTableau.dirk1(), 0.0)
+                  _still_forcing(_diag_tensors(1.0, 1.0)), _dirk1(), 0.0)
 
 
 # -- surface projection --------------------------------------------------------
