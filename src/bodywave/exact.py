@@ -118,8 +118,8 @@ def _vb_response(prob: ModelProblem, t: np.ndarray, s: float, c: float, a: float
 
     and e^P (erf A - erf B) = e^P erfc(B) - e^P erfc(A) is evaluated from the
     simplified exponents P - A^2 = -beta^2 q^2 and P - B^2 = -Zt t/m - beta^2 x0^2,
-    so no factor overflows for any m > 0; r is never squared, so a heavy body
-    (r near 0) overflows nothing either.
+    so no factor overflows for any m > 0; 2 c beta m is never squared, so a
+    heavy body (r near 0) overflows nothing either.
     """
     zt, m, b, x0 = prob.z_total, prob.m_body, prob.beta, prob.x0
     b2 = b * b

@@ -70,8 +70,8 @@ def test_body_velocity_matches_ode_oracle(m, rho):
 
 
 def test_heavy_body_keeps_its_initial_velocity():
-    """At m = 1e300 the waves cannot move the body, and the closed form, whose
-    r = Zt/(2 c beta m) is never squared, gives V0(0) without overflow."""
+    """At m = 1e300 the waves cannot move the body, and the closed form, which
+    never squares 2 c beta m, gives V0(0) without overflow."""
     prob = _standard(1e300)
     v0 = float(prob.velocity0(0.0))
     with np.errstate(over="raise", invalid="raise"):
