@@ -610,8 +610,8 @@ def test_cli_diverged_run_emits_no_warnings(tmp_path):
 
 @pytest.mark.parametrize("mass", ["1e153", "1.7e308"])
 def test_cli_simulate_heavy_body_exits_0(tmp_path, mass):
-    """A body heavier than about 4e152 once overflowed the exact solution's
-    (2 c beta m)^2; it stays at rest, as the exact solution says."""
+    """A body heavier than about 4e152, where (2 c beta m)^2 is past the
+    largest float, stays at rest, as the exact solution says."""
     out = tmp_path / "rep.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
