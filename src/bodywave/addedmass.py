@@ -22,11 +22,11 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 
-class DegenerateGeometry(ValueError):
+class DegenerateGeometry(ValueError, ArithmeticError):
     """Surface sampling produced a non-positive metric factor."""
 
 
-class UnsupportedShape(ValueError):
+class UnsupportedShape(ValueError, ArithmeticError):
     """No closed-form tensors exist for this shape."""
 
 

@@ -39,7 +39,7 @@ from .materials import FluidField1D, FluidMaterial
 from .schemes import Characteristics, lax_wendroff_step, upwind_step
 
 
-class SingularBodyUpdate(ValueError):
+class SingularBodyUpdate(ValueError, ArithmeticError):
     """Implicit body solve has a non-positive denominator (e.g. massless
     body with alpha = 0 on both sides)."""
 

@@ -10,9 +10,12 @@ balance reduce the body motion to the scalar ODE
 whose forcing g collects the incident characteristics.  The ODE integrates
 in closed form into exponential-times-erf terms.  Written plainly those
 terms cancel catastrophically for small m and overflow once z/(m beta c) is
-large, so for every m > 0 each product e^P erfc(X) is evaluated through the
+large, so for m > 0 each product e^P erfc(X) is evaluated through the
 scaled complement erfcx with the exponent differences P - X^2 simplified
-analytically.  For m = 0 the balance is quasi-steady: vb = g/(z_L + z_R).
+analytically.  A light body, w = 2 beta max(c) m / Zt <= 1e-17 with
+Zt = z_L + z_R, takes the m -> 0 limit with its initial layer instead,
+vb = g/Zt + (V0(0) - g(0)/Zt) e^(-Zt t/m), within about 5e-16 of max |vb| of
+the erfcx form at that bound; at m = 0 the layer is 0 and vb = g/Zt.
 The body displacement is closed form too: the ODE integrated over (0, t)
 gives (z_L + z_R) int vb = int g - m (vb(t) - vb(0)), and int g is a sum of
 erf terms.
@@ -36,7 +39,7 @@ import numpy as np  # scipy is imported inside the functions that call it, off t
 from .materials import FluidMaterial
 
 
-class DomainError(ValueError):
+class DomainError(ValueError, ArithmeticError):
     """Evaluation requested outside the solution's space-time domain."""
 
 
@@ -138,8 +141,13 @@ def body_velocity_exact(prob: ModelProblem, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise DomainError("t must be >= 0")
-    if prob.m_body == 0.0:
-        out = body_ode_forcing(prob, t_arr) / prob.z_total
+    zt, m = prob.z_total, prob.m_body
+    if 2.0 * prob.beta * max(prob.mat_left.c, prob.mat_right.c) * m / zt <= 1e-17:  # a light body
+        out = body_ode_forcing(prob, t_arr) / zt
+        if m > 0.0:  # the initial layer; -Zt t/m is -inf at a subnormal m, and its exp exactly 0
+            with np.errstate(over="ignore"):
+                layer = np.exp(-zt * t_arr / m)
+            out = out + (prob.velocity0(0.0) - body_ode_forcing(prob, 0.0) / zt) * layer
     else:
         tt = np.atleast_1d(t_arr)
         # free decay of vb(0) = V0(0), plus the response to each incident wave

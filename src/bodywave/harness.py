@@ -34,6 +34,7 @@ SCHEMES = ("first", "second")
 COUPLINGS = ("traditional", "projection", "custom")
 SHAPES = ("ellipse", "sphere", "ellipsoid", "starfish", "all")
 MAX_CELLS = 2 ** 20  # cap on the finest grid per side, n_cells * 2**(levels - 1)
+MAX_STEPS = 2 ** 20  # cap on the steps of a 1D run's finest level, t_final / dt
 _FIELD_TYPES = {"str": str, "int": Integral, "float": Real}  # bool is Integral: refused separately
 
 
@@ -99,6 +100,14 @@ class RunConfig:
         for name, value in self.to_dict().items():
             if isinstance(value, float) and not isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        self.materials()  # refuses a material whose z or kappa is not a normal float
+        if self.mode in ("simulate1d", "converge1d"):  # the finest level's dt, as run_simulation's
+            dx = self.domain_length / (self.n_cells << (self.levels - 1))
+            dt = self.cfl * dx / max(self.c_left, self.c_right)
+            if not (dt > 0.0 and self.t_final / dt <= MAX_STEPS):  # a float ratio: inf is refused too
+                raise ValueError(f"t_final / dt, the steps on the finest grid, must be <= {MAX_STEPS}, "
+                                 f"got t_final {self.t_final}, cfl {self.cfl}, n_cells {self.n_cells}, "
+                                 f"levels {self.levels} and domain_length {self.domain_length}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -435,19 +444,12 @@ def run_rigidbody_demo(cfg: RunConfig) -> dict:
 
 
 def _jsonable(obj):
+    """Strict JSON has no NaN or Infinity: a non-finite float is written as null."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):  # strict JSON: non-finite -> null
-        return float(obj) if isfinite(obj) else None
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+    return None if isinstance(obj, float) and not isfinite(obj) else obj
 
 
 def format_json(report: dict) -> str:
@@ -479,8 +481,8 @@ def write_csv_table(path: str, rows: list[dict], config: dict) -> None:
 def _csv_cell(value):
     if value is None:
         return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
+    if isinstance(value, float):
+        return repr(value)
     return value
 
 
@@ -498,8 +500,8 @@ def format_table(rows: list[dict]) -> str:
 def _text_cell(value) -> str:
     if value is None:
         return "-"
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.6g}"
+    if isinstance(value, float):
+        return f"{value:.6g}"
     return str(value)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from sys import float_info
 
 import numpy as np
 
@@ -35,8 +36,13 @@ class FluidMaterial:
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
         if not (self.c > 0.0 and np.isfinite(self.c)):
             raise ValueError(f"c must be positive and finite, got {self.c}")
-        object.__setattr__(self, "z", self.rho * self.c)
-        object.__setattr__(self, "kappa", self.rho * self.c * self.c)
+        z, kappa = self.rho * self.c, self.rho * self.c * self.c
+        # the characteristic transforms scale by z and kappa = c z, and divide by 2 kappa
+        if not (float_info.min <= z <= float_info.max and float_info.min <= kappa <= 0.5 / float_info.min):
+            raise ValueError(f"rho * c, rho * c**2 and 1/(2 rho c**2) must be normal floats, "
+                             f"got rho {self.rho} and c {self.c}")
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "kappa", kappa)
 
 
 @dataclass(frozen=True)

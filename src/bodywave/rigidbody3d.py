@@ -25,15 +25,15 @@ import numpy as np  # scipy is imported inside the functions that call it, off t
 from .addedmass import AddedMassTensors
 
 
-class SingularStage(RuntimeError):
+class SingularStage(RuntimeError, ArithmeticError):
     """The implicit stage matrix is (numerically) singular."""
 
 
-class NewtonDivergence(RuntimeError):
+class NewtonDivergence(RuntimeError, ArithmeticError):
     """The stage Newton iteration failed to converge."""
 
 
-class NonphysicalPressure(ValueError):
+class NonphysicalPressure(ValueError, ArithmeticError):
     """Surface projection produced a non-positive pressure."""
 
 

@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import as_strided
 from .materials import FluidField1D, FluidMaterial
 
 
-class CflViolation(ValueError):
+class CflViolation(ValueError, ArithmeticError):
     """Raised when c dt/dx exceeds the stability bound of the stepper."""
 
 

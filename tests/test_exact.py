@@ -15,6 +15,8 @@ from bodywave.materials import FluidMaterial
 from bodywave.exact import (
     DomainError,
     ModelProblem,
+    _incident_waves,
+    _vb_response,
     body_displacement_exact,
     body_ode_forcing,
     body_velocity_exact,
@@ -87,6 +89,37 @@ def test_zero_mass_is_quasi_steady_limit():
     tiny = _standard(1e-10)
     t = T_GRID[T_GRID > 1e-3]
     assert np.max(np.abs(body_velocity_exact(tiny, t) - body_velocity_exact(prob, t))) < 1e-8
+
+
+def _erfcx_form(prob, t):
+    """The body velocity as body_velocity_exact takes it for every m above the light-body bound."""
+    return prob.velocity0(0.0) * np.exp(-prob.z_total * t / prob.m_body) + sum(
+        _vb_response(prob, t, *wave) for wave in _incident_waves(prob))
+
+
+@pytest.mark.parametrize("rho", [1e-3, 1.0, 100.0])
+def test_light_body_form_meets_the_erfcx_form_at_its_bound(rho):
+    """At w = 2 beta max(c) m / Zt = 1e-17 the light-body form (just below)
+    and the erfcx form (just above) agree within 1e-15 of max |vb|."""
+    t = np.linspace(0.0, 0.75, 401)
+    mats = FluidMaterial(rho, sqrt(2.0)), FluidMaterial(rho, sqrt(3.0))
+    bound = 1e-17 * (mats[0].z + mats[1].z) / (2.0 * 10.0 * sqrt(3.0))
+    light, heavy = (ModelProblem(*mats, bound * k) for k in (1.0 - 1e-14, 1.0 + 1e-14))
+    w = [2.0 * p.beta * sqrt(3.0) * p.m_body / p.z_total for p in (light, heavy)]
+    assert w[0] <= 1e-17 < w[1]
+    above = body_velocity_exact(heavy, t)
+    assert np.array_equal(above, _erfcx_form(heavy, t))
+    assert np.max(np.abs(body_velocity_exact(light, t) - above)) <= 1e-15 * np.max(np.abs(above))
+
+
+@pytest.mark.parametrize("m", [1e-320, 5e-324])
+def test_subnormal_mass_is_the_massless_body_after_its_initial_layer(m):
+    """At a subnormal m, where the erfcx form gives NaN at every time, the
+    initial layer e^(-Zt t/m) is exactly 0 for t > 0 and 1 at t = 0."""
+    with np.errstate(all="raise"):
+        got = body_velocity_exact(_standard(m), T_GRID)
+    assert got[0] == _standard(m).velocity0(0.0)
+    assert np.array_equal(got[1:], body_velocity_exact(_standard(0.0), T_GRID[1:]))
 
 
 def test_initial_velocity_matches_ic():

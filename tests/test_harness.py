@@ -1,16 +1,21 @@
 """Experiment harness and CLI: configs, reports, tables, and exit codes."""
 
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from math import sqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import bodywave
 
@@ -18,12 +23,22 @@ from bodywave.cli import SUBCOMMAND_MODES, build_parser, config_from_args, main
 from bodywave.materials import FluidField1D, FluidMaterial
 from bodywave import coupling
 from bodywave.stability import GrowthConfig, empirical_growth_rate, growth_rates
-from bodywave.addedmass import Ellipsoid, added_mass_tensors, sample_surface
+from bodywave.addedmass import (DegenerateGeometry, Ellipsoid, UnsupportedShape,
+                                added_mass_tensors, sample_surface)
+from bodywave.coupling import SingularBodyUpdate
+from bodywave.exact import DomainError
+from bodywave.rigidbody3d import NewtonDivergence, NonphysicalPressure, SingularStage
+from bodywave.schemes import CflViolation
+from bodywave.stability import ContourFailure
 from bodywave.harness import (
     ADDED_MASS_REFERENCES,
+    COUPLINGS,
     ELLIPSOID_RESOLUTION,
     MAX_CELLS,
+    MAX_STEPS,
     RUNNERS,
+    SCHEMES,
+    SWEEP_ROWS,
     RunConfig,
     format_json,
     format_table,
@@ -396,14 +411,26 @@ def test_cli_non_finite_mass_is_a_config_error(command, mass, capsys):
      "the finest grid per side, must be <= 1048576, got n_cells 3 and levels 20"),
     (["simulate"], '{"n_cells": 1000000000000}',
      "the finest grid per side, must be <= 1048576, got n_cells 1000000000000 and levels 1"),
+    (["simulate", "--tfinal", "1e300", "--cfl", "1e-300"], None,
+     "the steps on the finest grid, must be <= 1048576, got t_final 1e+300, cfl 1e-300, "
+     "n_cells 100, levels 1 and domain_length 2.0"),
+    (["simulate", "--cells", "10", "--cfl", "1e-300"], None,
+     "the steps on the finest grid, must be <= 1048576, got t_final 0.75, cfl 1e-300, n_cells 10"),
+    (["simulate"], '{"c_left": 1e-200}', "must be normal floats, got rho 1.0 and c 1e-200"),
+    (["stability"], '{"c_left": 1e-200}', "must be normal floats, got rho 1.0 and c 1e-200"),
+    (["simulate"], '{"rho_left": 1e300, "c_left": 1e10}',
+     "must be normal floats, got rho 1e+300 and c 10000000000.0"),
+    (["simulate"], '{"rho_left": 1e-320}', "must be normal floats, got rho 1e-320 and c 1.41"),
 ], ids=["tfinal-inf", "domain-length-inf", "alpha-nan", "seed-negative", "mass-str",
         "cells-float", "levels-bool", "mass-int-too-large", "tfinal-int-too-large",
         "cells-int-too-large", "resolution-int-too-large", "levels-finest-grid-too-large",
-        "levels-one-past-the-cap", "cells-finest-grid-too-large"])
+        "levels-one-past-the-cap", "cells-finest-grid-too-large", "steps-past-any-float",
+        "steps-past-the-cap", "kappa-underflows", "kappa-underflows-stability", "z-overflows",
+        "z-subnormal"])
 def test_cli_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, argv, config, message):
     """Each value is refused by the config loader with the field named, not
-    later by a traceback, a grid size, numpy's seeding, an all-null report or
-    a run on a fractional grid."""
+    later by a traceback, a grid size, numpy's seeding, an all-null report,
+    a run on a fractional grid or a run of some 1e300 steps."""
     if config is not None:
         (tmp_path / "cfg.json").write_text(config)
         argv = [*argv, "--config", str(tmp_path / "cfg.json")]
@@ -431,6 +458,22 @@ def test_config_refuses_a_huge_levels_at_once_and_accepts_the_cap():
         RunConfig.from_dict({"mode": "converge1d", "n_cells": n_cells, "levels": levels})
     with pytest.raises(ValueError, match="finest grid"):
         RunConfig.from_dict({"mode": "converge1d", "n_cells": MAX_CELLS // 4 + 1, "levels": 3})
+
+
+def test_config_refuses_one_step_past_the_cap_at_once_and_accepts_the_cap():
+    """dt = cfl * dx / max(c) is 2**-10 here, so t_final = 1024 asks for
+    exactly MAX_STEPS steps; in a study the finest level's steps count."""
+    assert MAX_STEPS == 2 ** 20
+    cap = {"c_left": 1.0, "c_right": 1.0, "cfl": 1.0, "domain_length": 1.0, "n_cells": 1024,
+           "t_final": 1024.0}
+    RunConfig.from_dict(cap)
+    RunConfig.from_dict({**cap, "mode": "converge1d", "n_cells": 256, "levels": 3})
+    start = time.perf_counter()
+    for past in ({**cap, "t_final": 1024.0 + 2.0 ** -10},
+                 {**cap, "mode": "converge1d", "n_cells": 256, "levels": 3, "t_final": 1024.0 + 2.0 ** -10}):
+        with pytest.raises(ValueError, match="t_final / dt, the steps on the finest grid, must be <= 1048576"):
+            RunConfig.from_dict(past)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_every_parser_option_is_a_config_field():
@@ -545,6 +588,29 @@ def test_cli_contour_failure_exits_3(monkeypatch, capsys):
     assert "numerical failure: ContourFailure" in err and "vanished" in err
 
 
+@pytest.mark.parametrize("cls, base", [
+    (CflViolation, ValueError), (SingularBodyUpdate, ValueError), (SingularStage, RuntimeError),
+    (NewtonDivergence, RuntimeError), (NonphysicalPressure, ValueError), (DomainError, ValueError),
+    (DegenerateGeometry, ValueError), (UnsupportedShape, ValueError),
+    (ContourFailure, ArithmeticError), (FloatingPointError, ArithmeticError),
+], ids=lambda v: v.__name__)
+def test_each_numerical_failure_type_is_an_arithmetic_error_and_keeps_its_base(cls, base):
+    """The CLI's exit 3 is `except ArithmeticError`; library code that
+    catches the old base still catches each type."""
+    assert issubclass(cls, ArithmeticError) and issubclass(cls, base)
+
+
+def test_cli_any_arithmetic_error_exits_3_on_one_line(monkeypatch, capsys):
+    """An arithmetic error of no solver type, here a ZeroDivisionError in a
+    runner, ends in one named stderr line, not a traceback with exit 1."""
+    def divide_by_zero(cfg):
+        return 1.0 / 0.0
+
+    monkeypatch.setitem(bodywave.harness.RUNNERS, "simulate1d", divide_by_zero)
+    assert main(["simulate", "--cells", "10"]) == 3
+    assert capsys.readouterr().err == "numerical failure: ZeroDivisionError: float division by zero\n"
+
+
 def test_cli_stability_refuses_massless_body(capsys):
     """Every sweep step is a multiple of the traditional bound, which is 0 for
     a massless body; the refusal names that reason, not a step size the user
@@ -633,3 +699,81 @@ def test_cli_simulate_dense_fluids_is_not_reported_diverged(tmp_path):
     report = json.loads(out.read_text())
     assert report["diverged"] is False
     assert all(v is not None and np.isfinite(v) for v in report["errors"].values())
+
+
+@pytest.mark.parametrize("mass", ["1e-200", "1e-320", "5e-324"])
+def test_cli_simulate_light_body_exits_0(tmp_path, mass):
+    """A body lighter than about 1e-154, where Zt/(2 c beta m) overflowed,
+    moves as the massless body after its initial layer."""
+    out = tmp_path / "rep.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--mass", mass, "--cells", "10", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["diverged"] is False
+    assert all(v is not None and np.isfinite(v) for v in report["errors"].values())
+
+
+def _report_types(obj) -> set:
+    if isinstance(obj, dict):
+        return {dict}.union(*map(_report_types, obj.values()))
+    if isinstance(obj, list):
+        return {list}.union(*map(_report_types, obj))
+    return {type(obj)}
+
+
+def test_reports_hold_only_json_types(sweep_1e3):
+    """The report writers handle dict, list, str, int, float, bool and None
+    alone, so no runner may put a numpy scalar or array into a report."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        reports = [
+            run_simulation(RunConfig(n_cells=10, t_final=0.05)),
+            run_convergence_study(RunConfig(mode="converge1d", n_cells=10, levels=2, t_final=0.05)),
+            run_convergence_study(RunConfig(mode="converge1d", scheme="first", coupling="traditional",
+                                            mass=1e-6, n_cells=50, levels=2, t_final=2.0)),
+            sweep_1e3,
+            run_addedmass_table(RunConfig(mode="addedmass_table", resolution=16)),
+            run_rigidbody_demo(RunConfig(mode="rigidbody3d_demo")),
+        ]
+    assert reports[2]["diverged_levels"] == [0, 1]
+    for report in reports:
+        assert _report_types(report) <= {dict, list, str, int, float, bool, type(None)}
+
+
+EXTREMES = (0.0, 5e-324, 1e-320, 1e-200, 1e-154, 1e-20, 1e-6, 1.0, 1e6, 1e150, 1e300, 1.7e308)
+EXTREME_FIELDS = ("rho_left", "c_left", "rho_right", "c_right", "mass", "beta",
+                  "alpha_left", "alpha_right")
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@example(command="simulate", scheme="second", coupling="projection", values={"c_left": 1e-200},
+         n_cells=10, levels=1, t_final=1e-3)
+@given(command=st.sampled_from(("simulate", "converge", "stability")),
+       scheme=st.sampled_from(SCHEMES), coupling=st.sampled_from(COUPLINGS),
+       values=st.dictionaries(st.sampled_from(EXTREME_FIELDS), st.sampled_from(EXTREMES), max_size=3),
+       n_cells=st.integers(3, 10), levels=st.integers(1, 2),
+       t_final=st.sampled_from((1e-6, 1e-4, 1e-3)))
+def test_cli_extreme_inputs_end_in_a_documented_exit_code(command, scheme, coupling, values,
+                                                          n_cells, levels, t_final):
+    """Extreme densities, speeds, masses, pulse widths and interface weights
+    end in exit 2, exit 3 or exit 0 with a whole report (strict JSON, or a
+    CSV row per sweep row), never a traceback."""
+    if coupling == "custom":
+        values = {"alpha_left": 1.0, "alpha_right": 1.0, **values}
+    suffix = ".csv" if command == "stability" else ".json"
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / f"report{suffix}"
+        cfg.write_text(json.dumps(values))
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            code = main([command, "--scheme", scheme, "--coupling", coupling, "--cells", str(n_cells),
+                         "--levels", str(levels), "--tfinal", repr(t_final), "--config", str(cfg),
+                         "--out", str(out)])
+        assert code in (0, 2, 3) and "Traceback" not in stderr.getvalue()
+        if code == 0 and suffix == ".json":
+            json.loads(out.read_text(), parse_constant=_reject_constant)
+        elif code == 0:  # one complete row per sweep row
+            lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("# ")]
+            rows = list(csv.reader(lines))
+            assert len(rows) == 1 + len(SWEEP_ROWS) and {len(row) for row in rows} == {len(rows[0])}

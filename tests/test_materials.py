@@ -12,9 +12,19 @@ def test_material_derived_quantities():
 
 
 def test_material_validation():
-    for rho, c in [(-1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (np.inf, 1.0), (1.0, np.nan)]:
+    for rho, c in [(-1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (np.inf, 1.0), (1.0, np.nan),
+                   (1.0, 1e-200),  # kappa = rho c^2 underflows to 0
+                   (1e300, 1e10),  # z = rho c overflows
+                   (1e-320, 1.0),  # z is subnormal
+                   (1e300, 1e4)]:  # kappa = 1e308 is finite, but 1/(2 kappa) is subnormal
         with pytest.raises(ValueError):
             FluidMaterial(rho, c)
+
+
+def test_material_accepts_derived_constants_up_to_the_normal_range():
+    for rho, c in ((1e300, 1e3), (1e-300, 1e-3), (1e-150, 1.0)):
+        m = FluidMaterial(rho, c)
+        assert m.z == rho * c and m.kappa == rho * c * c
 
 
 class TestGrid1D:
