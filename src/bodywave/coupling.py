@@ -1,6 +1,8 @@
 """Partitioned coupling of the two half-line fluids to a rigid body.
 
-A run's stored state is characteristic (`CoupledRun`).  The body sees
+A run's stored state is characteristic (`CoupledRun`).  The ghost cells
+are not data: at every level, the first included, a run sets them from
+cells 1-2 and v_body by the interface rule below.  The body sees
 interface stresses built from the fluid cells next to it; alpha
 interpolates between the traditional coupling (alpha = 0: raw fluid stress)
 and the characteristic projection (alpha = z: the incoming characteristic
@@ -22,8 +24,8 @@ The body update is implicit in the interface stresses, which keeps the loop
 stable for any mass ratio; it reduces to a scalar solve per step.  The
 interface rule is written once, over a record's flat view: `_edges` gathers
 cells 1-2 of both sides and gives phi_e, `_fill` forms sigma_I and writes the
-four ghosts.  `couple`, a run's starting flux and `CoupledState.initial` all
-use them, with a record's constants built once by `_interface`.  Runs of one
+four ghosts.  `couple` and a new run's ghosts and starting flux use them,
+with a record's constants built once by `_interface`.  Runs of one
 order and shape can advance as a (B, 2, 2, n + 2) stack (`Characteristics.stack`,
 each run's chars.x a view of its slice): one stencil call, then each `couple`.
 """
@@ -94,7 +96,8 @@ def _fill(flat, ghosts: tuple, cells, phi_l: float, phi_r: float, v: float) -> N
 
 @dataclass
 class CoupledState:
-    """Fluid fields plus body velocity/position at one time level."""
+    """Fluid fields plus body velocity/position at one time level.  A run
+    derives its own ghosts, so the ghost values of a state are ignored."""
 
     left: FluidField1D
     right: FluidField1D
@@ -102,26 +105,10 @@ class CoupledState:
     x_body: float = 0.0
     t: float = 0.0
 
-    @classmethod
-    def initial(cls, left: FluidField1D, right: FluidField1D, v_body: float, alpha_left: float,
-                alpha_right: float, order: int, x_body: float = 0.0) -> "CoupledState":
-        """State with ghost cells made consistent with the interior data
-        (the given fields are copied, not changed).  The ghost rule is
-        linear in (v, sigma), so any material's characteristics give the
-        same ghost; a unit material's are used."""
-        unit = FluidMaterial(1.0, 1.0)
-        chars = Characteristics((left, right), (unit, unit))
-        gather, ghosts = _interface(chars, (alpha_left, alpha_right), SCHEMES[order])
-        _fill(chars.flat, ghosts, *_edges(chars.flat, gather), v_body)
-        left, right = left.copy(), right.copy()
-        for f, filled in zip((left, right), chars.fields()):
-            g = f.grid.ghost_index
-            f.v[g], f.sigma[g] = filled.v[g], filled.sigma[g]
-        return cls(left, right, v_body, x_body, 0.0)
-
 
 class CoupledRun:
-    """A coupled run from `state` (ghosts as given), advanced in place.  It
+    """A coupled run from `state`, advanced in place; at construction it
+    fills its ghosts and `flux` as `couple` leaves them after a step.  It
     stores both sides' (left, right) outward characteristics in `chars`, and
     v_body, x_body, t and `flux`, the sum of both sides' edge fluxes at the
     current level, as Python floats; (v, sigma) fields are built only by
@@ -140,7 +127,8 @@ class CoupledRun:
         self.keep = m_body - (1.0 - theta) * dt * a_sum
         self.gather, self.ghosts = _interface(self.chars, (alpha_left, alpha_right), self.scheme)
         self.v_body, self.x_body, self.t = state.v_body, state.x_body, state.t
-        _, phi_l, phi_r = _edges(self.chars.flat, self.gather)
+        cells, phi_l, phi_r = _edges(self.chars.flat, self.gather)
+        _fill(self.chars.flat, self.ghosts, cells, phi_l, phi_r, self.v_body)
         self.flux = phi_r + phi_l
 
     def step(self) -> None:
@@ -176,7 +164,8 @@ class CoupledRun:
 
 def step_algorithm1(state: CoupledState, *args, **kwargs) -> CoupledState:
     """Algorithm 1 (upwind, backward Euler): one order-1 `CoupledRun` step
-    from `state`, returned as a new state (arguments as for CoupledRun)."""
+    from `state` (its ghosts ignored), returned as a new state (arguments
+    as for CoupledRun)."""
     run = CoupledRun(1, state, *args, **kwargs)
     run.step()
     return run.state()

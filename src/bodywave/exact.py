@@ -72,10 +72,16 @@ class ModelProblem:
         return -(sqrt(pi) / (4.0 * self.beta)) * erf(self.beta * (np.asarray(x, float) - self.x0))
 
     def strain0(self, x):
-        return -0.5 * np.exp(-(self.beta * (np.asarray(x, float) - self.x0)) ** 2)
+        return -0.5 * _gaussian(self.beta, np.asarray(x, float) - self.x0)
 
     def velocity0(self, x):
-        return (self.mat_left.c / 2.0) * np.exp(-(self.beta * (np.asarray(x, float) - self.x0)) ** 2)
+        return (self.mat_left.c / 2.0) * _gaussian(self.beta, np.asarray(x, float) - self.x0)
+
+
+def _gaussian(beta, y):
+    """exp(-(beta y)^2); where beta y or its square overflows, its limit 0."""
+    with np.errstate(over="ignore"):
+        return np.exp(-(beta * y) ** 2)
 
 
 def _incident_waves(prob: ModelProblem):
@@ -89,7 +95,7 @@ def body_ode_forcing(prob: ModelProblem, t):
     """g(t): incident-characteristic forcing in m vb' + (zL+zR) vb = g."""
     t = np.asarray(t, dtype=float)
     b, x0 = prob.beta, prob.x0
-    return sum(a * np.exp(-(b * (c * t - s * x0)) ** 2) for s, c, a in _incident_waves(prob))
+    return sum(a * _gaussian(b, c * t - s * x0) for s, c, a in _incident_waves(prob))
 
 
 def _exp_p_erfc(p, p_minus_x2, x):

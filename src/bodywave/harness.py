@@ -169,8 +169,7 @@ def run_simulation(cfg: RunConfig) -> dict:
         v[grid.interior], s[grid.interior] = _exact_interior(prob, grid, 0.0)
         fields.append(FluidField1D(grid, v, s))
     v0 = float(body_velocity_exact(prob, 0.0))
-    run = CoupledRun(order, CoupledState.initial(*fields, v0, alpha_l, alpha_r, order),
-                     mat_l, mat_r, cfg.mass, dt, alpha_l, alpha_r)
+    run = CoupledRun(order, CoupledState(*fields, v0), mat_l, mat_r, cfg.mass, dt, alpha_l, alpha_r)
     v_body_hist = [run.v_body]
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
         for _ in range(n_steps):

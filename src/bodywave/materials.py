@@ -114,9 +114,6 @@ class FluidField1D:
             raise ValueError(f"field arrays must have shape ({npts},), "
                              f"got v {self.v.shape} sigma {self.sigma.shape}")
 
-    def copy(self) -> "FluidField1D":
-        return FluidField1D(self.grid, self.v.copy(), self.sigma.copy())
-
     def to_characteristics(self, mat: FluidMaterial) -> tuple[np.ndarray, np.ndarray]:
         """Return (a, b) with a = (sigma - z v)/(2cz), b = (sigma + z v)/(2cz)."""
         s = 1.0 / (2.0 * mat.c * mat.z)

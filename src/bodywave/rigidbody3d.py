@@ -240,8 +240,8 @@ def dirk_step(
     """One DIRK step; forcing_provider(time) returns the PartialForcing at a
     stage time (freeze it to reproduce tensors held fixed over the step)."""
     from scipy.linalg.lapack import dgesv
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     gdt = tableau.gamma * dt
     a, b, c = tableau.a, tableau.b, tableau.c
     # y = (x, v, omega, E) flattened; one row of stage slopes per stage

@@ -46,11 +46,10 @@ def _courant(grid, mat: FluidMaterial, dt: float) -> float:
 
 class Characteristics:
     """Outward characteristics of `fields` (ghosts included), all with one
-    n_cells; `grid`, the first side's, gives the cells per side (perfbench
-    counts work by it).  Given dt it can be stepped, each side at its own
-    Courant number."""
+    n_cells, steppable by dt, each side at its own Courant number; `grid`,
+    the first side's, gives the cells per side (perfbench counts work by it)."""
 
-    def __init__(self, fields, mats, dt: float | None = None):
+    def __init__(self, fields, mats, dt: float):
         self.grids, self.mats, self.grid = tuple(f.grid for f in fields), tuple(mats), fields[0].grid
         if any(g.n_cells != self.grid.n_cells for g in self.grids):
             raise ValueError("all sides need the same n_cells")
@@ -58,8 +57,6 @@ class Characteristics:
         for i, f in enumerate(fields):
             phys = self.physical(i)
             phys[0], phys[1] = f.to_characteristics(self.mats[i])
-        if dt is None:
-            return
         lam = np.array([_courant(g, m, dt) for g, m in zip(self.grids, self.mats)])[:, None]
         half, half2, sign = 0.5 * lam, 0.5 * lam * lam, np.array([1.0, -1.0])
         # per row (side, family): upwind -lam (u) / +lam (w), Lax-Wendroff cw, c0, ce
@@ -125,11 +122,7 @@ def _lax_wendroff(ch):
 
 
 def _step(kernel, field, mat, dt):
-    if isinstance(field, Characteristics):
-        ch = field
-    else:
-        _courant(field.grid, mat, dt)  # a field can only be stepped by a valid dt
-        ch = Characteristics((field,), (mat,), dt)
+    ch = field if isinstance(field, Characteristics) else Characteristics((field,), (mat,), dt)
     np.copyto(*ch.edge)  # the far cell copies the last
     kernel(ch)
     if ch is field:

@@ -292,8 +292,7 @@ def _growth_run(config: GrowthConfig) -> CoupledRun:
         s[g.interior] = GROWTH_AMPLITUDE * rng.standard_normal(n)
         fields.append(FluidField1D(g, v, s))
     v_body = GROWTH_AMPLITUDE * rng.standard_normal()
-    state = CoupledState.initial(*fields, v_body, config.alpha, config.alpha, order)
-    return CoupledRun(order, state, config.mat, config.mat, config.mass, config.dt,
+    return CoupledRun(order, CoupledState(*fields, v_body), config.mat, config.mat, config.mass, config.dt,
                       config.alpha, config.alpha)
 
 

@@ -164,9 +164,7 @@ def test_criterion_04_massless_projection_long_run():
             v[sl] = prob.velocity0(x[sl])
             s[sl] = _stress0(prob, x[sl], side)
             fields[side] = FluidField1D(grid, v, s)
-        state = CoupledState.initial(fields["left"], fields["right"],
-                                     float(prob.velocity0(0.0)),
-                                     alpha_l, alpha_r, order)
+        state = CoupledState(fields["left"], fields["right"], float(prob.velocity0(0.0)))
         run = CoupledRun(order, state, mat_l, mat_r, 0.0, dt, alpha_l, alpha_r)
         c, mag = np.array([[mat_l.c], [mat_r.c]]), np.empty_like(run.chars.x[:, :, :-1])
         n0 = _coupled_norm(run, c, mag)
@@ -195,7 +193,7 @@ def test_criterion_05_quiescent_decay_ratios():
                       else (m - dt * z) / (m + dt * z))
             left = _quiescent(Grid1D.uniform("left", length, dx))
             right = _quiescent(Grid1D.uniform("right", length, dx))
-            state = CoupledState.initial(left, right, 1.0, z, z, order)
+            state = CoupledState(left, right, 1.0)
             rel = 0.0
             for _ in range(6):
                 prev = state.v_body

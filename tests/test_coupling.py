@@ -4,9 +4,10 @@ The implicit body solves are linear in the unknown velocity, so evaluating
 the defining residual at two points and intersecting gives an oracle root
 that never touches the hand-derived update formulas.  Interface stresses,
 ghosts and body solves are those of a `CoupledRun`, whose state is the
-characteristics of the fields it starts from: edge fluxes from its gather
-`_edges`, ghosts from its fill `_fill`.  The interface rule composed of
-general helpers, kept here, is the oracle of the straight-line code.
+characteristics of the fields it starts from, ghosts excepted: edge fluxes
+from its gather `_edges`, ghosts from its fill `_fill`, at construction as
+after each step.  The interface rule composed of general helpers, kept
+here, is the oracle of the straight-line code.
 """
 
 import numpy as np
@@ -14,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bodywave.coupling import (
-    SCHEMES,
     CoupledRun,
     CoupledState,
     SingularBodyUpdate,
@@ -44,7 +44,7 @@ def _quiescent(grid):
 
 
 def _run(fl, fr, order, al, ar, m=1.0, vb=0.0, dt=0.004):
-    """A run from the given fields, ghosts as given."""
+    """A run from the given fields, its ghosts filled by the run."""
     return CoupledRun(order, CoupledState(fl, fr, vb), MAT, MAT, m, dt, al, ar)
 
 
@@ -176,7 +176,7 @@ def test_quiescent_projection_decay_first_order(m_body):
     fl = _quiescent(Grid1D("left", n, dx))
     fr = _quiescent(Grid1D("right", n, dx))
     dt = 0.8 * dx / mat.c
-    state = CoupledState.initial(fl, fr, 1.0, mat.z, mat.z, order=1)
+    state = CoupledState(fl, fr, 1.0)
     expected_ratio = m_body / (m_body + 2.0 * dt * mat.z)
     for _ in range(100):
         if abs(state.v_body) < 1e-280:  # approaching subnormals
@@ -196,7 +196,7 @@ def test_quiescent_projection_decay_second_order(m_body):
     fl = _quiescent(Grid1D("left", n, dx))
     fr = _quiescent(Grid1D("right", n, dx))
     dt = 0.8 * dx / mat.c
-    state = CoupledState.initial(fl, fr, 1.0, mat.z, mat.z, order=2)
+    state = CoupledState(fl, fr, 1.0)
     expected_ratio = (m_body - dt * mat.z) / (m_body + dt * mat.z)
     for _ in range(100):
         new = step_algorithm2(state, mat, mat, m_body, dt, mat.z, mat.z)
@@ -212,9 +212,9 @@ def test_quiescent_massless_body():
     fl = _quiescent(Grid1D("left", 20, 0.05))
     fr = _quiescent(Grid1D("right", 20, 0.05))
     dt = 0.9 * 0.05 / mat.c
-    s1 = CoupledState.initial(fl, fr, 1.0, mat.z, mat.z, order=1)
+    s1 = CoupledState(fl, fr, 1.0)
     assert step_algorithm1(s1, mat, mat, 0.0, dt, mat.z, mat.z).v_body == 0.0
-    s2 = CoupledState.initial(fl, fr, 1.0, mat.z, mat.z, order=2)
+    s2 = CoupledState(fl, fr, 1.0)
     out = step_algorithm2(s2, mat, mat, 0.0, dt, mat.z, mat.z)
     assert out.v_body == pytest.approx(-1.0, abs=1e-15)
 
@@ -229,10 +229,10 @@ def test_velocity_boost_equivariance(stepper, order, alpha_scale):
     al, ar = alpha_scale * matl.z, alpha_scale * matr.z
     boost = 0.77
 
-    base = CoupledState.initial(fl, fr, 0.3, al, ar, order)
+    base = CoupledState(fl, fr, 0.3)
     shifted_l = FluidField1D(fl.grid, fl.v + boost, fl.sigma.copy())
     shifted_r = FluidField1D(fr.grid, fr.v + boost, fr.sigma.copy())
-    lifted = CoupledState.initial(shifted_l, shifted_r, 0.3 + boost, al, ar, order)
+    lifted = CoupledState(shifted_l, shifted_r, 0.3 + boost)
 
     if m == 0.0 and al + ar == 0.0:
         pytest.skip("singular")
@@ -252,26 +252,48 @@ def test_step_bookkeeping():
     matr = FluidMaterial(2.0, 1.5)
     fl, fr = _pair(n=8, dx=0.1)
     dt = 0.05
-    s0 = CoupledState.initial(fl, fr, 0.4, matl.z, matr.z, order=1, x_body=1.0)
+    s0 = CoupledState(fl, fr, 0.4, 1.0)
     s1 = step_algorithm1(s0, matl, matr, 1.0, dt, matl.z, matr.z)
     assert s1.t == pytest.approx(dt)
     assert s1.x_body == pytest.approx(1.0 + dt * s1.v_body)
-    s0b = CoupledState.initial(fl, fr, 0.4, matl.z, matr.z, order=2, x_body=1.0)
-    s2 = step_algorithm2(s0b, matl, matr, 1.0, dt, matl.z, matr.z)
+    s2 = step_algorithm2(s0, matl, matr, 1.0, dt, matl.z, matr.z)
     assert s2.x_body == pytest.approx(1.0 + 0.5 * dt * (0.4 + s2.v_body))
 
 
 def test_initial_state_ghosts_consistent():
+    """A new run's own record holds second-order ghosts that reflect through
+    (v_body, sigma_I), and the given fields' characteristics elsewhere."""
     fl, fr = _pair()
-    st = CoupledState.initial(fl, fr, 0.5, 1.0, 2.0, order=2)
-    stresses = _stresses(_run(st.left, st.right, 2, 1.0, 2.0), 0.5, (1.0, 2.0))
-    for f, given, si in zip((st.left, st.right), (fl, fr), stresses):
+    run = _run(fl, fr, 2, 1.0, 2.0, vb=0.5)
+    state = run.state()
+    for f, si in zip((state.left, state.right), _stresses(run, 0.5, (1.0, 2.0))):
         v, sigma = _outward(f)
         assert 0.5 * (sigma[0] + sigma[1]) == pytest.approx(si, rel=1e-13)
         assert 0.5 * (v[0] + v[1]) == pytest.approx(0.5, rel=1e-13)
-        interior = f.grid.interior
-        assert np.array_equal(f.v[interior], given.v[interior])
-        assert np.array_equal(f.sigma[interior], given.sigma[interior])
+    given = Characteristics((fl, fr), (MAT, MAT), run.dt).x
+    assert np.array_equal(run.chars.x[:, :, 1:-1], given[:, :, 1:-1])
+
+
+@pytest.mark.parametrize("stepper", [step_algorithm1, step_algorithm2])
+@pytest.mark.parametrize("coupling", ["traditional", "projection", "custom"])
+def test_given_ghosts_are_ignored(stepper, coupling):
+    """States equal but for their ghosts, zero in one and random of size 1e3
+    in the other, step to equal (==) states: a run derives its ghosts."""
+    matl, matr = FluidMaterial(1.0, np.sqrt(2.0)), FluidMaterial(2.5, np.sqrt(3.0))
+    alphas = {"traditional": (0.0, 0.0), "projection": (matl.z, matr.z), "custom": (0.7, 1.9)}[coupling]
+    fl, fr = _pair(n=10, seed_shift=5)
+    rng, zeroed, noisy = np.random.default_rng(11), [], []
+    for f in (fl, fr):
+        g = f.grid.ghost_index
+        for out, ghost in ((zeroed, (0.0, 0.0)), (noisy, 1e3 * rng.normal(size=2))):
+            v, sigma = f.v.copy(), f.sigma.copy()
+            v[g], sigma[g] = ghost
+            out.append(FluidField1D(f.grid, v, sigma))
+    a, b = (stepper(CoupledState(*fields, 0.3, 0.1, 0.2), matl, matr, 0.6, 0.01, *alphas)
+            for fields in (zeroed, noisy))
+    assert (a.v_body, a.x_body, a.t) == (b.v_body, b.x_body, b.t)
+    for fa, fb in ((a.left, b.left), (a.right, b.right)):
+        assert np.array_equal(fa.v, fb.v) and np.array_equal(fa.sigma, fb.sigma)
 
 
 def _mirror_field(f):
@@ -348,15 +370,15 @@ def fill_ghosts(x, cells, sides, v_body: float, stresses, reflect: float) -> Non
         x[i, 1, 0] = (1.0 + r) * (k * (sig + sz * v_body)) - r * w1
 
 
-def _initial_ghosts_by_helpers(fl, fr, v_body, alphas, order):
-    """`CoupledState.initial`'s ghosts as the helpers give them: (v, sigma)
-    at each side's ghost, from a unit material's characteristics."""
-    unit = FluidMaterial(1.0, 1.0)
-    chars = Characteristics((fl, fr), (unit, unit))
-    sides, (edge, _, reflect) = interface_sides(chars, alphas), SCHEMES[order]
-    cells, phis = edge_fluxes(chars.x, sides, edge)
-    fill_ghosts(chars.x, cells, sides, v_body, interface_stresses(sides, phis, v_body), reflect)
-    return [(f.v[f.grid.ghost_index], f.sigma[f.grid.ghost_index]) for f in chars.fields()]
+def _initial_ghosts_by_helpers(run, state, alphas):
+    """A new run's record and flux as the helpers give them: the record back
+    at the characteristics of `state`'s fields, given ghosts included, then
+    ghosts filled from its cells 1-2 and v_body."""
+    x, sides, (edge, _, reflect) = run.chars.x, interface_sides(run.chars, alphas), run.scheme
+    x[...] = Characteristics((state.left, state.right), run.chars.mats, run.dt).x
+    cells, (phi_l, phi_r) = edge_fluxes(x, sides, edge)
+    fill_ghosts(x, cells, sides, state.v_body, interface_stresses(sides, (phi_l, phi_r), state.v_body), reflect)
+    run.flux = phi_r + phi_l
 
 
 def _couple_by_helpers(run, alphas):
@@ -382,7 +404,7 @@ def _couple_by_helpers(run, alphas):
 @settings(max_examples=80, derandomize=True, deadline=None)
 def test_straight_line_couple_equals_the_helper_path(order, coupling, mass, custom, v_body, seed):
     """Over random states, masses, both orders and alpha in {0, z, custom},
-    the ghosts `CoupledState.initial` writes, a new run's flux, and each
+    a new run's ghosts and flux, from fields with random ghosts, and each
     step's v_body, x_body, flux, t and ghosts equal (==) those of the
     edge_fluxes -> interface_stresses -> fill_ghosts path."""
     rng = np.random.default_rng(seed)
@@ -391,15 +413,12 @@ def test_straight_line_couple_equals_the_helper_path(order, coupling, mass, cust
     if mass + sum(alphas) == 0.0:
         return  # singular: refused, see test_singular_body_update_raised
     fl, fr = _pair(n=10, seed_shift=int(rng.integers(1000)))
-    initial = CoupledState.initial(fl, fr, v_body, *alphas, order)
-    assert [(f.v[f.grid.ghost_index], f.sigma[f.grid.ghost_index]) for f in (initial.left, initial.right)] \
-        == _initial_ghosts_by_helpers(fl, fr, v_body, alphas, order)
     dt = 0.9 * fl.grid.dx / max(m.c for m in mats)
     state = CoupledState(fl, fr, v_body, float(rng.normal()), float(rng.uniform(0.0, 1.0)))
     run, oracle = (CoupledRun(order, state, *mats, mass, dt, *alphas) for _ in range(2))
-    _, (phi_l, phi_r) = edge_fluxes(oracle.chars.x, interface_sides(oracle.chars, alphas), oracle.scheme.edge)
-    oracle.flux = phi_r + phi_l
+    _initial_ghosts_by_helpers(oracle, state, alphas)
     assert run.flux == oracle.flux
+    assert np.array_equal(run.chars.x[..., :-1], oracle.chars.x[..., :-1])  # the far cell is set by a step
     stepper = upwind_step if order == 1 else lax_wendroff_step
     for _ in range(6):
         run.step()

@@ -119,7 +119,7 @@ def _state(order) -> dict:
         v[grid.interior], s[grid.interior] = field_exact(
             prob, side, grid.cell_centers()[grid.interior], 0.0)
         fields.append(FluidField1D(grid, v, s))
-    state = CoupledState.initial(*fields, float(body_velocity_exact(prob, 0.0)), al, ar, order)
+    state = CoupledState(*fields, float(body_velocity_exact(prob, 0.0)))
     stepper = step_algorithm1 if order == 1 else step_algorithm2
     for _ in range(STATE_STEPS):
         state = stepper(state, mat_l, mat_r, cfg.mass, dt, al, ar)

@@ -715,6 +715,19 @@ def test_cli_simulate_light_body_exits_0(tmp_path, mass):
     assert all(v is not None and np.isfinite(v) for v in report["errors"].values())
 
 
+@pytest.mark.parametrize("mass", [1.0, 0.0, 1e-30])
+def test_cli_simulate_narrow_pulse_warns_nothing(tmp_path, mass):
+    """At beta = 1e300 the pulse's Gaussian overflows in its exponent away
+    from the centre, where exp(-inf) = 0 is its limit; no warning follows."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"beta": 1e300, "mass": mass}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["simulate", "--cells", "10", "--tfinal", "1e-3", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "rep.json")])
+    assert code == 0
+
+
 def _report_types(obj) -> set:
     if isinstance(obj, dict):
         return {dict}.union(*map(_report_types, obj.values()))

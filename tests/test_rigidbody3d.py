@@ -405,6 +405,13 @@ def test_sphere_with_zero_inertia_is_singular():
                   _dirk1(), 0.1)
 
 
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -0.05])
+def test_dirk_step_refuses_a_bad_dt(dt):
+    provider = lambda t: PartialForcing(np.zeros(3), np.zeros(3), _diag_tensors(1.0, 1.0))
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        dirk_step(RigidBodyState3D.rest(), BodyInertia(1.0, np.eye(3)), provider, _dirk1(), dt)
+
+
 def test_rest_state_is_fixed_point():
     tens = _diag_tensors(1.0, 1.0)
     for tableau in (_dirk1(), DIRKTableau.dirk3()):
