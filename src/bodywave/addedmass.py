@@ -35,8 +35,8 @@ class UnsupportedShape(ValueError, ArithmeticError):
 
 def _require_positive(**dims):
     for name, val in dims.items():
-        if not val > 0.0:
-            raise ValueError(f"{name} must be > 0, got {val}")
+        if not (val > 0.0 and np.isfinite(val)):
+            raise ValueError(f"{name} must be positive and finite, got {val}")
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,8 @@ class Starfish:
         if not (isinstance(self.na, (int, np.integer)) and self.na >= 1):
             raise ValueError(f"na must be an integer >= 1, got {self.na}")
         _require_positive(ra=self.ra, rb=self.rb)
+        if not np.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
 
     @classmethod
     def default(cls) -> "Starfish":

@@ -28,10 +28,10 @@ from .coupling import step_algorithm1, step_algorithm2  # noqa: F401  looked up 
 from .materials import FluidMaterial, Grid1D, FluidField1D
 from .schemes import Characteristics
 
-# Argument-principle contour: circles |A| = 1.01 and 1e4, each sampled
-# adaptively on a uniform CONTOUR_CAP-point grid (see _winding_number).
+# Argument-principle contour: circles |A| = 1.01 and 1e4, sampled together at
+# equally spaced points, doubled until resolved (see count_unstable_modes).
 INNER_RADIUS, OUTER_RADIUS = 1.01, 1e4
-CONTOUR_START, CONTOUR_CAP, CONTOUR_MAX_TURN = 64, 65536, np.pi / 4
+CONTOUR_START, CONTOUR_CAP, CONTOUR_MAX_TURN = 64, 2 * 65536, np.pi / 4
 
 GROWTH_AMPLITUDE = 1e-3  # size of the random initial data of a growth run
 
@@ -214,43 +214,34 @@ def second_order_determinant(A, q: StabilityQuery):
     return det_q * r_adj_p + det_p * s_adj_q - e[4, 4] * det_p * det_q
 
 
-def _winding_number(det_fn, q: StabilityQuery, radius: float) -> int:
-    """Winding number of det_fn(., q) around |A| = radius by the adaptive
-    argument principle (Delves & Lyness, Math. Comp. 1967): start at
-    CONTOUR_START points and bisect every arc whose phase step exceeds
-    CONTOUR_MAX_TURN until none does.  Samples sit on a uniform
-    CONTOUR_CAP-point grid, so an arc that needs a finer one is undersampled."""
-    k, values = np.empty(0, dtype=int), np.empty(0, dtype=complex)
-    at, new_k = 0, np.arange(0, CONTOUR_CAP, CONTOUR_CAP // CONTOUR_START)
+def count_unstable_modes(det_fn, q: StabilityQuery) -> int:
+    """Number of determinant zeros in INNER_RADIUS < |A| < OUTER_RADIUS: the
+    winding of det_fn(., q) around the outer circle minus that around the
+    inner (Delves & Lyness, Math. Comp. 1967).  Both circles start at
+    CONTOUR_START equal steps; each round samples every midpoint of both in
+    one call, until no phase step exceeds CONTOUR_MAX_TURN or the circles
+    would pass CONTOUR_CAP points together (undersampled).  Both circles
+    must avoid zeros; the determinant is analytic in the annulus because the
+    spatial-root selection is unambiguous for |A| > 1."""
+    radii, grid = np.array([[INNER_RADIUS], [OUTER_RADIUS]]), CONTOUR_CAP // 2
+    k, values = np.arange(0, grid, grid // CONTOUR_START), None
     while True:
-        new = det_fn(radius * np.exp(2j * np.pi * new_k / CONTOUR_CAP), q)
+        new = det_fn((radii * np.exp(2j * np.pi * k / grid)).ravel(), q).reshape(2, -1)
         if not np.all(np.isfinite(new) & (new != 0.0)):
             raise ContourFailure("determinant vanished (or is not finite) on the contour")
-        k, values = np.insert(k, at, new_k), np.insert(values, at, new)
-        turns = np.angle(np.roll(values, -1) / values)
-        wide = np.flatnonzero(np.abs(turns) > CONTOUR_MAX_TURN)
-        if wide.size == 0:
+        values = new if values is None else np.stack((values, new), axis=-1).reshape(2, -1)
+        turns = np.angle(np.roll(values, -1, axis=1) / values)
+        if np.max(np.abs(turns)) <= CONTOUR_MAX_TURN:
             break
-        ends = np.append(k[1:], CONTOUR_CAP)[wide]
-        if np.any(ends - k[wide] < 2):
+        step = grid // values.shape[1]
+        if step < 2:
             raise ContourFailure(f"contour undersampled at {CONTOUR_CAP} points")
-        at, new_k = wide + 1, (k[wide] + ends) // 2
-    total = turns.sum() / (2.0 * np.pi)
-    w = int(round(total))
-    if abs(total - w) > 1e-6:
+        k = np.arange(step // 2, grid, step)
+    total = turns.sum(axis=1) / (2.0 * np.pi)
+    w = np.round(total)
+    if np.max(np.abs(total - w)) > 1e-6:
         raise ContourFailure(f"winding number did not close: {total}")
-    return w
-
-
-def count_unstable_modes(det_fn, q: StabilityQuery) -> int:
-    """Number of determinant zeros in INNER_RADIUS < |A| < OUTER_RADIUS by
-    the argument principle (winding difference between the two circles).
-
-    Both circles must avoid zeros; the determinant is analytic in the
-    annulus because the spatial-root selection is unambiguous for |A| > 1.
-    """
-    w_in = _winding_number(det_fn, q, INNER_RADIUS)
-    return _winding_number(det_fn, q, OUTER_RADIUS) - w_in
+    return int(w[1] - w[0])
 
 
 # -- empirical growth --------------------------------------------------------

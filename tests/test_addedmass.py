@@ -1,5 +1,7 @@
 """Surface quadrature and added-mass tensors vs analytic/adaptive oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,9 +156,32 @@ def test_sampling_validation():
         sample_surface("not a shape", 1.0, 64)
     with pytest.raises(ValueError):
         sample_surface(Ellipse(1.0, 1.0), -2.0, 64)
+    # A non-finite dimension is refused at construction, naming the field,
+    # before any sampler or closed form sees it.
+    inf, nan = np.inf, np.nan
+    for make, field in [(lambda: Ellipse(inf, 1.0), "a"), (lambda: Ellipse(1.0, nan), "b"),
+                        (lambda: Ellipsoid(inf, 1.0, 1.0), "a"), (lambda: Ellipsoid(1.0, 1.0, inf), "c"),
+                        (lambda: Rectangle(inf, 1.0), "lx"), (lambda: Prism(inf, 1.0, 1.0), "lx"),
+                        (lambda: Prism(1.0, inf, 1.0), "ly"), (lambda: Starfish(5, inf, 0.6, 0.1), "ra"),
+                        (lambda: Starfish(5, 0.4, 0.6, inf), "alpha"),
+                        (lambda: Starfish(5, 0.4, 0.6, nan), "alpha")]:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            make()
 
 
 # -- tensor values ------------------------------------------------------------
+
+
+def test_default_impedance_is_one():
+    # The README's Library example samples without an impedance.
+    quad = sample_surface(Ellipsoid(1.0, 1.0, 2.0), resolution=64)
+    unit = sample_surface(Ellipsoid(1.0, 1.0, 2.0), 1.0, 64)
+    for name in ("positions", "normals", "z_f", "weights"):
+        assert np.array_equal(getattr(quad, name), getattr(unit, name)), name
+    assert len(quad) == 4096
+    # The prolate spheroid's area 2 pi (1 + 4 pi / (3 sqrt 3)) = 21.4784...
+    area = 2.0 * np.pi * (1.0 + 4.0 * np.pi / (3.0 * np.sqrt(3.0)))
+    assert quad.weights.sum() == pytest.approx(area, rel=1e-12)
 
 
 def test_sphere_tensors():
@@ -311,6 +336,16 @@ def test_quadrature_record_checks_weights_and_normals():
         SurfaceQuadrature(quad.positions, quad.normals, quad.z_f, bad_weights)
     with pytest.raises(DegenerateGeometry, match="unit length"):
         SurfaceQuadrature(quad.positions, 1.5 * quad.normals, quad.z_f, quad.weights)
+
+
+@pytest.mark.parametrize("composite, message", [
+    (np.eye(3), "composite must be 6x6, got shape (3, 3)"),
+    (np.eye(6).ravel(), "composite must be 6x6, got shape (36,)"),
+    (np.triu(np.ones((6, 6))), "composite not symmetric"),
+], ids=["3x3", "flat", "upper-triangular"])
+def test_tensors_refuse_a_bad_composite(composite, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        AddedMassTensors(composite)
 
 
 def test_tensor_blocks_are_read_only_views_of_the_composite():

@@ -48,6 +48,13 @@ def _run(fl, fr, order, al, ar, m=1.0, vb=0.0, dt=0.004):
     return CoupledRun(order, CoupledState(fl, fr, vb), MAT, MAT, m, dt, al, ar)
 
 
+@pytest.mark.parametrize("step", [step_algorithm1, step_algorithm2])
+def test_sides_of_unequal_length_are_refused(step):
+    fl, fr = _quiescent(Grid1D("left", 10, 0.05)), _quiescent(Grid1D("right", 12, 0.05))
+    with pytest.raises(ValueError, match="^all sides need the same n_cells$"):
+        step(CoupledState(fl, fr, 0.0), MAT, MAT, 1.0, 0.004, MAT.z, MAT.z)
+
+
 def _stresses(run, v_body, alphas):
     """(left, right) interface stresses s (phi_e - alpha v_body), phi_e from
     the run's gather at its current interiors."""

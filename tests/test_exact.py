@@ -5,6 +5,8 @@ integrating that with scipy (tight tolerances, Radau for small mass) gives
 an oracle that shares no code with the closed form.
 """
 
+import re
+from dataclasses import replace
 from math import sqrt
 
 import numpy as np
@@ -29,6 +31,20 @@ T_GRID = np.linspace(0.0, 0.75, 31)
 def _standard(m_body):
     """The reference setup: rho = 1 on both sides, c_L = sqrt(2), c_R = sqrt(3)."""
     return ModelProblem(FluidMaterial(1.0, sqrt(2.0)), FluidMaterial(1.0, sqrt(3.0)), m_body)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: replace(_standard(1.0), beta=0.0), ValueError, "beta must be > 0, got 0.0"),
+    (lambda: replace(_standard(1.0), beta=-1.0), ValueError, "beta must be > 0, got -1.0"),
+    (lambda: replace(_standard(1.0), x0=0.0), ValueError, "pulse center x0 must be < 0, got 0.0"),
+    (lambda: replace(_standard(1.0), x0=0.5), ValueError, "pulse center x0 must be < 0, got 0.5"),
+    (lambda: body_displacement_exact(_standard(1.0), -0.1), DomainError, "t must be >= 0"),
+    (lambda: body_displacement_exact(_standard(0.0), np.array([0.0, -1e-9])), DomainError,
+     "t must be >= 0"),
+], ids=["beta-zero", "beta-negative", "x0-zero", "x0-positive", "t-negative", "t-array-negative"])
+def test_model_problem_inputs_are_refused(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def _stress0(prob, x, side):

@@ -518,6 +518,30 @@ def test_cli_bad_config_file_exits_2(tmp_path, capsys, content):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, message", [
+    ('{"beta": -1}', "validation error: beta must be > 0, got -1"),
+    ('{"x0": 0.5}', "validation error: pulse center x0 must be < 0, got 0.5"),
+], ids=["beta-negative", "x0-positive"])
+def test_cli_bad_pulse_exits_2_naming_the_field(tmp_path, capsys, config, message):
+    """The pulse is checked where the model problem is built, not by the
+    config loader, and still ends in exit 2 with the field named."""
+    (tmp_path / "cfg.json").write_text(config)
+    assert main(["simulate", "--cells", "10", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path / "rep.json")]) == 2
+    assert capsys.readouterr().err.strip() == message
+
+
+def test_cli_stdout_closed_by_the_reader_exits_0_quietly():
+    """`bodywave stability | head -0`: the reader is gone before the CSV is
+    written, and the run still exits 0 with nothing on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bodywave.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "bodywave.cli", "stability", "--mass", "1e-3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0 and err == b""
+
+
 def test_cli_json_to_stdout_appends_to_redirected_file(tmp_path):
     """`bodywave simulate >> log.txt` keeps what log.txt already held."""
     log = tmp_path / "log.txt"
@@ -699,6 +723,29 @@ def test_cli_simulate_dense_fluids_is_not_reported_diverged(tmp_path):
     report = json.loads(out.read_text())
     assert report["diverged"] is False
     assert all(v is not None and np.isfinite(v) for v in report["errors"].values())
+
+
+@pytest.mark.parametrize("rho", [1e300, 1e307])
+def test_cli_simulate_huge_density_is_bounded_under_projection(tmp_path, rho):
+    """The projection coupling is stable at any density: at rho_left = 1e300
+    (z about 1.4e300) or 1e307 the run stays bounded with five finite errors
+    and no warning.  The traditional coupling's bound m (4 - lambda)/(z lambda)
+    is about 3e-300 or less there, so it diverges, as it should."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"rho_left": rho}))
+    reports = {}
+    for coupling in ("projection", "traditional"):
+        out = tmp_path / f"{coupling}.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["simulate", "--cells", "10", "--tfinal", "1e-3", "--coupling", coupling,
+                         "--config", str(cfg_path), "--out", str(out)])
+        assert code == 0
+        reports[coupling] = json.loads(out.read_text())
+    errors = reports["projection"]["errors"]
+    assert reports["projection"]["diverged"] is False and len(errors) == 5
+    assert all(v is not None and np.isfinite(v) for v in errors.values())
+    assert reports["traditional"]["diverged"] is True
 
 
 @pytest.mark.parametrize("mass", ["1e-200", "1e-320", "5e-324"])

@@ -1,6 +1,7 @@
 """Added-mass Newton-Euler integration and surface projection."""
 
 import os
+import re
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -112,6 +113,36 @@ def test_tableau_construction_and_validation():
     with pytest.raises(ValueError, match="order-3"):
         DIRKTableau(np.array([[0.5, 0.0], [0.0, 0.5]]), np.array([0.5, 0.5]),
                     np.array([0.5, 0.5]), order=3)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: RigidBodyState3D(np.zeros(3), np.zeros(3), np.zeros(3), np.eye(2)), "E must be 3x3, got (2, 2)"),
+    (lambda: BodyInertia(1.0, np.eye(2)), "A must be 3x3, got (2, 2)"),
+    (lambda: BodyInertia(1.0, np.ones(3)), "A must be 3x3, got (3,)"),
+    (lambda: PartialForcing(np.zeros(2), np.zeros(3), AddedMassTensors(np.eye(6))),
+     "f_tilde and t_tilde must be 3-vectors"),
+    (lambda: PartialForcing(np.zeros(3), np.zeros((3, 1)), AddedMassTensors(np.eye(6))),
+     "f_tilde and t_tilde must be 3-vectors"),
+    (lambda: DIRKTableau(np.eye(2), np.array([1.0]), np.array([1.0]), order=1),
+     "a must be 1x1 and c of length 1 for 1 weights"),
+    (lambda: DIRKTableau(np.eye(2), np.array([0.5, 0.5]), np.array([1.0]), order=1),
+     "a must be 2x2 and c of length 2 for 2 weights"),
+    (lambda: DIRKTableau(np.array([[1.0]]), np.array([1.0]), np.array([1.0]), order=2),
+     "order must be 1 or 3, got 2"),
+    (lambda: DIRKTableau(np.array([[0.5, 0.0], [0.1, 0.4]]), np.array([0.5, 0.5]),
+                         np.array([0.5, 0.5]), order=1), "diagonal entries must be equal and nonzero"),
+    (lambda: DIRKTableau(np.array([[0.0]]), np.array([1.0]), np.array([0.0]), order=1),
+     "diagonal entries must be equal and nonzero"),
+    (lambda: DIRKTableau(np.array([[1.0]]), np.array([1.0]), np.array([0.5]), order=1),
+     "row sums must equal the abscissae"),
+    (lambda: project_surface_state(1.0, np.zeros(3), 1.0, -1.0, np.eye(3)[0], np.zeros(3), 1.4),
+     "impedance must be >= 0, got -1.0"),
+], ids=["state-E-2x2", "inertia-A-2x2", "inertia-A-vector", "forcing-f-2-vector",
+        "forcing-t-column", "tableau-a-too-big", "tableau-c-too-short", "tableau-order-2",
+        "tableau-diagonal-unequal", "tableau-diagonal-zero", "tableau-row-sums", "projection-z-negative"])
+def test_rigid_body_inputs_are_refused(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 # -- surface forcing by the tensors ---------------------------------------------

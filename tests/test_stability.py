@@ -1,5 +1,7 @@
 """Normal-mode predictions: closed forms vs determinants vs actual runs."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, assume, settings, strategies as st
@@ -35,6 +37,18 @@ def _det_scale(det_fn, q):
     """Typical determinant magnitude on a nearby ring, for relative zeros."""
     ring = 1.5 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
     return np.median(np.abs(det_fn(ring, q)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: max_stable_dt_traditional(1.0, 0.0, 0.8), "need z > 0, courant in (0,1], mass >= 0"),
+    (lambda: max_stable_dt_traditional(1.0, 1.0, 1.5), "need z > 0, courant in (0,1], mass >= 0"),
+    (lambda: max_stable_dt_traditional(-1.0, 1.0, 0.8), "need z > 0, courant in (0,1], mass >= 0"),
+    (lambda: GrowthConfig(FluidMaterial(1.0, 1.0), 1.0, 0.01, 0.8, 1.0, "third"),
+     "scheme must be 'first' or 'second', got 'third'"),
+], ids=["z-zero", "courant-above-one", "mass-negative", "scheme-unknown"])
+def test_stability_inputs_are_refused(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 # -- closed-form first-order roots -------------------------------------------
@@ -310,8 +324,9 @@ def test_contour_refuses_a_vanishing_determinant(value):
 
 
 def test_contour_unresolved_phase_jump_is_undersampled():
-    # A sign jump at arg A = 0 and pi never resolves: bisection must stop at
-    # the point cap and say so, not loop or return a count.
+    # A sign jump at arg A = 0 and pi never resolves: doubling must stop at
+    # the point cap of both circles together and say so, not loop or return
+    # a count.
     q = StabilityQuery(0.8, 0.01, 1e-3, 1.0, 1.0)
     seen = []
 
@@ -350,7 +365,8 @@ def _dense_count(q, samples=16384):
 @settings(max_examples=30, deadline=None)
 def test_adaptive_count_equals_dense_count(lam, log_z, log_m, factor, w):
     """(lambda, z, m, dt / traditional bound, alpha / z) queries, some within
-    1 % of the bound: the adaptive count is the dense 16,384-point count."""
+    1 % of the bound: the count, which doubles its equally spaced points per
+    circle from 64 until resolved, is the dense 16,384-point count."""
     z, m = 10.0 ** log_z, 10.0 ** log_m
     q = StabilityQuery(lam, factor * max_stable_dt_traditional(m, z, lam), m, z, w * z)
     dense = _dense_count(q)
