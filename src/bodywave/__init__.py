@@ -11,8 +11,6 @@ from .addedmass import (
     AddedMassTensors,
     Ellipse,
     Ellipsoid,
-    Prism,
-    Rectangle,
     Starfish,
     added_mass_analytic,
     added_mass_tensors,
@@ -46,7 +44,6 @@ from .stability import (
     StabilityQuery,
     count_unstable_modes,
     empirical_growth_rate,
-    first_order_determinant,
     growth_rates,
     max_stable_dt_traditional,
     roots_first_order_projection,
@@ -70,8 +67,6 @@ __all__ = [
     "GrowthConfig",
     "ModelProblem",
     "PartialForcing",
-    "Prism",
-    "Rectangle",
     "RigidBodyState3D",
     "RunConfig",
     "SingularBodyUpdate",
@@ -85,7 +80,6 @@ __all__ = [
     "dirk_step",
     "empirical_growth_rate",
     "field_exact",
-    "first_order_determinant",
     "growth_rates",
     "lax_wendroff_step",
     "max_stable_dt_traditional",

@@ -11,12 +11,13 @@ assembled into a 6x6 composite, the weighted Gram product of the 6-vector
 field g = [n ; Yn], which is symmetric positive semi-definite.  The
 quadrature nodes come as one record of arrays.  Planar shapes embed in 3D
 with n3 = y3 = 0, so a single assembly path serves both; closed forms
-exist for axis-aligned boxes, circles and spheres.
+exist for the circle and the sphere.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
+from sys import float_info
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -33,10 +34,18 @@ class UnsupportedShape(ValueError, ArithmeticError):
 # -- shapes -------------------------------------------------------------------
 
 
+def _refuse(name, val, want):
+    # an integer past the float range is described, not printed: str() of
+    # one with more than 4300 digits raises
+    if isinstance(val, int) and abs(val) > float_info.max:
+        val = "an integer larger than any float"
+    raise ValueError(f"{name} must be {want}, got {val}")
+
+
 def _require_positive(**dims):
     for name, val in dims.items():
-        if not (val > 0.0 and np.isfinite(val)):
-            raise ValueError(f"{name} must be positive and finite, got {val}")
+        if not 0.0 < val <= float_info.max:
+            _refuse(name, val, "positive and finite")
 
 
 @dataclass(frozen=True)
@@ -63,29 +72,6 @@ class Ellipsoid:
 
 
 @dataclass(frozen=True)
-class Rectangle:
-    """Axis-aligned rectangle with full side lengths (lx, ly)."""
-
-    lx: float
-    ly: float
-
-    def __post_init__(self):
-        _require_positive(lx=self.lx, ly=self.ly)
-
-
-@dataclass(frozen=True)
-class Prism:
-    """Axis-aligned box with full side lengths (lx, ly, lz)."""
-
-    lx: float
-    ly: float
-    lz: float
-
-    def __post_init__(self):
-        _require_positive(lx=self.lx, ly=self.ly, lz=self.lz)
-
-
-@dataclass(frozen=True)
 class Starfish:
     """Pinwheel star curve
 
@@ -104,8 +90,8 @@ class Starfish:
         if not (isinstance(self.na, (int, np.integer)) and self.na >= 1):
             raise ValueError(f"na must be an integer >= 1, got {self.na}")
         _require_positive(ra=self.ra, rb=self.rb)
-        if not np.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
+        if not -float_info.max <= self.alpha <= float_info.max:
+            _refuse("alpha", self.alpha, "finite")
 
     @classmethod
     def default(cls) -> "Starfish":
@@ -206,43 +192,14 @@ def _sample_ellipsoid(shape: Ellipsoid, n: int):
     return pos, vec / metric[:, None], W * metric
 
 
-def _sample_box(shape, n: int):
-    """Gauss points on the faces of an axis-aligned box whose full side lengths
-    are astuple(shape): a rectangle's 4 edges or a prism's 6 faces, ordered
-    +x, -x, +y, -y (, +z, -z), n points per face dimension."""
-    half = 0.5 * np.array(astuple(shape))
-    dim = len(half)
-    xi, gw = leggauss(n)
-    # tangential coordinates (n^(dim-1), dim-1) and weights of the reference face
-    face = np.stack(np.meshgrid(*[xi] * (dim - 1), indexing="ij"), axis=-1).reshape(-1, dim - 1)
-    face_w = np.prod(np.meshgrid(*[gw] * (dim - 1), indexing="ij"), axis=0).ravel()
-    pos, nrm, wts = [], [], []
-    for axis in range(dim):
-        others = [(axis + k) % dim for k in range(1, dim)]
-        for sign in (+1.0, -1.0):
-            p = np.zeros((len(face), 3))
-            p[:, axis] = sign * half[axis]
-            p[:, others] = half[others] * face
-            normal = np.zeros((len(face), 3))
-            normal[:, axis] = sign
-            pos.append(p)
-            nrm.append(normal)
-            wts.append(np.prod(half[others]) * face_w)
-    return np.vstack(pos), np.vstack(nrm), np.concatenate(wts)
-
-
-_SAMPLERS = {
-    Ellipse: _sample_ellipse, Starfish: _sample_starfish, Rectangle: _sample_box,
-    Ellipsoid: _sample_ellipsoid, Prism: _sample_box,
-}
+_SAMPLERS = {Ellipse: _sample_ellipse, Starfish: _sample_starfish, Ellipsoid: _sample_ellipsoid}
 
 
 def sample_surface(shape, impedance_fn=None, resolution: int = 64) -> SurfaceQuadrature:
     """Quadrature nodes covering the body surface, as one record of arrays.
 
-    resolution means: samples along a closed curve; Gauss points per edge
-    (rectangle) or per face dimension (prism); theta x u points per
-    dimension for ellipsoids (resolution^2 total).
+    resolution means: samples along a closed curve (ellipse, starfish);
+    theta x u points per dimension for ellipsoids (resolution^2 total).
     impedance_fn is a constant or a callable mapping (n, 3) positions to
     per-sample z_f >= 0; default 1.
     """
@@ -283,10 +240,6 @@ class AddedMassTensors:
     awv = property(lambda self: self.composite[3:, :3])
     aww = property(lambda self: self.composite[3:, 3:])
 
-    @classmethod
-    def from_blocks(cls, avv, avw, awv, aww) -> "AddedMassTensors":
-        return cls(np.block([[avv, avw], [awv, aww]]))
-
 
 def added_mass_tensors(quad: SurfaceQuadrature) -> AddedMassTensors:
     """Assemble the composite as the weighted Gram product G^T diag(z_f w) G
@@ -299,28 +252,13 @@ def added_mass_tensors(quad: SurfaceQuadrature) -> AddedMassTensors:
 
 
 def added_mass_analytic(shape, z_f: float = 1.0) -> AddedMassTensors:
-    """Closed-form tensors for boxes, circles and spheres (constant z_f)."""
-    zero = np.zeros((3, 3))
-    if isinstance(shape, Rectangle):
-        lx, ly = shape.lx, shape.ly
-        avv = z_f * np.diag([2.0 * ly, 2.0 * lx, 0.0])
-        aww = np.diag([0.0, 0.0, z_f * (lx**3 + ly**3) / 6.0])
-        return AddedMassTensors.from_blocks(avv, zero, zero, aww)
-    if isinstance(shape, Prism):
-        lx, ly, lz = shape.lx, shape.ly, shape.lz
-        avv = z_f * np.diag([2.0 * ly * lz, 2.0 * lx * lz, 2.0 * lx * ly])
-        aww = (z_f / 6.0) * np.diag(
-            [
-                lx * (ly**3 + lz**3),
-                ly * (lx**3 + lz**3),
-                lz * (lx**3 + ly**3),
-            ]
-        )
-        return AddedMassTensors.from_blocks(avv, zero, zero, aww)
+    """Closed-form tensors at constant z_f: A^vv = z_f pi a diag(1, 1, 0) for
+    a circle of radius a, (4 pi / 3) z_f a^2 I for a sphere; the moment arms
+    y x n vanish on both, so the other three blocks are zero."""
     if isinstance(shape, Ellipse) and shape.a == shape.b:
-        avv = z_f * np.pi * shape.a * np.diag([1.0, 1.0, 0.0])
-        return AddedMassTensors.from_blocks(avv, zero, zero, zero.copy())
+        k = z_f * np.pi * shape.a
+        return AddedMassTensors(np.diag([k, k, 0.0, 0.0, 0.0, 0.0]))
     if isinstance(shape, Ellipsoid) and shape.a == shape.b == shape.c:
-        avv = (4.0 * np.pi / 3.0) * z_f * shape.a**2 * np.eye(3)
-        return AddedMassTensors.from_blocks(avv, zero, zero, zero.copy())
+        k = (4.0 * np.pi / 3.0) * z_f * shape.a**2
+        return AddedMassTensors(np.diag([k, k, k, 0.0, 0.0, 0.0]))
     raise UnsupportedShape(f"no closed form for {shape!r}")

@@ -146,25 +146,6 @@ class ContourFailure(ArithmeticError):
     """The argument-principle mode count could not be certified."""
 
 
-def _first_order_entries(A, q: StabilityQuery):
-    """Entries (d, e, f, g) of the first-order interface-mode system
-    [[d, 0, -e], [0, d, e], [f, -f, g]] in the unknowns (b_L0, a_R0, v/c)."""
-    A = np.asarray(A, dtype=complex)
-    lam, z, al, dt, m = q.courant, q.z, q.alpha, q.dt, q.mass
-    r = (A - 1.0 + lam) / lam
-    d = 1.0 + (al - z) / (2.0 * z * r)
-    e = (al + z) / (2.0 * z)
-    f = A * dt * (z - al) / r
-    g = m * (A - 1.0) + 2.0 * dt * al * A
-    return d, e, f, g
-
-
-def first_order_determinant(A, q: StabilityQuery):
-    """det of the first-order system, d^2 g + 2 d e f, from its entries."""
-    d, e, f, g = _first_order_entries(A, q)
-    return d * (d * g + 2.0 * e * f)
-
-
 def _second_order_entries(A, q: StabilityQuery) -> dict:
     """Nonzero entries {(row, col): value} of the 5x5 second-order interface-mode
     system at |A| > 1 in the unknowns (a_L0, b_L0, a_R0, b_R0, v/c).

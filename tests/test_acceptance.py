@@ -372,7 +372,7 @@ def _polynomial_problem():
     rng = np.random.default_rng(909)
     m6 = rng.standard_normal((6, 6))
     am = m6 @ m6.T + 0.5 * np.eye(6)
-    tens = AddedMassTensors.from_blocks(am[:3, :3], am[:3, 3:], am[3:, :3], am[3:, 3:])
+    tens = AddedMassTensors(am)
     inertia = BodyInertia(0.7, np.diag([1.0, 2.0, 3.0]))
     f_tilde = lambda t: np.array([t * t, 1.0 + t, 2.0 * t])
     t_tilde = lambda t: np.array([1.0 - t, 0.5 * t * t, t**3])
@@ -418,8 +418,7 @@ def test_criterion_09_dirk_orders_and_instant_response():
         ok = ok and lo <= fit <= hi
 
     # massless, inertia-free body: force balance met within one implicit step
-    tens0 = AddedMassTensors.from_blocks(2.0 * np.eye(3), np.zeros((3, 3)),
-                                         np.zeros((3, 3)), np.eye(3))
+    tens0 = AddedMassTensors(np.diag([2.0, 2.0, 2.0, 1.0, 1.0, 1.0]))
     still = lambda t: PartialForcing(np.array([3.0, 0.0, 0.0]), np.zeros(3), tens0)
     out = dirk_step(RigidBodyState3D.rest(), _massless(), still,
                     _dirk1(), 0.1)

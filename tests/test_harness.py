@@ -495,6 +495,23 @@ def test_one_mode_table_serves_the_cli_the_config_and_the_dispatch():
                               "'addedmass_table', 'rigidbody3d_demo'), got 'nope'")
 
 
+def test_public_surface_is_pinned():
+    """bodywave.__all__ changes only on purpose, and every name resolves."""
+    assert sorted(bodywave.__all__) == [
+        "AddedMassTensors", "BodyInertia", "CflViolation", "CoupledState", "DIRKTableau",
+        "Ellipse", "Ellipsoid", "FluidField1D", "FluidMaterial", "Grid1D", "GrowthConfig",
+        "ModelProblem", "PartialForcing", "RigidBodyState3D", "RunConfig", "SingularBodyUpdate",
+        "StabilityQuery", "Starfish", "added_mass_analytic", "added_mass_tensors",
+        "body_displacement_exact", "body_velocity_exact", "count_unstable_modes", "dirk_step",
+        "empirical_growth_rate", "field_exact", "growth_rates", "lax_wendroff_step",
+        "max_stable_dt_traditional", "project_surface_state", "roots_first_order_projection",
+        "roots_first_order_traditional", "run_mode", "sample_surface", "second_order_determinant",
+        "step_algorithm1", "step_algorithm2", "upwind_step",
+    ]
+    for name in bodywave.__all__:
+        assert getattr(bodywave, name) is not None, name
+
+
 def test_config_accepts_an_int_in_a_float_field_and_none_only_where_optional():
     assert RunConfig(mass=2, t_final=1).mass == 2
     assert RunConfig(alpha_left=None, out=None).out is None

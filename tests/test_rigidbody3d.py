@@ -35,13 +35,11 @@ from bodywave.rigidbody3d import (
 def _random_psd_tensors(rng, bump=0.5):
     m = rng.standard_normal((6, 6))
     am = m @ m.T + bump * np.eye(6)
-    return AddedMassTensors.from_blocks(am[:3, :3], am[:3, 3:], am[3:, :3], am[3:, 3:])
+    return AddedMassTensors(am)
 
 
 def _diag_tensors(avv_scale, aww_scale):
-    return AddedMassTensors.from_blocks(
-        avv_scale * np.eye(3), np.zeros((3, 3)), np.zeros((3, 3)), aww_scale * np.eye(3)
-    )
+    return AddedMassTensors(np.diag([avv_scale] * 3 + [aww_scale] * 3))
 
 
 def _still_forcing(tensors):

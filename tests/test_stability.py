@@ -23,14 +23,32 @@ from bodywave.stability import (
     count_unstable_modes,
     empirical_growth_rate,
     growth_rates,
-    _first_order_entries,
     _second_order_entries,
-    first_order_determinant,
     max_stable_dt_traditional,
     roots_first_order_projection,
     roots_first_order_traditional,
     second_order_determinant,
 )
+
+
+def _first_order_entries(A, q: StabilityQuery):
+    """Entries (d, e, f, g) of the first-order interface-mode system
+    [[d, 0, -e], [0, d, e], [f, -f, g]] in the unknowns (b_L0, a_R0, v/c)."""
+    A = np.asarray(A, dtype=complex)
+    lam, z, al, dt, m = q.courant, q.z, q.alpha, q.dt, q.mass
+    r = (A - 1.0 + lam) / lam
+    d = 1.0 + (al - z) / (2.0 * z * r)
+    e = (al + z) / (2.0 * z)
+    f = A * dt * (z - al) / r
+    g = m * (A - 1.0) + 2.0 * dt * al * A
+    return d, e, f, g
+
+
+def first_order_determinant(A, q: StabilityQuery):
+    """det of the first-order system, d^2 g + 2 d e f, from its entries: the
+    oracle whose zeros the closed-form first-order roots must be."""
+    d, e, f, g = _first_order_entries(A, q)
+    return d * (d * g + 2.0 * e * f)
 
 
 def _det_scale(det_fn, q):
