@@ -87,8 +87,8 @@ class Starfish:
     alpha: float
 
     def __post_init__(self):
-        if not (isinstance(self.na, (int, np.integer)) and self.na >= 1):
-            raise ValueError(f"na must be an integer >= 1, got {self.na}")
+        if not (isinstance(self.na, (int, np.integer)) and 1 <= self.na <= 2**53):  # exact as a float
+            _refuse("na", self.na, "an integer in [1, 2**53]")
         _require_positive(ra=self.ra, rb=self.rb)
         if not -float_info.max <= self.alpha <= float_info.max:
             _refuse("alpha", self.alpha, "finite")

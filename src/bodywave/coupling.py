@@ -25,9 +25,9 @@ stable for any mass ratio; it reduces to a scalar solve per step.  The
 interface rule is written once, over a record's flat view: `_edges` gathers
 cells 1-2 of both sides and gives phi_e, `_fill` forms sigma_I and writes the
 four ghosts.  `couple` and a new run's ghosts and starting flux use them,
-with a record's constants built once by `_interface`.  Runs of one
-order and shape can advance as a (B, 2, 2, n + 2) stack (`Characteristics.stack`,
-each run's chars.x a view of its slice): one stencil call, then each `couple`.
+with a record's constants built once by `_interface`.  `couple` is linear, so
+`interface_matrix` probes it as a 6 x 10 matrix, and a (B, 2, 2, n + 2) stack of
+runs steps by one stencil call and one batched product (`stability` growth runs).
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ class CoupledRun:
         Phi the sum of both edge fluxes, gives (m + theta dt (aL+aR)) v' =
         (m - (1-theta) dt (aL+aR)) v + dt [theta Phi' + (1-theta) Phi].  It is
         `_edges`, this solve, then `_fill`, on the record's flat view as bound
-        now (a stacked run's x is rebound to its slice of the stack)."""
+        now (`interface_matrix` binds a scratch copy's x to zeros)."""
         flat, theta = self.chars.flat, self.scheme.theta
         cells, phi_l, phi_r = _edges(flat, self.gather)
         flux = theta * (phi_r + phi_l)
@@ -160,6 +160,22 @@ class CoupledRun:
         """The current level as (v, sigma) fields in new arrays."""
         left, right = self.chars.fields()
         return CoupledState(left, right, self.v_body, self.x_body, self.t)
+
+
+def interface_matrix(run: CoupledRun) -> np.ndarray:
+    """The 6 x 10 matrix C of the linear `run.couple`: (cells 1-2 of rows uL, wL,
+    uR, wR, v_body, flux) to (their ghosts, v_body, flux), probed by 10 calls on a
+    scratch copy, so that `_edges` and `_fill` stay the only statement of the rule."""
+    from copy import copy  # imported where used, so `import bodywave` gains no import
+    probe = copy(run)
+    probe.chars = copy(run.chars)
+    probe.chars.x, cols = np.zeros_like(run.chars.x), []
+    flat, at, ghosts = probe.chars.flat, run.gather[0], [0, *run.ghosts[:3]]
+    for j in range(10):
+        flat[at], probe.v_body, probe.flux = np.arange(8) == j, float(j == 8), float(j == 9)
+        probe.couple()
+        cols.append([*flat[ghosts].tolist(), probe.v_body, probe.flux])
+    return np.array(cols).T
 
 
 def step_algorithm1(state: CoupledState, *args, **kwargs) -> CoupledState:

@@ -76,7 +76,7 @@ class Characteristics:
 
     def _bind(self, x: np.ndarray) -> None:
         """Bind the state x (C-contiguous) and the flat views of it that steppers
-        and couplers use, so rebinding x (a stack member's slice) leaves none stale."""
+        and couplers use, so rebinding x (a probe's scratch) leaves none stale."""
         if not x.flags.c_contiguous:
             raise ValueError("a record's x must be C-contiguous")
         m, f = x.shape[-1], x.reshape(-1)

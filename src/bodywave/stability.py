@@ -34,6 +34,11 @@ INNER_RADIUS, OUTER_RADIUS = 1.01, 1e4
 CONTOUR_START, CONTOUR_CAP, CONTOUR_MAX_TURN = 64, 2 * 65536, np.pi / 4
 
 GROWTH_AMPLITUDE = 1e-3  # size of the random initial data of a growth run
+# A growth stack is rescaled by exact powers of two, so its rates do not move:
+# each member to its norm's exponent every RESCALE_PERIOD steps (decaying members
+# stay normal floats) and whenever the stack's largest entry leaves [RESCALE_LOW,
+# RESCALE_HIGH], kept narrow so that |C| |y| stays below the largest float.
+RESCALE_LOW, RESCALE_HIGH, RESCALE_PERIOD = 2.0 ** -32, 2.0 ** 32, 16
 
 
 @dataclass(frozen=True)
@@ -270,33 +275,41 @@ def _growth_run(config: GrowthConfig) -> CoupledRun:
 
 def _stacked_rates(runs: list[CoupledRun], n_steps: int) -> list[float]:
     """Growth rates of `runs` (one order, one n_cells) advanced as one stack:
-    per step one stencil call on the batch, each run's `couple`, and one
-    renormalization of the batch.  A run whose norm reaches 0 stays at 0."""
-    stack = Characteristics.stack([run.chars for run in runs])
-    for run, x in zip(runs, stack.x):
-        run.chars.x = x
+    per step one stencil call on the batch, then one coupling of all members
+    through their interface matrices C (`coupling.interface_matrix`).  A rate is
+    (N_end / N_start)**(1/tail), log N = log(mantissa) + (exponent + shift) ln 2
+    under the rescales (RESCALE_PERIOD); a run whose norm reaches 0 reads 0."""
+    b, tail, stack = len(runs), max(1, n_steps // 4), Characteristics.stack([run.chars for run in runs])
     step = coupling.upwind_step if runs[0].order == 1 else coupling.lax_wendroff_step
-    c = np.array([run.chars.mats[0].c for run in runs])
-    interior = stack.x[..., 1:-1]
-    mag, scale = np.empty_like(interior), np.empty((len(runs), 1, 1, 1))
-    tail = max(1, n_steps // 4)
-    norms = np.empty((len(runs), tail))
-    for k in range(n_steps):
+    # a member's row of `buf` is (ghosts, v_body, flux 2**-e, cells); C y reads the last ten (C's
+    # columns rolled to match) and writes the first six.  e, the exponent of the largest entry of
+    # C's flux row (about c z), keeps every product C y finite at any impedance, exactly
+    cmat = np.roll([coupling.interface_matrix(run) for run in runs], 2, axis=-1)
+    e = np.frexp(np.abs(cmat[:, 5]).max(axis=1))[1]
+    cmat[:, 5], cmat[:, :, 1] = np.ldexp(cmat[:, 5], -e[:, None]), np.ldexp(cmat[:, :, 1], e[:, None])
+    buf, prod, mag = np.empty((b, 14)), np.empty((b, 6, 10)), np.empty(stack.x.shape)
+    buf[:, 4], buf[:, 5] = [run.v_body for run in runs], np.ldexp([run.flux for run in runs], -e)
+    y, out, body = buf[:, None, 4:], buf[:, :6], buf[:, 4:6]
+    cells, ghosts = buf[:, 6:].reshape(b, 2, 2, 2), buf[:, :4].reshape(b, 2, 2)
+    c, inner, shift = np.array([run.chars.mats[0].c for run in runs]), mag[..., 1:-1], np.zeros(b, np.int64)
+    logs = {n_steps - tail: np.zeros(b), n_steps: None}  # the unstepped state counts as norm 1
+    for k in range(1, n_steps + 1):
         step(stack)
-        for run in runs:
-            run.couple()
-        np.abs(interior, out=mag)
-        mag[..., 0, :] += mag[..., 1, :]
-        peaks = (c * mag[..., 0, :].max(axis=(-2, -1))).tolist()
-        norm = [max(peak, abs(run.v_body)) for peak, run in zip(peaks, runs)]
-        if k >= n_steps - tail:
-            norms[:, k - n_steps + tail] = norm
-        scale[:, 0, 0, 0] = div = [r or 1.0 for r in norm]  # a zero state stays zero
-        np.divide(stack.x, scale, out=stack.x)  # in place: no rebinding of the flat views
-        for run, r in zip(runs, div):
-            run.v_body /= r
-            run.flux /= r
-    return [0.0 if row[-1] == 0.0 else float(np.exp(np.mean(np.log(row)))) for row in norms]
+        np.copyto(cells, stack.x[..., 1:3])
+        np.multiply(cmat, y, out=prod)  # then summed per row in an order free of b
+        np.add.reduce(prod, axis=-1, out=out)
+        np.copyto(stack.x[..., 0], ghosts)
+        top = np.abs(stack.x, out=mag).max()
+        if k in logs or k % RESCALE_PERIOD == 0 or not RESCALE_LOW <= top <= RESCALE_HIGH:
+            inner[..., 0, :] += inner[..., 1, :]
+            mant, ex = np.frexp(np.maximum(c * inner[..., 0, :].max(axis=(-2, -1)), np.abs(body[:, 0])))
+            if k in logs:
+                logs[k] = np.log(np.where(mant > 0.0, mant, 1.0)) + (ex + shift) * np.log(2.0)
+            np.ldexp(stack.x, -ex[:, None, None, None], out=stack.x)
+            np.ldexp(body, -ex[:, None], out=body)
+            shift += ex
+    start, end = logs.values()
+    return [0.0 if m == 0.0 else float(r) for m, r in zip(mant, np.exp((end - start) / tail))]
 
 
 def growth_rates(configs, n_steps: int = 600) -> list[float | None]:
@@ -307,10 +320,11 @@ def growth_rates(configs, n_steps: int = 600) -> list[float | None]:
 
     The norm is the largest of |v_body| and, over both interiors, |v| and
     |sigma|/z, i.e. c max(|w - u|, |u + w|) = c (|u| + |w|) in the run's
-    characteristics.  Each run is renormalized in place after every step
-    (the dynamics are linear), so growing and decaying runs are measured
-    without overflow/underflow.  Runs of one scheme and n_cells advance as
-    one stack; each rate is bit-identical to that of the run alone.
+    characteristics.  The dynamics are linear, so each run is rescaled in place
+    by exact powers of two, and only when needed; growing and decaying runs
+    are measured without overflow or underflow, and the rate does not depend
+    on when the rescales happen.  Runs of one scheme and n_cells advance as one
+    stack; each rate is bit-identical to that of the run alone.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")

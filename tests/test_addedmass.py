@@ -149,7 +149,10 @@ def test_sampling_validation():
                         (lambda: Ellipsoid(1.0, big, 1.0), "b"), (lambda: Ellipsoid(1.0, huge, 1.0), "b"),
                         (lambda: Starfish(5, 0.4, 0.6, big), "alpha"),
                         (lambda: Starfish(5, 0.4, 0.6, -huge), "alpha"),
-                        (lambda: Starfish(5, 0.4, 0.6, huge), "alpha")]:
+                        (lambda: Starfish(5, 0.4, 0.6, huge), "alpha"),
+                        # na past 2**53 is no longer exact as a float: refused, not sampled
+                        (lambda: Starfish(big, 0.4, 0.6, 0.1), "na"),
+                        (lambda: Starfish(2**62, 0.4, 0.6, 0.1), "na")]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             make()
     message = "a must be positive and finite, got an integer larger than any float"

@@ -765,6 +765,22 @@ def test_cli_simulate_huge_density_is_bounded_under_projection(tmp_path, rho):
     assert reports["traditional"]["diverged"] is True
 
 
+@pytest.mark.parametrize("values", [{"rho_left": 1.7e308, "c_left": 1e-200}, {"rho_left": 1e300}])
+def test_cli_sweep_at_huge_constants_measures_every_row(tmp_path, values):
+    """At rho_left = 1.7e308 and c_left = 1e-200 (z about 1.7e108, c z about
+    1.7e-92), and at rho_left = 1e300 (c z about 2e300), the sweep measures
+    every row, agrees with its predictions and warns nothing: the growth
+    runs' interface matrix folds c z into finite entries, its flux row
+    balanced by a power of two, before the state is multiplied."""
+    cfg_path, out, stdout = tmp_path / "cfg.json", tmp_path / "sweep.csv", io.StringIO()
+    cfg_path.write_text(json.dumps(values))
+    with warnings.catch_warnings(), redirect_stdout(stdout):
+        warnings.simplefilter("error")
+        code = main(["stability", "--seed", "5", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 0 and "prediction/measurement agreement: True" in stdout.getvalue()
+    assert "nan" not in out.read_text()
+
+
 @pytest.mark.parametrize("mass", ["1e-200", "1e-320", "5e-324"])
 def test_cli_simulate_light_body_exits_0(tmp_path, mass):
     """A body lighter than about 1e-154, where Zt/(2 c beta m) overflowed,
