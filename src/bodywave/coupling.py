@@ -26,8 +26,8 @@ interface rule is written once, over a record's flat view: `_edges` gathers
 cells 1-2 of both sides and gives phi_e, `_fill` forms sigma_I and writes the
 four ghosts.  `couple` and a new run's ghosts and starting flux use them,
 with a record's constants built once by `_interface`.  `couple` is linear, so
-`interface_matrix` probes it as a 6 x 10 matrix, and a (B, 2, 2, n + 2) stack of
-runs steps by one stencil call and one batched product (`stability` growth runs).
+`interface_matrix` probes (and spends) a run as a 6 x 10 matrix, and a (B, 2, 2,
+n + 2) stack of runs steps by one stencil call and one batched product (`stability`).
 """
 
 from __future__ import annotations
@@ -142,8 +142,7 @@ class CoupledRun:
         F(v, old), F = sigma_I_right - sigma_I_left = Phi - (aL + aR) v with
         Phi the sum of both edge fluxes, gives (m + theta dt (aL+aR)) v' =
         (m - (1-theta) dt (aL+aR)) v + dt [theta Phi' + (1-theta) Phi].  It is
-        `_edges`, this solve, then `_fill`, on the record's flat view as bound
-        now (`interface_matrix` binds a scratch copy's x to zeros)."""
+        `_edges`, this solve, then `_fill`, on the record's flat view."""
         flat, theta = self.chars.flat, self.scheme.theta
         cells, phi_l, phi_r = _edges(flat, self.gather)
         flux = theta * (phi_r + phi_l)
@@ -163,18 +162,15 @@ class CoupledRun:
 
 
 def interface_matrix(run: CoupledRun) -> np.ndarray:
-    """The 6 x 10 matrix C of the linear `run.couple`: (cells 1-2 of rows uL, wL,
-    uR, wR, v_body, flux) to (their ghosts, v_body, flux), probed by 10 calls on a
-    scratch copy, so that `_edges` and `_fill` stay the only statement of the rule."""
-    from copy import copy  # imported where used, so `import bodywave` gains no import
-    probe = copy(run)
-    probe.chars = copy(run.chars)
-    probe.chars.x, cols = np.zeros_like(run.chars.x), []
-    flat, at, ghosts = probe.chars.flat, run.gather[0], [0, *run.ghosts[:3]]
+    """The 6 x 10 matrix C of the linear `run.couple`: (v_body, flux, cells 1-2 of
+    rows uL, wL, uR, wR) to (their ghosts, v_body, flux), probed by 10 calls on the
+    run itself, which this spends, so that `_edges` and `_fill` stay the only
+    statement of the rule."""
+    flat, at, ghosts, cols = run.chars.flat, run.gather[0], [0, *run.ghosts[:3]], []
     for j in range(10):
-        flat[at], probe.v_body, probe.flux = np.arange(8) == j, float(j == 8), float(j == 9)
-        probe.couple()
-        cols.append([*flat[ghosts].tolist(), probe.v_body, probe.flux])
+        run.v_body, run.flux, flat[at] = float(j == 0), float(j == 1), np.arange(2, 10) == j
+        run.couple()
+        cols.append([*flat[ghosts].tolist(), run.v_body, run.flux])
     return np.array(cols).T
 
 

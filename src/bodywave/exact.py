@@ -123,18 +123,19 @@ def _vb_response(prob: ModelProblem, t: np.ndarray, s: float, c: float, a: float
     With q = c t - s x0 and r = Zt/(2 c beta m) the integral is
     -(a sqrt(pi)/(2 c beta m)) e^P (erf A - erf B), where
 
-        A = r - beta q    B = r + beta s x0    P = r (r - 2 beta q),
+        A = r - beta q    B = r + beta s x0    P = r^2 - 2 (r beta) q,
 
     and e^P (erf A - erf B) = e^P erfc(B) - e^P erfc(A) is evaluated from the
     simplified exponents P - A^2 = -beta^2 q^2 and P - B^2 = -Zt t/m - beta^2 x0^2,
     so no factor overflows for any m > 0; 2 c beta m is never squared, so a
-    heavy body (r near 0) overflows nothing either.
+    heavy body (r near 0) overflows nothing either, and r beta = Zt/(2 c m)
+    is formed directly, so r = 0 at a huge beta leaves no 0 * inf in P.
     """
     zt, m, b, x0 = prob.z_total, prob.m_body, prob.beta, prob.x0
     b2 = b * b
     q = c * t - s * x0
     r = zt / (2.0 * c * m * b)
-    p = r * (r - 2.0 * b * q)
+    p = r * r - 2.0 * (zt / (2.0 * c * m)) * q
     big_a = r - b * q
     big_b = r + b * s * x0
     pref = -a * sqrt(pi) / (2.0 * c * b * m)

@@ -33,7 +33,7 @@ from .stability import (
 SCHEMES = ("first", "second")
 COUPLINGS = ("traditional", "projection", "custom")
 SHAPES = ("ellipse", "sphere", "ellipsoid", "starfish", "all")
-MAX_CELLS = 2 ** 20  # cap on the finest grid per side, n_cells * 2**(levels - 1)
+MAX_CELLS = 2 ** 20  # cap on the finest grid per side: n_cells, times 2**(levels - 1) in converge1d
 MAX_STEPS = 2 ** 20  # cap on the steps of a 1D run's finest level, t_final / dt
 _FIELD_TYPES = {"str": str, "int": Integral, "float": Real}  # bool is Integral: refused separately
 
@@ -90,8 +90,9 @@ class RunConfig:
         for name, low in (("levels", 1), ("n_cells", 3), ("resolution", 8), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        # levels may be near 1e308: shift only once levels - 1 is known to be at most 20
-        if self.levels > MAX_CELLS.bit_length() or self.n_cells << (self.levels - 1) > MAX_CELLS:
+        # only converge1d refines: shift once levels - 1 (maybe near 1e308) is known to be <= 20
+        shift = self.levels - 1 if self.mode == "converge1d" else 0
+        if shift >= MAX_CELLS.bit_length() or self.n_cells << shift > MAX_CELLS:
             raise ValueError(f"n_cells * 2**(levels - 1), the finest grid per side, must be <= "
                              f"{MAX_CELLS}, got n_cells {self.n_cells} and levels {self.levels}")
         for name in ("t_final", "domain_length"):
@@ -102,7 +103,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         self.materials()  # refuses a material whose z or kappa is not a normal float
         if self.mode in ("simulate1d", "converge1d"):  # the finest level's dt, as run_simulation's
-            dx = self.domain_length / (self.n_cells << (self.levels - 1))
+            dx = self.domain_length / (self.n_cells << shift)
             dt = self.cfl * dx / max(self.c_left, self.c_right)
             if not (dt > 0.0 and self.t_final / dt <= MAX_STEPS):  # a float ratio: inf is refused too
                 raise ValueError(f"t_final / dt, the steps on the finest grid, must be <= {MAX_STEPS}, "
@@ -285,10 +286,10 @@ def run_stability_sweep(cfg: RunConfig) -> dict:
     measured_stable uses a 1% margin on the per-step rate; rows land well off
     the stability boundary so the verdicts are unambiguous.
     """
-    if not cfg.mass > 0.0:
-        raise ValueError("the stability sweep needs mass > 0: its steps are multiples of the "
-                         "traditional bound m (4 - lambda)/(z lambda), which is 0 for a massless "
-                         "body, and the sweep already has massless rows")
+    if not cfg.mass >= float_info.min:
+        raise ValueError(f"the stability sweep needs mass > 0 and normal (>= {float_info.min:g}), got "
+                         f"{cfg.mass:g}: its steps are multiples of the traditional bound m (4 - lambda)/"
+                         "(z lambda), 0 for a massless body, and the sweep already has massless rows")
     mat = cfg.materials()[0]
     z, lam = mat.z, cfg.cfl
     bound = max_stable_dt_traditional(cfg.mass, z, lam)

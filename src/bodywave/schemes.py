@@ -53,7 +53,7 @@ class Characteristics:
         self.grids, self.mats, self.grid = tuple(f.grid for f in fields), tuple(mats), fields[0].grid
         if any(g.n_cells != self.grid.n_cells for g in self.grids):
             raise ValueError("all sides need the same n_cells")
-        self.x = np.empty((len(fields), 2, self.grid.n_cells + 2))
+        self._x = np.empty((len(fields), 2, self.grid.n_cells + 2))
         for i, f in enumerate(fields):
             phys = self.physical(i)
             phys[0], phys[1] = f.to_characteristics(self.mats[i])
@@ -69,25 +69,20 @@ class Characteristics:
         """Steppable `members` of one shape copied onto a batch axis, with
         their coefficients and own scratch; `grid`, the first's, sizes work."""
         ch = cls.__new__(cls)
-        ch.grid, ch.x = members[0].grid, np.stack([m.x for m in members])
+        ch.grid, ch._x = members[0].grid, np.stack([m.x for m in members])
         ch.rows = np.concatenate([m.rows for m in members])
         ch._scratch()
         return ch
 
-    def _bind(self, x: np.ndarray) -> None:
-        """Bind the state x (C-contiguous) and the flat views of it that steppers
-        and couplers use, so rebinding x (a probe's scratch) leaves none stale."""
-        if not x.flags.c_contiguous:
-            raise ValueError("a record's x must be C-contiguous")
-        m, f = x.shape[-1], x.reshape(-1)
-        self._x, self.flat, self.shifts = x, f, (f[:-2], f[1:-1], f[2:], f[:-1], f[1:])
-        self.inner, self.edge = x.reshape(-1, 2, m)[..., 1:-1], (f[m - 1::m], f[m - 2::m])
-
-    x = property(lambda self: self._x, _bind)
+    # the state, read-only: its flat views are built once, in _scratch (write into x[...])
+    x = property(lambda self: self._x)
 
     def _scratch(self) -> None:
-        """Per-element coefficients and scratch over the flat record, built once."""
-        m, b = self.x.shape[-1], self.x.itemsize
+        """The flat views of x that steppers and couplers use, and per-element
+        coefficients and scratch over the flat record, built once."""
+        m, b, f = self.x.shape[-1], self.x.itemsize, self.x.reshape(-1)
+        self.flat, self.shifts = f, (f[:-2], f[1:-1], f[2:], f[:-1], f[1:])
+        self.inner, self.edge = self.x.reshape(-1, 2, m)[..., 1:-1], (f[m - 1::m], f[m - 2::m])
         coef, (t, u) = np.repeat(self.rows.T, m, axis=1), np.empty((2, self.x.size))
         self.lam, self.lw = coef[0, 1:], tuple(coef[1:, 1:-1])
         # upwind t[j] = -+lam (x[j] - x[j-1]): u at flat j adds t[j], w adds t[j + 1]

@@ -276,22 +276,25 @@ def _growth_run(config: GrowthConfig) -> CoupledRun:
 def _stacked_rates(runs: list[CoupledRun], n_steps: int) -> list[float]:
     """Growth rates of `runs` (one order, one n_cells) advanced as one stack:
     per step one stencil call on the batch, then one coupling of all members
-    through their interface matrices C (`coupling.interface_matrix`).  A rate is
-    (N_end / N_start)**(1/tail), log N = log(mantissa) + (exponent + shift) ln 2
-    under the rescales (RESCALE_PERIOD); a run whose norm reaches 0 reads 0."""
-    b, tail, stack = len(runs), max(1, n_steps // 4), Characteristics.stack([run.chars for run in runs])
+    through their interface matrices C (`coupling.interface_matrix`, which spends
+    a run, so each is read and stacked first).  A rate is (N_end / N_start)**(1/tail),
+    log N = log(mantissa) + (exponent + shift) ln 2; a run whose norm reaches 0 reads 0."""
+    b, tail, body0 = len(runs), max(1, n_steps // 4), [[run.v_body, run.flux] for run in runs]
+    stack = Characteristics.stack([run.chars for run in runs])
     step = coupling.upwind_step if runs[0].order == 1 else coupling.lax_wendroff_step
-    # a member's row of `buf` is (ghosts, v_body, flux 2**-e, cells); C y reads the last ten (C's
-    # columns rolled to match) and writes the first six.  e, the exponent of the largest entry of
-    # C's flux row (about c z), keeps every product C y finite at any impedance, exactly
-    cmat = np.roll([coupling.interface_matrix(run) for run in runs], 2, axis=-1)
-    e = np.frexp(np.abs(cmat[:, 5]).max(axis=1))[1]
-    cmat[:, 5], cmat[:, :, 1] = np.ldexp(cmat[:, 5], -e[:, None]), np.ldexp(cmat[:, :, 1], e[:, None])
+    cmat = np.array([coupling.interface_matrix(run) for run in runs])
+    # a member's row of `buf` is (ghosts, v_body 2**-ec, flux 2**-e, cells); C y reads the last
+    # ten and writes the first six.  With c = mc 2**ec and e the exponent of C's flux row (about
+    # c z), these exact scalings keep every stored number at the characteristics' scale, C y finite
+    mc, ec = np.frexp([run.chars.mats[0].c for run in runs])
+    exps = np.stack([ec, np.frexp(np.abs(cmat[:, 5]).max(axis=1))[1]], axis=1)
+    np.ldexp(cmat[:, 4:], -exps[:, :, None], out=cmat[:, 4:])  # rows, then columns
+    np.ldexp(cmat[:, :, :2], exps[:, None, :], out=cmat[:, :, :2])
     buf, prod, mag = np.empty((b, 14)), np.empty((b, 6, 10)), np.empty(stack.x.shape)
-    buf[:, 4], buf[:, 5] = [run.v_body for run in runs], np.ldexp([run.flux for run in runs], -e)
+    buf[:, 4:6] = np.ldexp(body0, -exps)
     y, out, body = buf[:, None, 4:], buf[:, :6], buf[:, 4:6]
     cells, ghosts = buf[:, 6:].reshape(b, 2, 2, 2), buf[:, :4].reshape(b, 2, 2)
-    c, inner, shift = np.array([run.chars.mats[0].c for run in runs]), mag[..., 1:-1], np.zeros(b, np.int64)
+    inner, shift = mag[..., 1:-1], ec.astype(np.int64)  # N = 2**shift max(mc S, |stored v_body|)
     logs = {n_steps - tail: np.zeros(b), n_steps: None}  # the unstepped state counts as norm 1
     for k in range(1, n_steps + 1):
         step(stack)
@@ -302,7 +305,7 @@ def _stacked_rates(runs: list[CoupledRun], n_steps: int) -> list[float]:
         top = np.abs(stack.x, out=mag).max()
         if k in logs or k % RESCALE_PERIOD == 0 or not RESCALE_LOW <= top <= RESCALE_HIGH:
             inner[..., 0, :] += inner[..., 1, :]
-            mant, ex = np.frexp(np.maximum(c * inner[..., 0, :].max(axis=(-2, -1)), np.abs(body[:, 0])))
+            mant, ex = np.frexp(np.maximum(mc * inner[..., 0, :].max(axis=(-2, -1)), np.abs(body[:, 0])))
             if k in logs:
                 logs[k] = np.log(np.where(mant > 0.0, mant, 1.0)) + (ex + shift) * np.log(2.0)
             np.ldexp(stack.x, -ex[:, None, None, None], out=stack.x)

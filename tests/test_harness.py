@@ -460,6 +460,18 @@ def test_config_refuses_a_huge_levels_at_once_and_accepts_the_cap():
         RunConfig.from_dict({"mode": "converge1d", "n_cells": MAX_CELLS // 4 + 1, "levels": 3})
 
 
+def test_config_counts_levels_toward_the_caps_only_in_a_study():
+    """simulate1d runs one grid of n_cells per side, so the levels that only
+    converge1d refines by neither refuse its grid nor count toward its steps."""
+    cap = {"c_left": 1.0, "c_right": 1.0, "cfl": 1.0, "domain_length": 1.0, "n_cells": 1024,
+           "t_final": 1024.0, "levels": 3}  # exactly MAX_STEPS steps on the one grid
+    for values, message in (({"n_cells": 100000, "levels": 5, "t_final": 1e-4}, "finest grid per side"),
+                            (cap, "steps on the finest grid")):
+        RunConfig.from_dict({"mode": "simulate1d", **values})
+        with pytest.raises(ValueError, match=message):
+            RunConfig.from_dict({"mode": "converge1d", **values})
+
+
 def test_config_refuses_one_step_past_the_cap_at_once_and_accepts_the_cap():
     """dt = cfl * dx / max(c) is 2**-10 here, so t_final = 1024 asks for
     exactly MAX_STEPS steps; in a study the finest level's steps count."""
@@ -781,6 +793,26 @@ def test_cli_sweep_at_huge_constants_measures_every_row(tmp_path, values):
     assert "nan" not in out.read_text()
 
 
+@pytest.mark.parametrize("values,code", [({"mass": 5e-324}, 2), ({"mass": 1e-309}, 2),
+                                         ({"mass": 1e-320, "rho_right": 1e150}, 2), ({"mass": 1e-300}, 0)])
+def test_cli_sweep_needs_a_normal_mass(tmp_path, capsys, values, code):
+    """Below the smallest normal float the sweep's steps, multiples of the
+    traditional bound m (4 - lambda)/(z lambda), are not normal floats, and
+    the second-order prediction overflowed in m/(dt z) and exited 3.  Such a
+    mass is refused with exit 2, naming `mass`, before any warning; a light
+    normal mass is swept and agrees."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["stability", "--config", str(cfg_path), "--out", str(tmp_path / "sweep.csv")]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert "the stability sweep needs mass > 0 and normal (>= 2.22507e-308)" in err
+    else:
+        assert "prediction/measurement agreement: True" in out
+
+
 @pytest.mark.parametrize("mass", ["1e-200", "1e-320", "5e-324"])
 def test_cli_simulate_light_body_exits_0(tmp_path, mass):
     """A body lighter than about 1e-154, where Zt/(2 c beta m) overflowed,
@@ -842,6 +874,8 @@ EXTREME_FIELDS = ("rho_left", "c_left", "rho_right", "c_right", "mass", "beta",
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @example(command="simulate", scheme="second", coupling="projection", values={"c_left": 1e-200},
          n_cells=10, levels=1, t_final=1e-3)
+@example(command="simulate", scheme="second", coupling="projection", values={"beta": 1.7e308},
+         n_cells=10, levels=1, t_final=1e-3)
 @given(command=st.sampled_from(("simulate", "converge", "stability")),
        scheme=st.sampled_from(SCHEMES), coupling=st.sampled_from(COUPLINGS),
        values=st.dictionaries(st.sampled_from(EXTREME_FIELDS), st.sampled_from(EXTREMES), max_size=3),
@@ -851,7 +885,9 @@ def test_cli_extreme_inputs_end_in_a_documented_exit_code(command, scheme, coupl
                                                           n_cells, levels, t_final):
     """Extreme densities, speeds, masses, pulse widths and interface weights
     end in exit 2, exit 3 or exit 0 with a whole report (strict JSON, or a
-    CSV row per sweep row), never a traceback."""
+    CSV row per sweep row), never a traceback; a run under projection
+    coupling that exits 0 has not diverged, also at beta = 1.7e308, where the
+    closed form's 2 c beta m overflows."""
     if coupling == "custom":
         values = {"alpha_left": 1.0, "alpha_right": 1.0, **values}
     suffix = ".csv" if command == "stability" else ".json"
@@ -865,7 +901,9 @@ def test_cli_extreme_inputs_end_in_a_documented_exit_code(command, scheme, coupl
                          "--out", str(out)])
         assert code in (0, 2, 3) and "Traceback" not in stderr.getvalue()
         if code == 0 and suffix == ".json":
-            json.loads(out.read_text(), parse_constant=_reject_constant)
+            report = json.loads(out.read_text(), parse_constant=_reject_constant)
+            if coupling == "projection":
+                assert not report.get("diverged") and not report.get("diverged_levels")
         elif code == 0:  # one complete row per sweep row
             lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("# ")]
             rows = list(csv.reader(lines))

@@ -7,8 +7,6 @@ bitwise oracle is the broadcasting form of the characteristic kernels,
 which the flat per-element kernels must reproduce exactly.
 """
 
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,13 +125,11 @@ def test_stacked_records_step_like_each_alone(stepper):
     slow = (FluidMaterial(1.0, 1.3), FluidMaterial(2.0, 0.7))
     fast = (FluidMaterial(0.8, 2.1), FluidMaterial(1.5, 0.4))
 
-    def record(dt, mats):
-        return Characteristics((_random_field("left"), _random_field("right")), mats, dt)
-
-    members = [record(0.01, slow), record(0.02, fast), record(0.035, slow)]
-    alone = [copy.copy(m) for m in members]
-    for a in alone:
-        a.x = a.x.copy()
+    specs = [((_random_field("left"), _random_field("right")), mats, dt)
+             for dt, mats in ((0.01, slow), (0.02, fast), (0.035, slow))]
+    members, alone = [Characteristics(*spec) for spec in specs], [Characteristics(*spec) for spec in specs]
+    for a, m in zip(alone, members):  # twins built independently, given each member's state
+        a.x[...] = m.x
     stack = Characteristics.stack(members)
     for _ in range(5):
         stepper(stack)
@@ -174,17 +170,17 @@ def test_flat_kernels_equal_the_broadcasting_kernels_bitwise(n, members, seed):
     record alone step exactly as the broadcasting kernels step them, over
     the whole array: ghost and far columns included."""
     rng, dx = np.random.default_rng(seed), 1.0 / n
-    records = []
+    records, args = [], []
     for lam_l, lam_r, dt in members:
         mats = (FluidMaterial(1.3, lam_l * dx / dt), FluidMaterial(0.7, lam_r * dx / dt))
-        fields = (_random_field("left", n, dx), _random_field("right", n, dx))
-        ch = Characteristics(fields, mats, dt)
+        args.append(((_random_field("left", n, dx), _random_field("right", n, dx)), mats, dt))
+        ch = Characteristics(*args[-1])
         ch.x[:] = rng.standard_normal(ch.x.shape)  # ghosts and far cells too
         records.append(ch)
     lam = np.array([[[m.c * dt / dx] for m in ch.mats] for ch, (_, _, dt) in zip(records, members)])
     for stepper, scheme in ((upwind_step, "upwind"), (lax_wendroff_step, "lw")):
-        stack, alone = Characteristics.stack(records), copy.copy(records[0])
-        alone.x = records[0].x.copy()
+        stack, alone = Characteristics.stack(records), Characteristics(*args[0])  # the first's twin
+        alone.x[...] = records[0].x
         want, want_alone = stack.x.copy(), alone.x.copy()
         for _ in range(4):
             stepper(stack)
@@ -192,3 +188,16 @@ def test_flat_kernels_equal_the_broadcasting_kernels_bitwise(n, members, seed):
             _broadcast_step(want, lam, scheme)
             _broadcast_step(want_alone, lam[0], scheme)
         assert np.array_equal(stack.x, want) and np.array_equal(alone.x, want_alone), scheme
+
+
+def test_a_records_state_cannot_be_rebound():
+    """x is read-only, for a record and a stack alike: the flat views that
+    steppers and couplers use are built from it once, so a rebound x would
+    leave them stale.  Writing into x reaches them."""
+    mats = (FluidMaterial(1.0, 1.3), FluidMaterial(2.0, 0.7))
+    ch = Characteristics((_random_field("left"), _random_field("right")), mats, 0.01)
+    for record in (ch, Characteristics.stack([ch, ch])):
+        with pytest.raises(AttributeError):
+            record.x = record.x.copy()
+        record.x[...] = 0.5
+        assert np.all(record.flat == 0.5) and np.all(record.inner == 0.5)

@@ -520,15 +520,15 @@ def _single_rate(config: GrowthConfig, n_steps: int):
         if norm == 0.0:
             return 0.0
         logs.append(np.log(norm))
-        run.chars.x /= norm
+        run.chars.x[...] /= norm
         run.v_body /= norm
         run.flux /= norm
     return float(np.exp(np.mean(np.array(logs)[-max(1, n_steps // 4):])))
 
 
-def _sweep_configs(mass: float, seed: int = 5) -> list[GrowthConfig]:
-    """The growth runs of run_stability_sweep at its default materials and CFL."""
-    mat, lam = FluidMaterial(1.0, np.sqrt(2.0)), 0.8
+def _sweep_configs(mass: float, seed: int = 5, mat=FluidMaterial(1.0, np.sqrt(2.0))) -> list[GrowthConfig]:
+    """The growth runs of run_stability_sweep at its CFL and `mat`, by default its default."""
+    lam = 0.8
     bound = max_stable_dt_traditional(mass, mat.z, lam)
     return [GrowthConfig(mat, 0.0 if massless else mass, factor * bound, lam,
                          mat.z if coupling == "projection" else 0.0, scheme, seed=seed)
@@ -622,6 +622,23 @@ def test_fast_growth_is_measured_without_overflow(scheme):
     rate = growth_rates([config])[0]
     assert rate > 1e3
     assert rate == pytest.approx(_single_rate(config, 600), rel=RATE_RTOL, abs=0.0)
+
+
+def test_a_far_speed_of_sound_does_not_rescale_every_step(monkeypatch):
+    """A stack stores every number at the scale of the characteristics, so a
+    member whose c is far from 1 leaves the rescale window no more often: on
+    the m = 1 sweep configs at c = 1e-200 and c = 1e100, growth_rates makes at
+    most 2x the np.frexp calls (one per rescale, plus the setup's) of the
+    default material, where a stack whose entries sat about 1/c from the norm
+    the rescale aims at would rescale on every step (about 1,200 calls)."""
+    calls, frexp = [], np.frexp
+    monkeypatch.setattr(np, "frexp", lambda *args: calls.append(1) or frexp(*args))
+    counts = []
+    for mat in (FluidMaterial(1.0, np.sqrt(2.0)), FluidMaterial(1.7e308, 1e-200), FluidMaterial(1e-100, 1e100)):
+        calls.clear()
+        growth_rates(_sweep_configs(1.0, mat=mat))
+        counts.append(len(calls))
+    assert max(counts[1:]) <= 2 * counts[0], counts
 
 
 def test_growth_rates_need_a_step():
