@@ -1,7 +1,10 @@
-"""Command-line front end.
+"""Command-line front end, and the one writer of every report format.
 
 Subcommands: simulate, converge, stability, addedmass, rb3d.  Options come
 from an optional JSON config file with individual flags overriding keys.
+A report with rows (stability, addedmass) prints as a text table, and --out
+gets it as CSV with the config echoed in comment lines; any other report is
+strict JSON, written to --out or else to stdout.
 Exit codes: 0 success, 2 validation or output error, 3 numerical failure:
 any ArithmeticError raised while running, named on one stderr line.  Each
 failure type of the solvers subclasses ArithmeticError for that reason.
@@ -10,21 +13,13 @@ failure type of the solvers subclasses ArithmeticError for that reason.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
+from math import isfinite
 
-from .harness import (
-    COUPLINGS,
-    SCHEMES,
-    SHAPES,
-    RunConfig,
-    format_json,
-    format_table,
-    run_mode,
-    write_csv_table,
-    write_json_report,
-)
+from .harness import COUPLINGS, SCHEMES, SHAPES, RunConfig, run_mode
 
 SUBCOMMAND_MODES = {
     "simulate": "simulate1d",
@@ -74,6 +69,49 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_dict(data)
 
 
+def _jsonable(obj):
+    """Strict JSON has no NaN or Infinity: a non-finite float is written as null."""
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_jsonable(v) for v in obj]
+    return None if isinstance(obj, float) and not isfinite(obj) else obj
+
+
+def format_json(report: dict) -> str:
+    """Report as strict (no NaN/Infinity), indented, key-sorted JSON text
+    ending in a newline."""
+    return json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def write_csv_table(path: str, rows: list[dict], config: dict) -> None:
+    """CSV with the config echoed in leading comment lines (self-describing,
+    and bit-identical for identical config + seed)."""
+    with open(path, "w", newline="") as fh:
+        for key in sorted(config):
+            fh.write(f"# {key} = {config[key]}\n")
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def format_table(rows: list[dict]) -> str:
+    """Plain-text rendering of a row table (fixed column order)."""
+    cols = list(rows[0])
+    rendered = [[_text_cell(r[c]) for c in cols] for r in rows]
+    widths = [max(len(c), *(len(row[i]) for row in rendered)) for i, c in enumerate(cols)]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+                     for row in [cols, *rendered])
+
+
+def _text_cell(value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(value)
+
+
 def _emit(report: dict, cfg: RunConfig):
     """Write the report; return the stream left for the summary lines
     (stderr when the JSON report itself went to stdout)."""
@@ -81,14 +119,14 @@ def _emit(report: dict, cfg: RunConfig):
         print(format_table(report["rows"]))
         if cfg.out:
             write_csv_table(cfg.out, report["rows"], report["config"])
-            print(f"wrote {cfg.out}")
+    elif cfg.out:
+        with open(cfg.out, "w") as fh:
+            fh.write(format_json(report))
     else:
-        if cfg.out:
-            write_json_report(cfg.out, report)
-            print(f"wrote {cfg.out}")
-        else:
-            sys.stdout.write(format_json(report))
-            return sys.stderr
+        sys.stdout.write(format_json(report))
+        return sys.stderr
+    if cfg.out:
+        print(f"wrote {cfg.out}")
     return sys.stdout
 
 

@@ -1,10 +1,9 @@
 """Experiment driver: coupled 1D runs, convergence studies, stability sweeps,
-added-mass tables, and machine-readable CSV/JSON reports."""
+added-mass tables and the rigid-body demo, each returned as a report dict
+(`cli` writes the reports)."""
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, replace
 from math import ceil, isfinite, sqrt
 from numbers import Integral, Real
@@ -33,7 +32,7 @@ from .stability import (
 SCHEMES = ("first", "second")
 COUPLINGS = ("traditional", "projection", "custom")
 SHAPES = ("ellipse", "sphere", "ellipsoid", "starfish", "all")
-MAX_CELLS = 2 ** 20  # cap on the finest grid per side: n_cells, times 2**(levels - 1) in converge1d
+MAX_CELLS = 2 ** 20  # cap on a 1D run's finest grid per side: n_cells, times 2**(levels - 1) in converge1d
 MAX_STEPS = 2 ** 20  # cap on the steps of a 1D run's finest level, t_final / dt
 _FIELD_TYPES = {"str": str, "int": Integral, "float": Real}  # bool is Integral: refused separately
 
@@ -90,11 +89,6 @@ class RunConfig:
         for name, low in (("levels", 1), ("n_cells", 3), ("resolution", 8), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        # only converge1d refines: shift once levels - 1 (maybe near 1e308) is known to be <= 20
-        shift = self.levels - 1 if self.mode == "converge1d" else 0
-        if shift >= MAX_CELLS.bit_length() or self.n_cells << shift > MAX_CELLS:
-            raise ValueError(f"n_cells * 2**(levels - 1), the finest grid per side, must be <= "
-                             f"{MAX_CELLS}, got n_cells {self.n_cells} and levels {self.levels}")
         for name in ("t_final", "domain_length"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -102,7 +96,15 @@ class RunConfig:
             if isinstance(value, float) and not isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         self.materials()  # refuses a material whose z or kappa is not a normal float
-        if self.mode in ("simulate1d", "converge1d"):  # the finest level's dt, as run_simulation's
+        if self.mode in ("simulate1d", "converge1d"):  # the finest grid and dt, as run_simulation's
+            # only converge1d refines: shift once levels - 1 (maybe near 1e308) is known to be <= 20
+            study = self.mode == "converge1d"
+            shift = self.levels - 1 if study else 0
+            if shift >= MAX_CELLS.bit_length() or self.n_cells << shift > MAX_CELLS:
+                grid = "n_cells * 2**(levels - 1)" if study else "n_cells"
+                levels = f" and levels {self.levels}" if study else ""
+                raise ValueError(f"{grid}, the finest grid per side, must be <= {MAX_CELLS}, "
+                                 f"got n_cells {self.n_cells}{levels}")
             dx = self.domain_length / (self.n_cells << shift)
             dt = self.cfl * dx / max(self.c_left, self.c_right)
             if not (dt > 0.0 and self.t_final / dt <= MAX_STEPS):  # a float ratio: inf is refused too
@@ -438,71 +440,6 @@ def run_rigidbody_demo(cfg: RunConfig) -> dict:
         "history": hist,
         "max_e_drift": max(hist["e_drift"]),
     }
-
-
-# -- output -------------------------------------------------------------------
-
-
-def _jsonable(obj):
-    """Strict JSON has no NaN or Infinity: a non-finite float is written as null."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_jsonable(v) for v in obj]
-    return None if isinstance(obj, float) and not isfinite(obj) else obj
-
-
-def format_json(report: dict) -> str:
-    """Report as strict (no NaN/Infinity), indented, key-sorted JSON text
-    ending in a newline."""
-    return json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def write_json_report(path: str, report: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_json(report))
-
-
-def write_csv_table(path: str, rows: list[dict], config: dict) -> None:
-    """CSV with the config echoed in leading comment lines (self-describing,
-    and bit-identical for identical config + seed)."""
-    if not rows:
-        raise ValueError("no rows to write")
-    fieldnames = list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
-        for key in sorted(config):
-            fh.write(f"# {key} = {config[key]}\n")
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _csv_cell(row[k]) for k in fieldnames})
-
-
-def _csv_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
-def format_table(rows: list[dict]) -> str:
-    """Plain-text rendering of a row table (fixed column order)."""
-    if not rows:
-        return "(empty)"
-    cols = list(rows[0].keys())
-    rendered = [[_text_cell(r[c]) for c in cols] for r in rows]
-    widths = [max(len(c), *(len(row[i]) for row in rendered)) for i, c in enumerate(cols)]
-    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths))
-                     for row in [cols, *rendered])
-
-
-def _text_cell(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
 
 
 # mode -> runner; RunConfig accepts exactly these modes, in this order

@@ -307,7 +307,7 @@ def _stacked_rates(runs: list[CoupledRun], n_steps: int) -> list[float]:
             inner[..., 0, :] += inner[..., 1, :]
             mant, ex = np.frexp(np.maximum(mc * inner[..., 0, :].max(axis=(-2, -1)), np.abs(body[:, 0])))
             if k in logs:
-                logs[k] = np.log(np.where(mant > 0.0, mant, 1.0)) + (ex + shift) * np.log(2.0)
+                logs[k] = np.log(np.where(mant == 0.0, 1.0, mant)) + (ex + shift) * np.log(2.0)
             np.ldexp(stack.x, -ex[:, None, None, None], out=stack.x)
             np.ldexp(body, -ex[:, None], out=body)
             shift += ex
@@ -318,8 +318,8 @@ def _stacked_rates(runs: list[CoupledRun], n_steps: int) -> list[float]:
 def growth_rates(configs, n_steps: int = 600) -> list[float | None]:
     """Measured per-step amplification of each config: geometric mean of the
     max-norm ratio over the final quarter of a run started from small random
-    data; 0.0 if the norm reaches 0, None if the solver refuses the
-    configuration (SingularBodyUpdate).
+    data; 0.0 if the norm reaches 0, NaN (or inf) if the run leaves the float
+    range, and None if the solver refuses the configuration (SingularBodyUpdate).
 
     The norm is the largest of |v_body| and, over both interiors, |v| and
     |sigma|/z, i.e. c max(|w - u|, |u + w|) = c (|u| + |w|) in the run's

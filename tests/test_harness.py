@@ -19,7 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import bodywave
 
-from bodywave.cli import SUBCOMMAND_MODES, build_parser, config_from_args, main
+from bodywave.cli import (SUBCOMMAND_MODES, build_parser, config_from_args, format_json, format_table,
+                          main, write_csv_table)
 from bodywave.materials import FluidField1D, FluidMaterial
 from bodywave import coupling
 from bodywave.stability import GrowthConfig, empirical_growth_rate, growth_rates
@@ -40,15 +41,11 @@ from bodywave.harness import (
     SCHEMES,
     SWEEP_ROWS,
     RunConfig,
-    format_json,
-    format_table,
     run_addedmass_table,
     run_convergence_study,
     run_rigidbody_demo,
     run_simulation,
     run_stability_sweep,
-    write_csv_table,
-    write_json_report,
 )
 
 
@@ -320,15 +317,24 @@ def test_write_csv_table_deterministic(tmp_path):
     assert header.split(",")[:3] == ["shape", "params", "entry"]
 
 
-def test_write_csv_table_rejects_empty(tmp_path):
-    with pytest.raises(ValueError):
-        write_csv_table(str(tmp_path / "x.csv"), [], {})
+@pytest.mark.parametrize("argv", [["simulate", "--cells", "16", "--tfinal", "0.05"], ["rb3d", "--mass", "0.5"]],
+                         ids=["simulate", "rb3d"])
+def test_cli_json_report_deterministic(tmp_path, capsys, argv):
+    """The JSON counterpart of test_write_csv_table_deterministic: one config
+    written twice to the same --out gives the same bytes."""
+    path = tmp_path / "rep.json"
+    written = []
+    for _ in range(2):
+        assert main([*argv, "--out", str(path)]) == 0
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    assert json.loads(written[0])["config"]["out"] == str(path)
 
 
-def test_write_json_report_parses_back(tmp_path):
+def test_cli_json_out_parses_back(tmp_path, capsys):
     rep = run_simulation(RunConfig(scheme="first", n_cells=16, t_final=0.05))
     path = tmp_path / "rep.json"
-    write_json_report(str(path), rep)
+    assert main(["simulate", "--scheme", "first", "--cells", "16", "--tfinal", "0.05", "--out", str(path)]) == 0
     loaded = json.loads(path.read_text())
     assert loaded["config"]["n_cells"] == 16
     assert loaded["errors"]["v_max"] == pytest.approx(rep["errors"]["v_max"])
@@ -346,7 +352,6 @@ def test_format_json_writes_non_finite_floats_as_null():
 
 
 def test_format_table_rendering():
-    assert format_table([]) == "(empty)"
     text = format_table([{"a": 1.5, "b": None}, {"a": 2.0, "b": "x"}])
     lines = text.splitlines()
     assert lines[0].split() == ["a", "b"]
@@ -410,7 +415,7 @@ def test_cli_non_finite_mass_is_a_config_error(command, mass, capsys):
     (["converge", "--cells", "3", "--levels", "20"], None,
      "the finest grid per side, must be <= 1048576, got n_cells 3 and levels 20"),
     (["simulate"], '{"n_cells": 1000000000000}',
-     "the finest grid per side, must be <= 1048576, got n_cells 1000000000000 and levels 1"),
+     "n_cells, the finest grid per side, must be <= 1048576, got n_cells 1000000000000\n"),
     (["simulate", "--tfinal", "1e300", "--cfl", "1e-300"], None,
      "the steps on the finest grid, must be <= 1048576, got t_final 1e+300, cfl 1e-300, "
      "n_cells 100, levels 1 and domain_length 2.0"),
@@ -470,6 +475,15 @@ def test_config_counts_levels_toward_the_caps_only_in_a_study():
         RunConfig.from_dict({"mode": "simulate1d", **values})
         with pytest.raises(ValueError, match=message):
             RunConfig.from_dict({"mode": "converge1d", **values})
+
+
+@pytest.mark.parametrize("argv", [["stability"], ["addedmass", "--shape", "ellipse", "--resolution", "64"],
+                                  ["rb3d"]], ids=["stability", "addedmass", "rb3d"])
+def test_cli_modes_without_a_grid_ignore_the_grid_cap(capsys, argv):
+    """The sweep builds its growth runs at GrowthConfig's own n_cells, and the
+    tables and the 3D demo build no grid, so n_cells past MAX_CELLS runs."""
+    assert main([*argv, "--cells", "2000000"]) == 0
+    assert "config error" not in capsys.readouterr().err
 
 
 def test_config_refuses_one_step_past_the_cap_at_once_and_accepts_the_cap():

@@ -641,6 +641,20 @@ def test_a_far_speed_of_sound_does_not_rescale_every_step(monkeypatch):
     assert max(counts[1:]) <= 2 * counts[0], counts
 
 
+def test_an_overflowed_run_reads_nan_not_a_stable_rate():
+    """At z = 1e280 and m/(z dt) = 1e-50 the run's coupling C y leaves the
+    float range and its norm turns NaN; the rate reads NaN, not the 1.0 (a
+    stable verdict) that a NaN mantissa logged as 1 would give.  Its twin at
+    z = 1, with the same lambda, alpha/z and m/(z dt), stays in range and
+    grows by about 8e49 per step."""
+    config = GrowthConfig(FluidMaterial(1e280, 1.0), 1e227, 1e-3, 0.8, 0.0, "first")
+    with pytest.warns(RuntimeWarning):
+        rate = empirical_growth_rate(config)
+    assert np.isnan(rate)
+    twin = empirical_growth_rate(GrowthConfig(FluidMaterial(1.0, 1.0), 1e-53, 1e-3, 0.8, 0.0, "first"))
+    assert twin == pytest.approx(8e49, rel=1e-12)
+
+
 def test_growth_rates_need_a_step():
     mat = FluidMaterial(1.0, np.sqrt(2.0))
     cfg = GrowthConfig(mat, 1e-3, 1e-3, 0.8, mat.z, "first")
