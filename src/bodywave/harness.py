@@ -108,9 +108,10 @@ class RunConfig:
             dx = self.domain_length / (self.n_cells << shift)
             dt = self.cfl * dx / max(self.c_left, self.c_right)
             if not (dt > 0.0 and self.t_final / dt <= MAX_STEPS):  # a float ratio: inf is refused too
+                levels = f", levels {self.levels}" if study else ""
                 raise ValueError(f"t_final / dt, the steps on the finest grid, must be <= {MAX_STEPS}, "
-                                 f"got t_final {self.t_final}, cfl {self.cfl}, n_cells {self.n_cells}, "
-                                 f"levels {self.levels} and domain_length {self.domain_length}")
+                                 f"got t_final {self.t_final}, cfl {self.cfl}, n_cells {self.n_cells}"
+                                 f"{levels} and domain_length {self.domain_length}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np  # scipy is imported inside the functions that call it, off the start-up path
+import numpy as np  # numpy.linalg's SVD and solve are all the LAPACK this module needs
 
 from .addedmass import AddedMassTensors
 
@@ -43,9 +43,12 @@ def cross_matrix(w: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -w2, w1], [w2, 0.0, -w0], [-w1, w0, 0.0]])
 
 
+_EYE3 = np.eye(3)
+
+
 def _drift(E: np.ndarray) -> float:
     """Orthogonality drift of the axes E, max |E^T E - I|."""
-    return float(np.max(np.abs(E.T @ E - np.eye(3))))
+    return float(np.max(np.abs(E.T @ E - _EYE3)))
 
 
 @dataclass(frozen=True)
@@ -70,19 +73,19 @@ class RigidBodyState3D:
         drift = _drift(E)
         if drift > 1e-8:
             raise ValueError(f"E is not orthogonal: drift {drift:.3e}")
+        object.__setattr__(self, "_e_drift", drift)
 
     @classmethod
     def rest(cls) -> "RigidBodyState3D":
         return cls(np.zeros(3), np.zeros(3), np.zeros(3), np.eye(3))
 
     def orthogonality_drift(self) -> float:
-        return _drift(self.E)
+        return self._e_drift
 
 
 def _reorthonormalize(E: np.ndarray) -> np.ndarray:
     """Nearest orthogonal matrix: the polar factor U V^T of E = U S V^T."""
-    from scipy.linalg.lapack import dgesdd
-    u, _, vt, _ = dgesdd(E)
+    u, _, vt = np.linalg.svd(E)
     return u @ vt
 
 
@@ -176,22 +179,19 @@ class DIRKTableau:
         return cls(a, np.array([0.5, 0.5]), np.array([g, 1.0 - g]), order=3)
 
 
-def _solve_stage(inertia, forcing, gamma_dt, v_base, omega_base):
+def _solve_stage(A, forcing, lin, gamma_dt, u_base):
     """Newton solve for the stage slopes k = (k_v, k_w) of the momentum rows
 
         diag(m I, A) k + A_m u + (0, w x A w) - (F~, T~) = 0,
 
-    u = (v_base, omega_base) + gamma_dt k = (v, w), A_m the 6x6 composite.
-    The linear part L = gamma_dt A_m + diag(m I, A) and the constant part
-    A_m u_base - (F~, T~) are built once; each iteration adds only the
-    gyroscopic term Cross(w) A w and its Jacobian."""
-    from scipy.linalg.lapack import dgesdd, dgesv
-    comp, A = forcing.tensors.composite, inertia.A
+    u = u_base + gamma_dt k = (v, w), A_m the 6x6 composite,
+    given the linear part lin = L = gamma_dt A_m + diag(m I, A).  The constant
+    part A_m u_base - (F~, T~) is built once; each iteration adds only the
+    gyroscopic term Cross(w) A w and its Jacobian.  Returns k and Cross(w)."""
+    comp = forcing.tensors.composite
     forcing_6 = np.concatenate([forcing.f_tilde, forcing.t_tilde])
-    g_const = comp @ np.concatenate([v_base, omega_base]) - forcing_6
-    lin = gamma_dt * comp
-    lin[range(3), range(3)] += inertia.mass
-    lin[3:, 3:] += A
+    g_const = comp @ u_base - forcing_6
+    omega_base = u_base[3:]
 
     def residual(k):
         omg = omega_base + gamma_dt * k[3:]
@@ -208,22 +208,26 @@ def _solve_stage(inertia, forcing, gamma_dt, v_base, omega_base):
     k = np.zeros(6)
     g, w_mat, a_omg = residual(k)
     jac = jacobian(w_mat, a_omg)
-    _, sv, _, info = dgesdd(jac, compute_uv=0)  # descending singular values
-    if info != 0 or not (0.0 < sv[-1] and sv[0] <= 1e13 * sv[-1]):
+    try:
+        sv = np.linalg.svd(jac, compute_uv=False)  # descending singular values
+    except np.linalg.LinAlgError:  # no convergence: the stage matrix is not finite
+        sv = np.array([np.inf, 1.0])
+    if not (0.0 < sv[-1] and sv[0] <= 1e13 * sv[-1]):
         with np.errstate(all="ignore"):
-            cond = sv[0] / sv[-1] if info == 0 else np.inf
+            cond = sv[0] / sv[-1]
         raise SingularStage(f"stage matrix is singular (condition number {cond:.3e})")
-    scale = max(1.0, np.abs(forcing_6).max(),
-                np.abs(comp).max() * (np.abs(v_base).max() + np.abs(omega_base).max()))
+    v_max, w_max = max(map(abs, u_base[:3].tolist())), max(map(abs, omega_base.tolist()))
+    scale = max(1.0, *map(abs, forcing_6.tolist()), float(np.abs(comp).max()) * (v_max + w_max))
     for it in range(25):
-        g_max = float(np.abs(g).max())
-        if not math.isfinite(g_max):
+        g_list = g.tolist()
+        if not all(map(math.isfinite, g_list)):
             raise NewtonDivergence("stage residual became non-finite")
-        if g_max <= 1e-12 * scale:
-            return k
-        _, _, step, info = dgesv(jac if it == 0 else jacobian(w_mat, a_omg), -g)
-        if info > 0:
-            raise SingularStage("stage Jacobian solve failed: Singular matrix")
+        if max(map(abs, g_list)) <= 1e-12 * scale:
+            return k, w_mat
+        try:
+            step = np.linalg.solve(jac if it == 0 else jacobian(w_mat, a_omg), -g)
+        except np.linalg.LinAlgError:
+            raise SingularStage("stage Jacobian solve failed: Singular matrix") from None
         k = k + step
         g, w_mat, a_omg = residual(k)
     raise NewtonDivergence(f"no convergence in 25 iterations (|G| = {np.max(np.abs(g)):.3e})")
@@ -239,24 +243,25 @@ def dirk_step(
 ) -> RigidBodyState3D:
     """One DIRK step; forcing_provider(time) returns the PartialForcing at a
     stage time (freeze it to reproduce tensors held fixed over the step)."""
-    from scipy.linalg.lapack import dgesv
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     gdt = tableau.gamma * dt
     a, b, c = tableau.a, tableau.b, tableau.c
     # y = (x, v, omega, E) flattened; one row of stage slopes per stage
     y0 = np.concatenate([state.x, state.v, state.omega, state.E.ravel()])
-    slopes = np.zeros((len(b), 18))
+    slopes, tensors = np.zeros((len(b), 18)), None
     for i in range(len(b)):
         forcing = forcing_provider(t + c[i] * dt)
+        if forcing.tensors is not tensors:  # L needs only the (read-only) tensors: build it once
+            tensors, lin = forcing.tensors, gdt * forcing.tensors.composite
+            lin[range(3), range(3)] += inertia.mass
+            lin[3:, 3:] += inertia.A
         base = y0 + dt * (a[i, :i] @ slopes[:i])
-        v_base, w_base = base[3:6], base[6:9]
-        k = _solve_stage(inertia, forcing, gdt, v_base, w_base)
-        w_mat = cross_matrix(w_base + gdt * k[3:])
+        k, w_mat = _solve_stage(inertia.A, forcing, lin, gdt, base[3:9])
         # E row: k_e = W (e_base + gdt k_e) is linear; I - gdt W is always
         # nonsingular (eigenvalues 1, 1 +- i gdt |omega|)
-        _, _, k_e, _ = dgesv(np.eye(3) - gdt * w_mat, w_mat @ base[9:].reshape(3, 3))
-        slopes[i, :3] = v_base + gdt * k[:3]
+        k_e = np.linalg.solve(_EYE3 - gdt * w_mat, w_mat @ base[9:].reshape(3, 3))
+        slopes[i, :3] = base[3:6] + gdt * k[:3]
         slopes[i, 3:9] = k
         slopes[i, 9:] = k_e.ravel()
     y1 = y0 + dt * (b @ slopes)

@@ -418,7 +418,10 @@ def test_cli_non_finite_mass_is_a_config_error(command, mass, capsys):
      "n_cells, the finest grid per side, must be <= 1048576, got n_cells 1000000000000\n"),
     (["simulate", "--tfinal", "1e300", "--cfl", "1e-300"], None,
      "the steps on the finest grid, must be <= 1048576, got t_final 1e+300, cfl 1e-300, "
-     "n_cells 100, levels 1 and domain_length 2.0"),
+     "n_cells 100 and domain_length 2.0\n"),
+    (["converge", "--levels", "3", "--tfinal", "1e300", "--cfl", "1e-300"], None,
+     "the steps on the finest grid, must be <= 1048576, got t_final 1e+300, cfl 1e-300, "
+     "n_cells 100, levels 3 and domain_length 2.0\n"),
     (["simulate", "--cells", "10", "--cfl", "1e-300"], None,
      "the steps on the finest grid, must be <= 1048576, got t_final 0.75, cfl 1e-300, n_cells 10"),
     (["simulate"], '{"c_left": 1e-200}', "must be normal floats, got rho 1.0 and c 1e-200"),
@@ -430,7 +433,7 @@ def test_cli_non_finite_mass_is_a_config_error(command, mass, capsys):
         "cells-float", "levels-bool", "mass-int-too-large", "tfinal-int-too-large",
         "cells-int-too-large", "resolution-int-too-large", "levels-finest-grid-too-large",
         "levels-one-past-the-cap", "cells-finest-grid-too-large", "steps-past-any-float",
-        "steps-past-the-cap", "kappa-underflows", "kappa-underflows-stability", "z-overflows",
+        "converge-steps-past-any-float", "steps-past-the-cap", "kappa-underflows", "kappa-underflows-stability", "z-overflows",
         "z-subnormal"])
 def test_cli_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, argv, config, message):
     """Each value is refused by the config loader with the field named, not
@@ -602,28 +605,42 @@ def test_cli_json_to_stdout_appends_to_redirected_file(tmp_path):
     assert report["config"]["n_cells"] == 16 and report["diverged"] is False
 
 
-def _scipy_modules_after(code: str) -> list:
-    """The scipy modules loaded once `code` has run in a fresh interpreter."""
+def _scipy_modules_after(*steps: str) -> list:
+    """The scipy modules loaded after each of `steps` has run, in turn, in
+    one fresh interpreter: one sorted list per step."""
     env = dict(os.environ, PYTHONPATH=str(Path(bodywave.__file__).parents[1]))
-    probe = code + ("\nimport json, sys; print(json.dumps(sorted("
-                    "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    report = ("\nprint('scipy modules:', json.dumps(sorted("
+              "m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+    probe = "import json, sys\n" + "".join(step + report for step in steps)
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return [json.loads(line.removeprefix("scipy modules:"))
+            for line in proc.stdout.splitlines() if line.startswith("scipy modules:")]
 
 
 def test_cli_start_up_loads_no_scipy():
     """scipy is imported by the functions that call it, so building the CLI
     parser costs no scipy import."""
-    assert _scipy_modules_after("import bodywave, bodywave.cli; bodywave.cli.build_parser()") == []
+    assert _scipy_modules_after("import bodywave, bodywave.cli; bodywave.cli.build_parser()") == [[]]
 
 
-def test_cli_stability_run_loads_neither_scipy_special_nor_lapack(tmp_path):
-    loaded = _scipy_modules_after(
-        "import bodywave.cli; bodywave.cli.main(['stability', '--mass', '1e-3', '--seed', '5', "
-        f"'--out', {str(tmp_path / 'sweep.csv')!r}])")
-    assert not {"scipy.special", "scipy.linalg"} & set(loaded), loaded
+def test_only_the_exact_solution_loads_scipy(tmp_path):
+    """stability, addedmass and rb3d run on numpy alone (numpy.linalg is all
+    the LAPACK the rigid body needs); simulate loads scipy.special for the
+    exact solution, and still no scipy.linalg."""
+    def run(*argv):
+        out = str(tmp_path / f"{argv[0]}.out")
+        return f"bodywave.cli.main({[*argv, '--out', out]!r})"
+    numpy_only, with_exact = _scipy_modules_after(
+        "import bodywave.cli; " + "; ".join([
+            run("stability", "--mass", "1e-3", "--seed", "5"),
+            run("addedmass", "--shape", "sphere", "--resolution", "16"),
+            run("rb3d", "--mass", "0.5")]),
+        run("simulate", "--cells", "10", "--tfinal", "0.05"))
+    assert numpy_only == [], numpy_only
+    assert "scipy.special" in with_exact, with_exact
+    assert not [m for m in with_exact if m.startswith("scipy.linalg")], with_exact
 
 
 @pytest.mark.parametrize("argv, out", [

@@ -498,6 +498,30 @@ def test_non_finite_forcing_raises_divergence():
                   _dirk1(), 0.1)
 
 
+def test_singular_newton_jacobian_raises_singular_stage():
+    # From rest, backward Euler (dt = 0.5) under the torque (0, 24, 16) with
+    # A = diag(1, 3, 4) and no added mass: the stage matrix at rest is
+    # diag(1, 1, 1, 1, 3, 4), and the first Newton step lands on w = (0, 4, 2),
+    # where the angular block A + dt (W A - Cross(A w)) = [[1, 1, 2], [-3, 3, 0],
+    # [4, 0, 4]] is exactly singular, while the residual (8, 0, 0) is not zero
+    provider = lambda t: PartialForcing(np.zeros(3), np.array([0.0, 24.0, 16.0]),
+                                        _diag_tensors(0.0, 0.0))
+    with pytest.raises(SingularStage, match="stage Jacobian solve failed: Singular matrix"):
+        dirk_step(RigidBodyState3D.rest(), BodyInertia(1.0, np.diag([1.0, 3.0, 4.0])), provider,
+                  _dirk1(), 0.5)
+
+
+def test_newton_that_wanders_raises_divergence():
+    # a fast tumble of an anisotropic body under a large torque in one
+    # backward-Euler step of dt = 1: Newton from k = 0 is still far from the
+    # root after 25 iterations (|G| about 1e6, and about 5e3 at dt = 0.99 or 1.01)
+    state = RigidBodyState3D(np.zeros(3), np.zeros(3), np.array([-40.0, -40.0, 0.0]), np.eye(3))
+    provider = lambda t: PartialForcing(np.zeros(3), np.array([1000.0, 1000.0, 0.0]),
+                                        _diag_tensors(0.0, 0.0))
+    with pytest.raises(NewtonDivergence, match=r"no convergence in 25 iterations \(\|G\| = "):
+        dirk_step(state, BodyInertia(1.0, np.diag([0.5, 1.0, 4.0])), provider, _dirk1(), 1.0)
+
+
 def test_dirk_step_rejects_bad_dt():
     with pytest.raises(ValueError):
         dirk_step(RigidBodyState3D.rest(), BodyInertia(1.0, np.eye(3)),
