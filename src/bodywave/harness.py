@@ -300,7 +300,7 @@ def run_stability_sweep(cfg: RunConfig) -> dict:
                            z if coupling == "projection" else 0.0, scheme, seed=cfg.seed)
               for scheme, coupling, massless, factor in SWEEP_ROWS]
     rows = []
-    # one stack per scheme; None where the solver refuses the configuration outright
+    # one stack for the sweep; None where the solver refuses the configuration outright
     for (scheme, coupling, _, _), g, measured in zip(SWEEP_ROWS, growth, growth_rates(growth)):
         mass, dt = g.mass, g.dt
         predicted, pred_stable = _predict(scheme, coupling, StabilityQuery(lam, dt, mass, z, g.alpha))

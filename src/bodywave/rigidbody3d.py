@@ -206,12 +206,12 @@ def _solve_stage(A, forcing, lin, gamma_dt, u_base):
         return jac
 
     k = np.zeros(6)
-    g, w_mat, a_omg = residual(k)
-    jac = jacobian(w_mat, a_omg)
-    try:
-        sv = np.linalg.svd(jac, compute_uv=False)  # descending singular values
-    except np.linalg.LinAlgError:  # no convergence: the stage matrix is not finite
-        sv = np.array([np.inf, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge omega overflows here: refused below
+        g, w_mat, a_omg = residual(k)
+        jac = jacobian(w_mat, a_omg)
+    if not np.isfinite(jac).all():  # before LAPACK, which would print its own error lines
+        raise SingularStage("stage matrix is not finite (condition number inf)")
+    sv = np.linalg.svd(jac, compute_uv=False)  # descending singular values
     if not (0.0 < sv[-1] and sv[0] <= 1e13 * sv[-1]):
         with np.errstate(all="ignore"):
             cond = sv[0] / sv[-1]

@@ -14,7 +14,8 @@ one virtual cell past the far end.  With lam = c dt/dx:
 The virtual far cell copies the last cell (zeroth-order extrapolation).  The
 ghost is read, never written (couplers own it); kernels write interior
 columns only.  `Characteristics.stack` puts B records of one shape on a batch
-axis, x of shape (B, sides, 2, n + 2).  Each kernel operation is one ufunc
+axis, x of shape (B, sides, 2, n + 2), and `part` views a contiguous run of
+its members as a record that steps alone.  Each kernel operation is one ufunc
 call over the whole record as one flat run of rows, on per-element
 coefficients, views and scratch built once per record, so one call steps all
 B, each at its own Courant numbers, bit-identically.  A FluidField1D is
@@ -68,9 +69,19 @@ class Characteristics:
     def stack(cls, members) -> "Characteristics":
         """Steppable `members` of one shape copied onto a batch axis, with
         their coefficients and own scratch; `grid`, the first's, sizes work."""
+        return cls._record(members[0].grid, np.stack([m.x for m in members]),
+                           np.concatenate([m.rows for m in members]))
+
+    def part(self, start: int, stop: int) -> "Characteristics":
+        """Members start..stop - 1 of a stack as a record on the stack's own
+        buffer, with their coefficients and own scratch."""
+        per = len(self.rows) // len(self.x)  # coefficient rows per member
+        return self._record(self.grid, self.x[start:stop], self.rows[per * start:per * stop])
+
+    @classmethod
+    def _record(cls, grid, x, rows) -> "Characteristics":
         ch = cls.__new__(cls)
-        ch.grid, ch._x = members[0].grid, np.stack([m.x for m in members])
-        ch.rows = np.concatenate([m.rows for m in members])
+        ch.grid, ch._x, ch.rows = grid, x, rows
         ch._scratch()
         return ch
 

@@ -274,14 +274,15 @@ def _growth_run(config: GrowthConfig) -> CoupledRun:
 
 
 def _stacked_rates(runs: list[CoupledRun], n_steps: int) -> list[float]:
-    """Growth rates of `runs` (one order, one n_cells) advanced as one stack:
-    per step one stencil call on the batch, then one coupling of all members
-    through their interface matrices C (`coupling.interface_matrix`, which spends
-    a run, so each is read and stacked first).  A rate is (N_end / N_start)**(1/tail),
+    """Growth rates of `runs` (one n_cells, first-order runs first) advanced as one
+    stack: per step one stencil call on each order's part of the batch, then one
+    coupling of all members through their interface matrices C (`coupling.interface_matrix`,
+    which spends a run, so each is read and stacked first).  A rate is (N_end / N_start)**(1/tail),
     log N = log(mantissa) + (exponent + shift) ln 2; a run whose norm reaches 0 reads 0."""
     b, tail, body0 = len(runs), max(1, n_steps // 4), [[run.v_body, run.flux] for run in runs]
-    stack = Characteristics.stack([run.chars for run in runs])
-    step = coupling.upwind_step if runs[0].order == 1 else coupling.lax_wendroff_step
+    stack, n1 = Characteristics.stack([run.chars for run in runs]), sum(run.order == 1 for run in runs)
+    parts = [(step, stack.part(i, j)) for step, i, j in
+             ((coupling.upwind_step, 0, n1), (coupling.lax_wendroff_step, n1, b)) if i < j]
     cmat = np.array([coupling.interface_matrix(run) for run in runs])
     # a member's row of `buf` is (ghosts, v_body 2**-ec, flux 2**-e, cells); C y reads the last
     # ten and writes the first six.  With c = mc 2**ec and e the exponent of C's flux row (about
@@ -297,7 +298,8 @@ def _stacked_rates(runs: list[CoupledRun], n_steps: int) -> list[float]:
     inner, shift = mag[..., 1:-1], ec.astype(np.int64)  # N = 2**shift max(mc S, |stored v_body|)
     logs = {n_steps - tail: np.zeros(b), n_steps: None}  # the unstepped state counts as norm 1
     for k in range(1, n_steps + 1):
-        step(stack)
+        for step, part in parts:
+            step(part)
         np.copyto(cells, stack.x[..., 1:3])
         np.multiply(cmat, y, out=prod)  # then summed per row in an order free of b
         np.add.reduce(prod, axis=-1, out=out)
@@ -326,8 +328,9 @@ def growth_rates(configs, n_steps: int = 600) -> list[float | None]:
     characteristics.  The dynamics are linear, so each run is rescaled in place
     by exact powers of two, and only when needed; growing and decaying runs
     are measured without overflow or underflow, and the rate does not depend
-    on when the rescales happen.  Runs of one scheme and n_cells advance as one
-    stack; each rate is bit-identical to that of the run alone.
+    on when the rescales happen.  Runs of one n_cells advance as one stack, each
+    order stepping its own part of it; each rate is bit-identical to that of the
+    run alone.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -337,9 +340,10 @@ def growth_rates(configs, n_steps: int = 600) -> list[float | None]:
             run = _growth_run(config)
         except SingularBodyUpdate:
             continue
-        stacks.setdefault((config.scheme, config.n_cells), {})[i] = run
+        stacks.setdefault(config.n_cells, {})[i] = run
     for runs in stacks.values():
-        for i, rate in zip(runs, _stacked_rates(list(runs.values()), n_steps)):
+        runs = sorted(runs.items(), key=lambda item: item[1].order)  # first order first
+        for (i, _), rate in zip(runs, _stacked_rates([run for _, run in runs], n_steps)):
             rates[i] = rate
     return rates
 

@@ -213,6 +213,34 @@ def test_half_ellipse_reference_values():
     assert abs(t.aww[2, 2] - o33) < 1e-12
 
 
+def _ellipse_oracle(a, b):
+    """avv_11, avv_22 and aww_33 of the unit-impedance ellipse by adaptive
+    quadrature in t, with r = sqrt(a^2 sin^2 t + b^2 cos^2 t)."""
+    r = lambda t: np.sqrt(a**2 * np.sin(t) ** 2 + b**2 * np.cos(t) ** 2)
+    integrands = (lambda t: b**2 * np.cos(t) ** 2 / r(t), lambda t: a**2 * np.sin(t) ** 2 / r(t),
+                  lambda t: (a**2 - b**2) ** 2 * np.sin(t) ** 2 * np.cos(t) ** 2 / r(t))
+    names = ("avv_11", "avv_22", "aww_33")
+    return {name: quad(f, 0, 2 * np.pi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            for name, f in zip(names, integrands)}
+
+
+@pytest.mark.parametrize("params,b", [("a=1 b=0.5", 0.5), ("a=1 b=0.1", 0.1)])
+def test_table_ellipse_rows_match_adaptive_quadrature(params, b):
+    """The added-mass table's printed-reference ellipse rows at resolution 512
+    agree with an adaptive-quadrature oracle to 1e-12 relative (at most 9.6e-16
+    measured), far inside the printed references' 5e-5 to 1e-2.  The b = 0.01
+    row is left out: at 512 points its avv_11 is under-resolved, 1.3e-3
+    relative from the oracle."""
+    from bodywave.harness import RunConfig, run_addedmass_table
+
+    rep = run_addedmass_table(RunConfig(mode="addedmass_table", shape="ellipse", resolution=512))
+    rows = {r["entry"]: r["value"] for r in rep["rows"] if r["params"] == params}
+    oracle = _ellipse_oracle(1.0, b)
+    assert rows.keys() == oracle.keys()
+    for entry, value in rows.items():
+        assert value == pytest.approx(oracle[entry], rel=1e-12, abs=0.0), entry
+
+
 def test_prolate_spheroid_reference_values():
     t = added_mass_tensors(sample_surface(Ellipsoid(1.0, 1.0, 2.0), 1.0, 256))
     assert np.max(np.abs(np.diag(t.avv) - [9.254, 9.254, 2.971])) < 1e-3

@@ -29,7 +29,7 @@ from bodywave.addedmass import (DegenerateGeometry, Ellipsoid, UnsupportedShape,
 from bodywave.coupling import SingularBodyUpdate
 from bodywave.exact import DomainError
 from bodywave.rigidbody3d import NewtonDivergence, NonphysicalPressure, SingularStage
-from bodywave.schemes import CflViolation
+from bodywave.schemes import CflViolation, Characteristics
 from bodywave.stability import ContourFailure
 from bodywave.harness import (
     ADDED_MASS_REFERENCES,
@@ -150,11 +150,11 @@ def test_runs_convert_fields_only_at_their_ends(monkeypatch):
         assert growth[0] == growth[1] and sum(growth[1].values()) <= 8, (scheme, growth)
 
 
-def test_sweep_steps_each_scheme_as_one_stack(monkeypatch):
-    """A sweep's growth runs advance as one stack per scheme: 2 x 600 stencil
-    calls for its 12 runnable rows, and a (v, sigma) conversion count that
-    does not grow with the number of steps."""
-    stencils, calls = {}, {}
+def test_sweep_steps_its_runs_as_one_stack(monkeypatch):
+    """A sweep's growth runs advance as one stack per sweep: one stencil call
+    per order per step, 600 of each for its 12 runnable rows, and a (v, sigma)
+    conversion count that does not grow with the number of steps."""
+    stencils, calls, stacks = {}, {}, []
 
     def counting(name, fn, into=calls):
         def wrapped(*args, **kwargs):
@@ -164,8 +164,12 @@ def test_sweep_steps_each_scheme_as_one_stack(monkeypatch):
 
     for name in ("upwind_step", "lax_wendroff_step"):
         monkeypatch.setattr(coupling, name, counting(name, getattr(coupling, name), stencils))
+    real_stack = Characteristics.stack
+    monkeypatch.setattr(Characteristics, "stack", classmethod(
+        lambda cls, members: stacks.append(len(members)) or real_stack(members)))
     run_stability_sweep(RunConfig(mode="stability_sweep", mass=1e-3))
     assert stencils == {"upwind_step": 600, "lax_wendroff_step": 600}
+    assert stacks == [12]
 
     monkeypatch.setattr(FluidField1D, "to_characteristics",
                         counting("to", FluidField1D.to_characteristics))
@@ -808,13 +812,16 @@ def test_cli_simulate_huge_density_is_bounded_under_projection(tmp_path, rho):
     assert reports["traditional"]["diverged"] is True
 
 
-@pytest.mark.parametrize("values", [{"rho_left": 1.7e308, "c_left": 1e-200}, {"rho_left": 1e300}])
+@pytest.mark.parametrize("values", [{"rho_left": 1.7e308, "c_left": 1e-200}, {"rho_left": 1e300},
+                                    {"rho_left": 1e307}])
 def test_cli_sweep_at_huge_constants_measures_every_row(tmp_path, values):
     """At rho_left = 1.7e308 and c_left = 1e-200 (z about 1.7e108, c z about
-    1.7e-92), and at rho_left = 1e300 (c z about 2e300), the sweep measures
-    every row, agrees with its predictions and warns nothing: the growth
-    runs' interface matrix folds c z into finite entries, its flux row
-    balanced by a power of two, before the state is multiplied."""
+    1.7e-92), at rho_left = 1e300 (c z about 2e300) and at rho_left = 1e307,
+    the sweep measures every row, agrees with its predictions and warns
+    nothing: the growth runs' interface matrix folds c z into finite entries,
+    its flux row balanced by a power of two, before the state is multiplied.
+    At 1e307 a unit cell's stress, 2e307, plus z v_body (1.6e308) would pass
+    the largest float, so the probe's cells are scaled down by a power of two."""
     cfg_path, out, stdout = tmp_path / "cfg.json", tmp_path / "sweep.csv", io.StringIO()
     cfg_path.write_text(json.dumps(values))
     with warnings.catch_warnings(), redirect_stdout(stdout):

@@ -490,6 +490,18 @@ def test_non_finite_stage_matrix_is_singular():
                   _still_forcing(_diag_tensors(1.0, 1.0)), _dirk1(), 0.1)
 
 
+def test_huge_angular_velocity_is_refused_quietly(capfd):
+    """At omega = (1e308, 0, 0) with A = diag(10, 1, 1), A omega overflows in
+    the first stage residual and the stage matrix is not finite.  The step is
+    refused before the SVD, with no warning (the suite turns a RuntimeWarning
+    into an error) and without LAPACK's own error lines on stdout or stderr."""
+    state = RigidBodyState3D(np.zeros(3), np.zeros(3), np.array([1e308, 0.0, 0.0]), np.eye(3))
+    with pytest.raises(SingularStage, match="stage matrix is not finite"):
+        dirk_step(state, BodyInertia(1.0, np.diag([10.0, 1.0, 1.0])),
+                  _still_forcing(AddedMassTensors(np.eye(6))), DIRKTableau.dirk3(), 0.1)
+    assert capfd.readouterr() == ("", "")
+
+
 def test_non_finite_forcing_raises_divergence():
     tens = _diag_tensors(1.0, 1.0)
     provider = lambda t: PartialForcing(np.array([np.inf, 0.0, 0.0]), np.zeros(3), tens)

@@ -139,6 +139,29 @@ def test_stacked_records_step_like_each_alone(stepper):
         assert np.array_equal(x, a.x)
 
 
+@pytest.mark.parametrize("stepper", [upwind_step, lax_wendroff_step])
+def test_a_part_of_a_stack_steps_its_members_in_place(stepper):
+    """`part(1, 3)` of a three-member stack, each member at its own step and
+    materials, steps members 1 and 2 in the stack's own buffer exactly as
+    each steps alone, with its own coefficients, and leaves member 0 as it was."""
+    slow = (FluidMaterial(1.0, 1.3), FluidMaterial(2.0, 0.7))
+    fast = (FluidMaterial(0.8, 2.1), FluidMaterial(1.5, 0.4))
+    specs = [((_random_field("left"), _random_field("right")), mats, dt)
+             for dt, mats in ((0.01, slow), (0.02, fast), (0.035, slow))]
+    members, alone = [Characteristics(*spec) for spec in specs], [Characteristics(*spec) for spec in specs]
+    for a, m in zip(alone, members):
+        a.x[...] = m.x
+    stack = Characteristics.stack(members)
+    part, first = stack.part(1, 3), stack.x[0].copy()
+    for _ in range(5):
+        stepper(part)
+        for a in alone[1:]:
+            stepper(a)
+    assert np.array_equal(stack.x[0], first)
+    for x, a in zip(stack.x[1:], alone[1:]):
+        assert np.array_equal(x, a.x)
+
+
 def _broadcast_step(x, lam, scheme):
     """One step of x, shape (..., sides, 2, n + 2), in place by the
     broadcasting kernels, lam of shape (..., sides, 1)."""

@@ -570,6 +570,23 @@ def test_stacked_growth_rates_equal_single_runs(members):
     _assert_rates_match(rates, [_single_rate(c, n_steps) for c in configs])
 
 
+def test_alternating_orders_and_sizes_map_back_to_their_configs():
+    """Configs that alternate first, second, first, second order over two
+    n_cells stack by n_cells, first order first, and each rate comes back to
+    its own config, equal bit for bit to the rate of its run alone, and to
+    its single run's to RATE_RTOL."""
+    mat, lam = FluidMaterial(1.0, np.sqrt(2.0)), 0.8
+    dt = max_stable_dt_traditional(1e-3, mat.z, lam)
+    configs = [GrowthConfig(mat, 1e-3, f * dt, lam, a, scheme, n_cells=n, seed=seed)
+               for seed, (scheme, f, a, n) in enumerate(
+                   [("first", 1.5, 0.0, 12), ("second", 0.5, 0.0, 20), ("first", 2.0, mat.z, 20),
+                    ("second", 2.0, 0.0, 12), ("first", 0.5, 0.0, 20), ("second", 1.5, mat.z, 12)])]
+    rates = growth_rates(configs, 40)
+    assert rates == [growth_rates([c], 40)[0] for c in configs]
+    assert len(set(rates)) == len(rates)  # distinct, so a rate mapped to the wrong config shows
+    _assert_rates_match(rates, [_single_rate(c, 40) for c in configs])
+
+
 @pytest.mark.parametrize("mass", [1e-3, 1.0, 1e-6])
 def test_sweep_growth_rates_equal_single_runs(mass):
     configs = _sweep_configs(mass)
@@ -590,7 +607,8 @@ class _Zeros:
 def test_refused_and_resting_members_leave_the_stack_alone(monkeypatch):
     """A refused member is never stacked and reads None; a member whose norm
     reaches 0 reads 0.0; every other member reads what it reads alone, and
-    what its single run reads to RATE_RTOL."""
+    what its single run reads to RATE_RTOL.  The five runnable members, of
+    both orders, share one stack."""
     real_rng, real_stack, stacked = np.random.default_rng, Characteristics.stack, []
     monkeypatch.setattr(np.random, "default_rng", lambda seed: _Zeros() if seed == 99 else real_rng(seed))
     monkeypatch.setattr(Characteristics, "stack", classmethod(
@@ -603,7 +621,7 @@ def test_refused_and_resting_members_leave_the_stack_alone(monkeypatch):
                    ("first", 1e-3, 0.5, 0.0, 99), ("second", 1e-3, 0.5, 0.0, 3),
                    ("first", 1e-3, 2.0, mat.z, 4), ("second", 1e-3, 2.0, mat.z, 99))]
     rates = growth_rates(configs, 40)
-    assert stacked == [3, 2]
+    assert stacked == [5]
     assert rates[1] is None and rates[2] == 0.0 and rates[5] == 0.0
     for i in (0, 3, 4):
         assert rates[i] == growth_rates([configs[i]], 40)[0] and rates[i] > 0.0, i
