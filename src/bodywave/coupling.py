@@ -26,15 +26,14 @@ interface rule is written once, over a record's flat view: `_edges` gathers
 cells 1-2 of both sides and gives phi_e, `_fill` forms sigma_I and writes the
 four ghosts.  `couple` and a new run's ghosts and starting flux use them,
 with a record's constants built once by `_interface`.  `couple` is linear, so
-`interface_matrix` probes (and spends) a run as a 6 x 10 matrix, and a (B, 2, 2,
-n + 2) stack of runs of both orders steps by one stencil call per order and one
-batched product (`stability`).
+`interface_matrix` probes (and spends) a run with unit inputs as a 6 x 10 matrix,
+and a (B, 2, 2, n + 2) stack of runs of both orders, each at unit c and z, steps
+by one stencil call per order and one batched product (`stability`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import frexp, ldexp
 from typing import NamedTuple
 
 import numpy as np
@@ -57,7 +56,6 @@ class Scheme(NamedTuple):
 
 
 SCHEMES = {1: Scheme((1.0, 0.0), 1.0, 0.0), 2: Scheme((1.5, -0.5), 0.5, 1.0)}
-PROBE_STRESS_EXP = 960  # 2**64 below the largest float: room for the body's response z v_body
 
 
 def _interface(chars: Characteristics, alphas, scheme: Scheme) -> tuple[tuple, tuple]:
@@ -166,21 +164,15 @@ class CoupledRun:
 
 def interface_matrix(run: CoupledRun) -> np.ndarray:
     """The 6 x 10 matrix C of the linear `run.couple`: (v_body, flux, cells 1-2 of
-    rows uL, wL, uR, wR) to (their ghosts, v_body, flux), probed by 10 calls on the
-    run itself, which this spends, so that `_edges` and `_fill` stay the only
-    statement of the rule.  A cell is probed at 2**-k and its column scaled back
-    by 2**k, exactly: k >= 0 is the least that keeps the stress of a probed cell,
-    c (z + |alpha|) 2**-k, below 2**PROBE_STRESS_EXP, so sigma_I +- z v_body stays
-    finite for a fluid whose stress nears the largest float."""
+    rows uL, wL, uR, wR) to (their ghosts, v_body, flux), probed by 10 calls with
+    unit inputs on the run itself, which this spends, so that `_edges` and `_fill`
+    stay the only statement of the rule."""
     flat, at, ghosts, cols = run.chars.flat, run.gather[0], [0, *run.ghosts[:3]], []
-    k = max(0, *(frexp(c)[1] + frexp(max(abs(m), abs(p)))[1] - PROBE_STRESS_EXP
-                 for c, m, p in (run.gather[3:6], run.gather[6:9])))  # per side (s c, z - alpha, z + alpha)
-    unit = ldexp(1.0, -k)
     for j in range(10):
-        run.v_body, run.flux, flat[at] = float(j == 0), float(j == 1), (np.arange(2, 10) == j) * unit
+        run.v_body, run.flux, flat[at] = float(j == 0), float(j == 1), np.arange(2, 10) == j
         run.couple()
         cols.append([*flat[ghosts].tolist(), run.v_body, run.flux])
-    return np.ldexp(np.array(cols).T, [0, 0] + [k] * 8)
+    return np.array(cols).T
 
 
 def step_algorithm1(state: CoupledState, *args, **kwargs) -> CoupledState:

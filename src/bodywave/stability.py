@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
+from sys import float_info
 
 import numpy as np
 
@@ -34,6 +35,7 @@ INNER_RADIUS, OUTER_RADIUS = 1.01, 1e4
 CONTOUR_START, CONTOUR_CAP, CONTOUR_MAX_TURN = 64, 2 * 65536, np.pi / 4
 
 GROWTH_AMPLITUDE = 1e-3  # size of the random initial data of a growth run
+UNIT = FluidMaterial(1.0, 1.0)  # the material of every growth run, posed in its own variables
 # A growth stack is rescaled by exact powers of two, so its rates do not move:
 # each member to its norm's exponent every RESCALE_PERIOD steps (decaying members
 # stay normal floats) and whenever the stack's largest entry leaves [RESCALE_LOW,
@@ -251,51 +253,45 @@ class GrowthConfig:
             raise ValueError(f"scheme must be 'first' or 'second', got {self.scheme!r}")
         StabilityQuery(self.courant, self.dt, self.mass, self.mat.z, self.alpha)  # the same rules
 
-    @property
-    def dx(self) -> float:
-        return self.mat.c * self.dt / self.courant
-
 
 def _growth_run(config: GrowthConfig) -> CoupledRun:
-    """The coupled run of `config` from its seeded random data."""
-    rng = np.random.default_rng(config.seed)
-    n, order = config.n_cells, 1 if config.scheme == "first" else 2
+    """The coupled run of `config` in the problem's own variables: unit c and z,
+    dt = 1, dx = 1/lambda, mass mu = m/(z dt) and weight alpha/z; its seeded draws
+    of v and v_body are divided by c and of sigma by kappa, so its characteristics
+    are the config's.  mu is one division (a subnormal dt costs no digits), held at
+    the largest float (an immovable body) past it or where z dt underflows, m > 0."""
+    mat, rng, order = config.mat, np.random.default_rng(config.seed), 1 if config.scheme == "first" else 2
+    n, z_dt, w = config.n_cells, mat.z * config.dt, config.alpha / mat.z
+    mu = min(config.mass / z_dt, float_info.max) if z_dt else float_info.max * (config.mass > 0.0)
     fields = []
     for side in ("left", "right"):
-        g = Grid1D(side, n, config.dx)
+        g = Grid1D(side, n, 1.0 / config.courant)
         v = np.zeros(n + 1)
         s = np.zeros(n + 1)
-        v[g.interior] = GROWTH_AMPLITUDE * rng.standard_normal(n)
-        s[g.interior] = GROWTH_AMPLITUDE * rng.standard_normal(n)
+        v[g.interior] = GROWTH_AMPLITUDE * rng.standard_normal(n) / mat.c
+        s[g.interior] = GROWTH_AMPLITUDE * rng.standard_normal(n) / mat.kappa
         fields.append(FluidField1D(g, v, s))
-    v_body = GROWTH_AMPLITUDE * rng.standard_normal()
-    return CoupledRun(order, CoupledState(*fields, v_body), config.mat, config.mat, config.mass, config.dt,
-                      config.alpha, config.alpha)
+    v_body = GROWTH_AMPLITUDE * rng.standard_normal() / mat.c
+    return CoupledRun(order, CoupledState(*fields, v_body), UNIT, UNIT, mu, 1.0, w, w)
 
 
 def _stacked_rates(runs: list[CoupledRun], n_steps: int) -> list[float]:
-    """Growth rates of `runs` (one n_cells, first-order runs first) advanced as one
-    stack: per step one stencil call on each order's part of the batch, then one
-    coupling of all members through their interface matrices C (`coupling.interface_matrix`,
+    """Growth rates of `runs` (one n_cells, first-order runs first, all at unit c and z)
+    advanced as one stack: per step one stencil call on each order's part of the batch,
+    then one coupling of all members through their interface matrices C (`coupling.interface_matrix`,
     which spends a run, so each is read and stacked first).  A rate is (N_end / N_start)**(1/tail),
     log N = log(mantissa) + (exponent + shift) ln 2; a run whose norm reaches 0 reads 0."""
-    b, tail, body0 = len(runs), max(1, n_steps // 4), [[run.v_body, run.flux] for run in runs]
+    b, tail = len(runs), max(1, n_steps // 4)
     stack, n1 = Characteristics.stack([run.chars for run in runs]), sum(run.order == 1 for run in runs)
     parts = [(step, stack.part(i, j)) for step, i, j in
              ((coupling.upwind_step, 0, n1), (coupling.lax_wendroff_step, n1, b)) if i < j]
-    cmat = np.array([coupling.interface_matrix(run) for run in runs])
-    # a member's row of `buf` is (ghosts, v_body 2**-ec, flux 2**-e, cells); C y reads the last
-    # ten and writes the first six.  With c = mc 2**ec and e the exponent of C's flux row (about
-    # c z), these exact scalings keep every stored number at the characteristics' scale, C y finite
-    mc, ec = np.frexp([run.chars.mats[0].c for run in runs])
-    exps = np.stack([ec, np.frexp(np.abs(cmat[:, 5]).max(axis=1))[1]], axis=1)
-    np.ldexp(cmat[:, 4:], -exps[:, :, None], out=cmat[:, 4:])  # rows, then columns
-    np.ldexp(cmat[:, :, :2], exps[:, None, :], out=cmat[:, :, :2])
+    # a member's row of `buf` is (ghosts, v_body, flux, cells); C y reads the last ten and writes the first six
     buf, prod, mag = np.empty((b, 14)), np.empty((b, 6, 10)), np.empty(stack.x.shape)
-    buf[:, 4:6] = np.ldexp(body0, -exps)
+    buf[:, 4:6] = [[run.v_body, run.flux] for run in runs]
+    cmat = np.array([coupling.interface_matrix(run) for run in runs])
     y, out, body = buf[:, None, 4:], buf[:, :6], buf[:, 4:6]
     cells, ghosts = buf[:, 6:].reshape(b, 2, 2, 2), buf[:, :4].reshape(b, 2, 2)
-    inner, shift = mag[..., 1:-1], ec.astype(np.int64)  # N = 2**shift max(mc S, |stored v_body|)
+    inner, shift = mag[..., 1:-1], np.zeros(b, np.int64)  # N = 2**shift max(S, |stored v_body|)
     logs = {n_steps - tail: np.zeros(b), n_steps: None}  # the unstepped state counts as norm 1
     for k in range(1, n_steps + 1):
         for step, part in parts:
@@ -307,7 +303,7 @@ def _stacked_rates(runs: list[CoupledRun], n_steps: int) -> list[float]:
         top = np.abs(stack.x, out=mag).max()
         if k in logs or k % RESCALE_PERIOD == 0 or not RESCALE_LOW <= top <= RESCALE_HIGH:
             inner[..., 0, :] += inner[..., 1, :]
-            mant, ex = np.frexp(np.maximum(mc * inner[..., 0, :].max(axis=(-2, -1)), np.abs(body[:, 0])))
+            mant, ex = np.frexp(np.maximum(inner[..., 0, :].max(axis=(-2, -1)), np.abs(body[:, 0])))
             if k in logs:
                 logs[k] = np.log(np.where(mant == 0.0, 1.0, mant)) + (ex + shift) * np.log(2.0)
             np.ldexp(stack.x, -ex[:, None, None, None], out=stack.x)
@@ -323,14 +319,15 @@ def growth_rates(configs, n_steps: int = 600) -> list[float | None]:
     data; 0.0 if the norm reaches 0, NaN (or inf) if the run leaves the float
     range, and None if the solver refuses the configuration (SingularBodyUpdate).
 
-    The norm is the largest of |v_body| and, over both interiors, |v| and
-    |sigma|/z, i.e. c max(|w - u|, |u + w|) = c (|u| + |w|) in the run's
-    characteristics.  The dynamics are linear, so each run is rescaled in place
-    by exact powers of two, and only when needed; growing and decaying runs
-    are measured without overflow or underflow, and the rate does not depend
-    on when the rescales happen.  Runs of one n_cells advance as one stack, each
-    order stepping its own part of it; each rate is bit-identical to that of the
-    run alone.
+    The norm is the largest of |v_body| and, over both interiors, |v| and |sigma|/z,
+    i.e. c max(|w - u|, |u + w|) = c (|u| + |w|) in the run's characteristics.
+    Each run is posed at unit c and z (`_growth_run`), where the norm reads 1/c of
+    it, so the rate is the config's at any scale.  The dynamics are linear, so each
+    run is rescaled in place by exact powers of two, and only when needed; growing
+    and decaying runs are measured without overflow or underflow, and the rate does
+    not depend on when the rescales happen.  Runs of one n_cells advance as one
+    stack, each order stepping its own part of it; each rate is bit-identical to
+    that of the run alone.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")

@@ -818,10 +818,9 @@ def test_cli_sweep_at_huge_constants_measures_every_row(tmp_path, values):
     """At rho_left = 1.7e308 and c_left = 1e-200 (z about 1.7e108, c z about
     1.7e-92), at rho_left = 1e300 (c z about 2e300) and at rho_left = 1e307,
     the sweep measures every row, agrees with its predictions and warns
-    nothing: the growth runs' interface matrix folds c z into finite entries,
-    its flux row balanced by a power of two, before the state is multiplied.
-    At 1e307 a unit cell's stress, 2e307, plus z v_body (1.6e308) would pass
-    the largest float, so the probe's cells are scaled down by a power of two."""
+    nothing: each growth run is posed at unit c and z, with the material
+    only in its lambda, alpha/z and m/(z dt), so its interface matrix and
+    state stay far from the ends of the float range."""
     cfg_path, out, stdout = tmp_path / "cfg.json", tmp_path / "sweep.csv", io.StringIO()
     cfg_path.write_text(json.dumps(values))
     with warnings.catch_warnings(), redirect_stdout(stdout):
@@ -849,6 +848,52 @@ def test_cli_sweep_needs_a_normal_mass(tmp_path, capsys, values, code):
         assert "the stability sweep needs mass > 0 and normal (>= 2.22507e-308)" in err
     else:
         assert "prediction/measurement agreement: True" in out
+
+
+def _swept_rows(*args: str) -> list[dict]:
+    """The rows of `bodywave stability *args --out <csv>`, which must exit 0,
+    agree and warn nothing, as the CSV's strings."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "sweep.csv"
+        with warnings.catch_warnings(), redirect_stdout(io.StringIO()) as stdout:
+            warnings.simplefilter("error")
+            assert main(["stability", *args, "--out", str(out)]) == 0
+        assert "prediction/measurement agreement: True" in stdout.getvalue()
+        return list(csv.DictReader(ln for ln in out.read_text().splitlines() if not ln.startswith("# ")))
+
+
+def test_cli_sweep_is_scale_free_at_every_mass():
+    """At --cfl 1e-300 the sweep's steps are about 4 m/(z 1e-300), and a grid
+    spacing c dt/lambda passed the largest float at m = 1e-6 and 1.  A growth
+    run is posed at dt = 1 and dx = 1/lambda, so every mass sweeps the same
+    problem: the predictions and verdicts are identical at m = 1e-300, 1e-6
+    and 1, and the measured rates agree to 1e-12."""
+    def fixed(row):  # every column but the mass, the step and the measured rate
+        return {k: v for k, v in row.items() if k not in ("mass", "dt", "measured_rate")}
+
+    base, *others = (_swept_rows("--cfl", "1e-300", "--seed", "5", "--mass", m) for m in ("1e-300", "1e-6", "1"))
+    for rows in others:
+        for row, ref in zip(rows, base, strict=True):
+            assert fixed(row) == fixed(ref)
+            if ref["measured_rate"]:
+                assert float(row["measured_rate"]) == pytest.approx(float(ref["measured_rate"]), rel=1e-12, abs=0.0)
+            else:
+                assert row["measured_rate"] == ""
+
+
+def test_cli_sweep_with_a_subnormal_step_meets_its_roots(tmp_path):
+    """At rho_left = 1e307 and mass 1e-6 the sweep's steps are subnormal
+    (about 2.8e-313) and keep about 11 digits.  The prediction and the growth
+    run read the same rounded step: the run's body mass m/(z dt) is one
+    division, with no subnormal m/z and no grid spacing c dt/lambda, so each
+    compared rate meets its predicted root to 1e-13."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"rho_left": 1e307}))
+    rows = [row for row in _swept_rows("--config", str(cfg_path), "--mass", "1e-6", "--seed", "5")
+            if row["rate_compared"] == "True"]
+    assert len(rows) == 2 and all(float(row["dt"]) < sys.float_info.min for row in rows)
+    for row in rows:
+        assert float(row["measured_rate"]) == pytest.approx(float(row["predicted"]), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("mass", ["1e-200", "1e-320", "5e-324"])

@@ -511,7 +511,7 @@ def _single_rate(config: GrowthConfig, n_steps: int):
         run = _growth_run(config)
     except SingularBodyUpdate:
         return None
-    interior, c = run.chars.x[:, :, 1:-1], config.mat.c
+    interior, c = run.chars.x[:, :, 1:-1], run.chars.mats[0].c  # the run's own c, in its own variables
     logs = []
     for _ in range(n_steps):
         run.step()
@@ -643,12 +643,13 @@ def test_fast_growth_is_measured_without_overflow(scheme):
 
 
 def test_a_far_speed_of_sound_does_not_rescale_every_step(monkeypatch):
-    """A stack stores every number at the scale of the characteristics, so a
-    member whose c is far from 1 leaves the rescale window no more often: on
-    the m = 1 sweep configs at c = 1e-200 and c = 1e100, growth_rates makes at
-    most 2x the np.frexp calls (one per rescale, plus the setup's) of the
-    default material, where a stack whose entries sat about 1/c from the norm
-    the rescale aims at would rescale on every step (about 1,200 calls)."""
+    """Every growth run is posed at unit c, so a member whose c is far from 1
+    stores its numbers at the scale of any other and leaves the rescale
+    window no more often: on the m = 1 sweep configs at c = 1e-200 and
+    c = 1e100, growth_rates makes at most 2x the np.frexp calls (one per
+    rescale) of the default material, where a stack whose entries sat about
+    1/c from the norm the rescale aims at would rescale on every step (about
+    1,200 calls)."""
     calls, frexp = [], np.frexp
     monkeypatch.setattr(np, "frexp", lambda *args: calls.append(1) or frexp(*args))
     counts = []
@@ -659,18 +660,50 @@ def test_a_far_speed_of_sound_does_not_rescale_every_step(monkeypatch):
     assert max(counts[1:]) <= 2 * counts[0], counts
 
 
+def test_a_heavy_fast_body_reads_its_twins_rate():
+    """At z = 1e280 and m/(z dt) = 1e-50 a unit cell's response z v_body,
+    about 1e330, would leave the float range in physical units; posed in its
+    own variables, the run reads the rate of its twin at z = 1 (the same
+    lambda, alpha/z and m/(z dt)), about 8e49 per step, and warns nothing (a
+    RuntimeWarning fails the suite)."""
+    rate = empirical_growth_rate(GrowthConfig(FluidMaterial(1e280, 1.0), 1e227, 1e-3, 0.8, 0.0, "first"))
+    twin = empirical_growth_rate(GrowthConfig(FluidMaterial(1.0, 1.0), 1e-53, 1e-3, 0.8, 0.0, "first"))
+    assert twin == pytest.approx(8e49, rel=1e-12)
+    assert rate == pytest.approx(twin, rel=1e-12, abs=0.0)
+
+
 def test_an_overflowed_run_reads_nan_not_a_stable_rate():
-    """At z = 1e280 and m/(z dt) = 1e-50 the run's coupling C y leaves the
-    float range and its norm turns NaN; the rate reads NaN, not the 1.0 (a
-    stable verdict) that a NaN mantissa logged as 1 would give.  Its twin at
-    z = 1, with the same lambda, alpha/z and m/(z dt), stays in range and
-    grows by about 8e49 per step."""
-    config = GrowthConfig(FluidMaterial(1e280, 1.0), 1e227, 1e-3, 0.8, 0.0, "first")
+    """A massless body at alpha/z = 1e300 overflows in its own variables: C's
+    entries grow with alpha/z, C y leaves the float range and the norm turns
+    NaN.  The rate reads NaN, not the 1.0 (a stable verdict) that a NaN
+    mantissa logged as 1 would give."""
+    config = GrowthConfig(FluidMaterial(1.0, 1.0), 0.0, 1e-3, 0.8, 1e300, "first")
     with pytest.warns(RuntimeWarning):
         rate = empirical_growth_rate(config)
     assert np.isnan(rate)
-    twin = empirical_growth_rate(GrowthConfig(FluidMaterial(1.0, 1.0), 1e-53, 1e-3, 0.8, 0.0, "first"))
-    assert twin == pytest.approx(8e49, rel=1e-12)
+
+
+@pytest.mark.parametrize("config,expected", [
+    # mu = m/(z dt) = 1e597 saturates at the largest float: an immovable body,
+    # at the rate measured in physical units (an infinite mu would read NaN)
+    (GrowthConfig(FluidMaterial(1e-290, 1e-4), 1e300, 1e-3, 0.8, 0.0, "second"), 0.9909956574433861),
+    # z dt = 1e-450 underflows to 0: the same immovable body as at dt = 1e-150
+    (GrowthConfig(FluidMaterial(1.0, 1e-150), 1e300, 1e-300, 0.8, 1e-150, "second"),
+     GrowthConfig(FluidMaterial(1.0, 1e-150), 1e300, 1e-150, 0.8, 1e-150, "second")),
+    # mu = 1e-330, below the subnormal floats, is a massless body
+    (GrowthConfig(FluidMaterial(1.0, 1e150), 1e-300, 1e-120, 0.8, 1e150, "second"),
+     GrowthConfig(FluidMaterial(1.0, 1e150), 0.0, 1e-120, 0.8, 1e150, "second")),
+    # and a massless body stays one where z dt = 1e-330 underflows to 0
+    (GrowthConfig(FluidMaterial(1e-293, 1e-7), 0.0, 1e-30, 0.8, 1e-300, "second"),
+     GrowthConfig(FluidMaterial(1e-293, 1e-7), 0.0, 1.0, 0.8, 1e-300, "second")),
+], ids=["mu-past-the-largest-float", "z-dt-underflows", "mu-below-the-subnormals", "massless-z-dt-underflows"])
+def test_a_body_mass_past_the_float_range_is_measured(config, expected):
+    """A growth run's body mass mu = m/(z dt) is computed without an exception
+    or a warning at both ends of the float range; each run reads the rate
+    expected of it over 40 steps, where the fluid still sets the norm."""
+    if isinstance(expected, GrowthConfig):
+        expected = empirical_growth_rate(expected, 40)
+    assert empirical_growth_rate(config, 40) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_growth_rates_need_a_step():
