@@ -84,8 +84,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite, got an integer larger than any float")
         if not (isfinite(self.mass) and self.mass >= 0.0):
             raise ValueError(f"mass must be finite and >= 0, got {self.mass}")
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
+        if not float_info.min <= self.cfl <= 1.0:  # a subnormal cfl puts a growth run's dx = 1/cfl past any float
+            raise ValueError(f"cfl must be in (0, 1] and normal (>= {float_info.min:g}), got {self.cfl}")
         for name, low in (("levels", 1), ("n_cells", 3), ("resolution", 8), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -296,6 +296,10 @@ def run_stability_sweep(cfg: RunConfig) -> dict:
     mat = cfg.materials()[0]
     z, lam = mat.z, cfg.cfl
     bound = max_stable_dt_traditional(cfg.mass, z, lam)
+    top = max(factor for *_, factor in SWEEP_ROWS)
+    if not isfinite(top * bound):
+        raise ValueError(f"the stability sweep's largest step, {top:g} x the traditional bound m (4 - lambda)/"
+                         f"(z lambda), must be finite, got mass {cfg.mass:g} and cfl {cfg.cfl:g}")
     growth = [GrowthConfig(mat, 0.0 if massless else cfg.mass, factor * bound, lam,
                            z if coupling == "projection" else 0.0, scheme, seed=cfg.seed)
               for scheme, coupling, massless, factor in SWEEP_ROWS]

@@ -5,10 +5,11 @@ u_i^n = A^n r^i; eliminating the spatial structure leaves small linear
 systems in the mode amplitudes whose singularity condition determines the
 per-step amplification A.  The first-order (upwind + backward-Euler body)
 scheme gives a 3x3 system with closed-form roots; the second-order
-(Lax-Wendroff + trapezoidal body) scheme gives a 5x5 system that is used
-as a determinant evaluator: absence of roots with |A| > 1 is certified by
-argument-principle winding counts on circles enclosing the exterior of the
-unit disk.
+(Lax-Wendroff + trapezoidal body) scheme gives a 5x5 system whose
+determinant is counted for zeros with |A| > 1 by argument-principle winding
+on circles enclosing the exterior of the unit disk.  Both sides share one
+impedance and one Courant number, so the two characteristic families have
+reciprocal spatial roots and that determinant factors by mirror symmetry.
 
 Conventions: lambda = c dt/dx; xi = dt/m_b; the rightward characteristic
 family sees effective advection nu = -lambda, the leftward family
@@ -129,9 +130,9 @@ def _lw_family_vec(nu: float, A: np.ndarray):
     of Lax-Wendroff with Courant number nu, 0 < |nu| <= 1, vectorized over
     |A| > 1: (1/2)(nu + nu^2) r^2 + (1 - A - nu^2) r + (1/2)(nu^2 - nu) = 0.
 
-    The nu = -1 degeneracy (lambda = 1 rightward family) is the limit in
-    which the outside root escapes to infinity, so its reciprocal is 0.
-    """
+    Vieta gives both from the larger of q1 +- disc, with no division by q2 to
+    overflow at a tiny nu.  At nu = -1 (lambda = 1, rightward family) the
+    outside root escapes to infinity, so its reciprocal is 0."""
     A = np.asarray(A, dtype=complex)
     if abs(nu + 1.0) < 1e-14:
         return 1.0 / A, np.zeros_like(A)
@@ -139,11 +140,8 @@ def _lw_family_vec(nu: float, A: np.ndarray):
     q1 = 1.0 - A - nu * nu
     q0 = 0.5 * (nu * nu - nu)
     disc = np.sqrt(q1 * q1 - 4.0 * q2 * q0)
-    pick = np.abs(q1 + disc) >= np.abs(q1 - disc)
-    big = np.where(pick, q1 + disc, q1 - disc)
-    r_out = -0.5 * big / q2  # the larger root; Vieta gives the smaller
-    r_in = q0 / (q2 * r_out) if q0 != 0.0 else np.zeros_like(r_out)
-    return r_in, 1.0 / r_out
+    big = np.where(np.abs(q1 + disc) >= np.abs(q1 - disc), q1 + disc, q1 - disc)
+    return -2.0 * q0 / big, -2.0 * q2 / big
 
 
 # -- eigen-system determinants ----------------------------------------------
@@ -153,53 +151,28 @@ class ContourFailure(ArithmeticError):
     """The argument-principle mode count could not be certified."""
 
 
-def _second_order_entries(A, q: StabilityQuery) -> dict:
-    """Nonzero entries {(row, col): value} of the 5x5 second-order interface-mode
-    system at |A| > 1 in the unknowns (a_L0, b_L0, a_R0, b_R0, v/c).
-
-    Left-domain modes carry the outside spatial root of each characteristic
-    family (entering via its reciprocal), right-domain modes the inside
-    root; S(y) = (3y - y^2)/2 is the quadratic edge-extrapolation factor.
-
-    The last row is the trapezoidal body update with the net force
-    sigma_I(right) - sigma_I(left): with v = c(-a + b), the projected
-    stresses contribute (z + alpha) along a_L, b_R and (z - alpha) along
-    b_L, a_R, and both right-side terms enter the row negated.  The
-    resulting sign pattern (+, +, -, -) is deliberately asymmetric; only
-    at alpha = z do the (z - alpha) entries drop out.
-    """
-    A = np.asarray(A, dtype=complex)
-    lam, w = q.courant, q.alpha / q.z
-    r1a, y_la = _lw_family_vec(-lam, A)  # rightward family, nu = -lambda
-    r1b, y_lb = _lw_family_vec(+lam, A)  # leftward family,  nu = +lambda
-    s_la, s_lb, s_ra, s_rb = (1.5 * y - 0.5 * y * y for y in (y_la, y_lb, r1a, r1b))
-    return {
-        (0, 0): 1.0 + y_la, (0, 1): -(1.0 + y_lb), (0, 4): 2.0,
-        (1, 2): 1.0 + r1a, (1, 3): -(1.0 + r1b), (1, 4): 2.0,
-        (2, 0): 1.0 + y_la - 2.0 * (w + 1.0) * s_la,
-        (2, 1): 1.0 + y_lb + 2.0 * (w - 1.0) * s_lb, (2, 4): -2.0 * w,
-        (3, 2): 1.0 + r1a + 2.0 * (w - 1.0) * s_ra,
-        (3, 3): 1.0 + r1b - 2.0 * (w + 1.0) * s_rb, (3, 4): 2.0 * w,
-        (4, 0): (w + 1.0) * s_la, (4, 1): (1.0 - w) * s_lb,
-        (4, 2): -(1.0 - w) * s_ra, (4, 3): -(1.0 + w) * s_rb,
-        (4, 4): ((A - 1.0) / (A + 1.0)) * 2.0 * q.mass / (q.dt * q.z) + 2.0 * w,
-    }
-
-
 def second_order_determinant(A, q: StabilityQuery):
-    """det of the second-order system by block elimination, without
-    building it.  Rows 0, 2 touch only columns {0, 1, 4} and rows 1, 3 only
-    {2, 3, 4}; the row order (0, 2, 1, 3, 4), an odd permutation, gives
-    [[P, 0, p], [0, Q, q], [r, s, t]], so
-    det = -(t detP detQ - detQ r adj(P) p - detP s adj(Q) q)."""
-    e = _second_order_entries(A, q)
-    det_p = e[0, 0] * e[2, 1] - e[0, 1] * e[2, 0]
-    det_q = e[1, 2] * e[3, 3] - e[1, 3] * e[3, 2]
-    r_adj_p = (e[4, 0] * (e[2, 1] * e[0, 4] - e[0, 1] * e[2, 4])
-               + e[4, 1] * (e[0, 0] * e[2, 4] - e[2, 0] * e[0, 4]))
-    s_adj_q = (e[4, 2] * (e[3, 3] * e[1, 4] - e[1, 3] * e[3, 4])
-               + e[4, 3] * (e[1, 2] * e[3, 4] - e[3, 2] * e[1, 4]))
-    return det_q * r_adj_p + det_p * s_adj_q - e[4, 4] * det_p * det_q
+    """det of the 5x5 second-order interface-mode system at |A| > 1 in the unknowns
+    (a_L0, b_L0, a_R0, b_R0, v/c), without building it.  Left-domain modes carry each
+    family's outside spatial root (by its reciprocal), right-domain modes its inside
+    root, through S(x) = (3x - x^2)/2, the quadratic edge extrapolation.  Both sides
+    have one impedance and one Courant number, so the leftward family (nu = +lambda)
+    is the rightward one (nu = -lambda) with r -> 1/r, and one call gives both: rho,
+    the rightward inside root, and y, the reciprocal of its outside root, swap roles
+    on the left.  The right fluid block (rows 1, 3) is then the left one P (rows 0, 2)
+    with its columns swapped and its first row negated, and the right half of the body
+    row (the trapezoidal update, net force sigma_I(right) - sigma_I(left)) is minus its
+    left half r, swapped; block elimination gives det = det_P (2 r adj(P) p - t det_P),
+    p = (2, -2w), w = alpha/z, t the body's own entry.  det_P is free of m and dt."""
+    A, w = np.asarray(A, dtype=complex), q.alpha / q.z
+    rho, y = _lw_family_vec(-q.courant, A)
+    s_rho, s_y = (1.5 * x - 0.5 * x * x for x in (rho, y))
+    p00, p01 = 1.0 + y, -(1.0 + rho)
+    p10, p11 = 1.0 + y - 2.0 * (w + 1.0) * s_y, 1.0 + rho + 2.0 * (w - 1.0) * s_rho
+    det_p = p00 * p11 - p01 * p10
+    r_adj_p = (w + 1.0) * s_y * (p11 + w * p01) - (1.0 - w) * s_rho * (w * p00 + p10)  # r adj(P) p / 2
+    t = ((A - 1.0) / (A + 1.0)) * 2.0 * q.mass / (q.dt * q.z) + 2.0 * w
+    return det_p * (4.0 * r_adj_p - t * det_p)
 
 
 def count_unstable_modes(det_fn, q: StabilityQuery) -> int:

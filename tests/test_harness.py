@@ -896,6 +896,21 @@ def test_cli_sweep_with_a_subnormal_step_meets_its_roots(tmp_path):
         assert float(row["measured_rate"]) == pytest.approx(float(row["predicted"]), rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("args,fields", [
+    (["--cfl", "5e-324", "--mass", "1e-300"], ["cfl"]),
+    (["--cfl", "1e-310", "--mass", "1"], ["cfl"]),
+    (["--mass", "1e307"], ["mass", "cfl"]),
+], ids=["cfl-smallest-subnormal", "cfl-subnormal", "largest-step-past-any-float"])
+def test_cli_sweep_refusal_names_the_swept_field(capsys, args, fields):
+    """A subnormal cfl, where the growth run's dx = 1/lambda passes the
+    largest float, and a mass whose largest sweep step, 10x the traditional
+    bound, passes it, exit 2 naming the fields given, not a dx or dt that
+    the config does not have."""
+    assert main(["stability", *args]) == 2
+    err = capsys.readouterr().err
+    assert all(f"{field} " in err for field in fields) and "dx" not in err and "dt must" not in err, err
+
+
 @pytest.mark.parametrize("mass", ["1e-200", "1e-320", "5e-324"])
 def test_cli_simulate_light_body_exits_0(tmp_path, mass):
     """A body lighter than about 1e-154, where Zt/(2 c beta m) overflowed,
@@ -951,13 +966,17 @@ def test_reports_hold_only_json_types(sweep_1e3):
 
 EXTREMES = (0.0, 5e-324, 1e-320, 1e-200, 1e-154, 1e-20, 1e-6, 1.0, 1e6, 1e150, 1e300, 1.7e308)
 EXTREME_FIELDS = ("rho_left", "c_left", "rho_right", "c_right", "mass", "beta",
-                  "alpha_left", "alpha_right")
+                  "alpha_left", "alpha_right", "cfl")
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @example(command="simulate", scheme="second", coupling="projection", values={"c_left": 1e-200},
          n_cells=10, levels=1, t_final=1e-3)
 @example(command="simulate", scheme="second", coupling="projection", values={"beta": 1.7e308},
+         n_cells=10, levels=1, t_final=1e-3)
+@example(command="stability", scheme="second", coupling="projection", values={"cfl": 1e-306},
+         n_cells=10, levels=1, t_final=1e-3)
+@example(command="stability", scheme="second", coupling="projection", values={"cfl": 5e-324},
          n_cells=10, levels=1, t_final=1e-3)
 @given(command=st.sampled_from(("simulate", "converge", "stability")),
        scheme=st.sampled_from(SCHEMES), coupling=st.sampled_from(COUPLINGS),
@@ -966,11 +985,11 @@ EXTREME_FIELDS = ("rho_left", "c_left", "rho_right", "c_right", "mass", "beta",
        t_final=st.sampled_from((1e-6, 1e-4, 1e-3)))
 def test_cli_extreme_inputs_end_in_a_documented_exit_code(command, scheme, coupling, values,
                                                           n_cells, levels, t_final):
-    """Extreme densities, speeds, masses, pulse widths and interface weights
-    end in exit 2, exit 3 or exit 0 with a whole report (strict JSON, or a
-    CSV row per sweep row), never a traceback; a run under projection
-    coupling that exits 0 has not diverged, also at beta = 1.7e308, where the
-    closed form's 2 c beta m overflows."""
+    """Extreme densities, speeds, masses, pulse widths, interface weights and
+    Courant numbers end in exit 2, exit 3 or exit 0 with a whole report
+    (strict JSON, or a CSV row per sweep row), never a traceback; a run under
+    projection coupling that exits 0 has not diverged, also at beta =
+    1.7e308, where the closed form's 2 c beta m overflows."""
     if coupling == "custom":
         values = {"alpha_left": 1.0, "alpha_right": 1.0, **values}
     suffix = ".csv" if command == "stability" else ".json"

@@ -23,7 +23,6 @@ from bodywave.stability import (
     count_unstable_modes,
     empirical_growth_rate,
     growth_rates,
-    _second_order_entries,
     max_stable_dt_traditional,
     roots_first_order_projection,
     roots_first_order_traditional,
@@ -213,6 +212,28 @@ def test_lw_degenerate_cases():
     assert np.max(np.abs(r_near - r_in)) < 1e-8 and np.max(np.abs(y_near)) < 1e-8
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam", [1e-308, 1e-306, 1e-300])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_lw_roots_at_a_tiny_courant_number(lam, sign):
+    """Near the smallest normal float the quadratic's outer coefficients are
+    subnormal: both returned roots stay finite, within the unit circle and
+    warn nothing, and each satisfies its quadratic (the outside root through
+    its reciprocal y, q2 + q1 y + q0 y^2 = 0) to 1e-15 of the sum of its
+    terms' moduli.  At lambda = 1e-308 the terms are subnormal, and one unit
+    in their last place is 5e-16 of that sum; A is on the mode count's inner
+    circle, where |q1| ~ 1."""
+    nu = sign * lam
+    A = INNER_RADIUS * np.exp(2j * np.pi * np.arange(64) / 64)
+    r_in, y_out = _lw_family_vec(nu, A)
+    assert np.all(np.isfinite(r_in)) and np.all(np.isfinite(y_out))
+    assert np.all(np.abs(r_in) <= 1.0) and np.all(np.abs(y_out) <= 1.0)
+    q2, q1, q0 = 0.5 * (nu + nu * nu), 1.0 - A - nu * nu, 0.5 * (nu * nu - nu)
+    for lead, mid, end, x in ((q2, q1, q0, r_in), (q0, q1, q2, y_out)):
+        terms = (lead * x * x, mid * x, end + 0.0 * x)
+        assert np.max(np.abs(sum(terms)) / sum(map(np.abs, terms))) <= 1e-15
+
+
 # -- second-order eigen system -----------------------------------------------
 
 
@@ -288,6 +309,40 @@ def first_order_system_matrix(A, q: StabilityQuery) -> np.ndarray:
                    (2, 0): f, (2, 1): -f, (2, 2): g}, A, 3)
 
 
+def _second_order_entries(A, q: StabilityQuery) -> dict:
+    """Nonzero entries {(row, col): value} of the 5x5 second-order interface-mode
+    system at |A| > 1 in the unknowns (a_L0, b_L0, a_R0, b_R0, v/c), each
+    characteristic family from its own spatial-root call.
+
+    Left-domain modes carry the outside spatial root of each characteristic
+    family (entering via its reciprocal), right-domain modes the inside
+    root; S(y) = (3y - y^2)/2 is the quadratic edge-extrapolation factor.
+
+    The last row is the trapezoidal body update with the net force
+    sigma_I(right) - sigma_I(left): with v = c(-a + b), the projected
+    stresses contribute (z + alpha) along a_L, b_R and (z - alpha) along
+    b_L, a_R, and both right-side terms enter the row negated.  The
+    resulting sign pattern (+, +, -, -) is deliberately asymmetric; only
+    at alpha = z do the (z - alpha) entries drop out.
+    """
+    A = np.asarray(A, dtype=complex)
+    lam, w = q.courant, q.alpha / q.z
+    r1a, y_la = _lw_family_vec(-lam, A)  # rightward family, nu = -lambda
+    r1b, y_lb = _lw_family_vec(+lam, A)  # leftward family,  nu = +lambda
+    s_la, s_lb, s_ra, s_rb = (1.5 * y - 0.5 * y * y for y in (y_la, y_lb, r1a, r1b))
+    return {
+        (0, 0): 1.0 + y_la, (0, 1): -(1.0 + y_lb), (0, 4): 2.0,
+        (1, 2): 1.0 + r1a, (1, 3): -(1.0 + r1b), (1, 4): 2.0,
+        (2, 0): 1.0 + y_la - 2.0 * (w + 1.0) * s_la,
+        (2, 1): 1.0 + y_lb + 2.0 * (w - 1.0) * s_lb, (2, 4): -2.0 * w,
+        (3, 2): 1.0 + r1a + 2.0 * (w - 1.0) * s_ra,
+        (3, 3): 1.0 + r1b - 2.0 * (w + 1.0) * s_rb, (3, 4): 2.0 * w,
+        (4, 0): (w + 1.0) * s_la, (4, 1): (1.0 - w) * s_lb,
+        (4, 2): -(1.0 - w) * s_ra, (4, 3): -(1.0 + w) * s_rb,
+        (4, 4): ((A - 1.0) / (A + 1.0)) * 2.0 * q.mass / (q.dt * q.z) + 2.0 * w,
+    }
+
+
 def second_order_system_matrix(A, q: StabilityQuery) -> np.ndarray:
     """5x5 interface-mode system of the second-order scheme, vectorized over
     complex A with |A| > 1; unknowns (a_L0, b_L0, a_R0, b_R0, v/c)."""
@@ -309,6 +364,32 @@ def test_second_order_determinant_equals_lu(lam, w):
         lu = np.linalg.det(second_order_system_matrix(A, q))
         rel = np.abs(second_order_determinant(A, q) - lu) / np.abs(lu)
         assert np.max(rel) <= 1e-13, (z, m, dt, np.max(rel))
+
+
+def _fluid_block_det(A, q: StabilityQuery):
+    """det_P of the oracle's rows 0, 2 and columns 0, 1: the left fluid block,
+    a factor of second_order_determinant."""
+    e = _second_order_entries(A, q)
+    return e[0, 0] * e[2, 1] - e[0, 1] * e[2, 0]
+
+
+def test_fluid_block_zeros_do_not_depend_on_the_body():
+    """det_P involves lambda and alpha/z alone, so its zeros are modes of the
+    fluid and the weight that no body mass or step can move: none with
+    |A| > INNER_RADIUS up to alpha/z = 1, at 50 lambda in [0.02, 1], and one
+    at alpha/z = 2, lambda = 0.8 (one appears above lambda ~ 0.62 there),
+    real and negative, which growth runs at masses 1e-6 and 1e3 measure."""
+    for w in (0.0, 0.5, 1.0):
+        for lam in np.linspace(0.02, 1.0, 50):
+            assert count_unstable_modes(_fluid_block_det, StabilityQuery(lam, 0.3, 1.0, 1.0, w)) == 0, (w, lam)
+    for dt, m in [(0.3, 1.0), (1e-6, 1e6)]:
+        assert count_unstable_modes(_fluid_block_det, StabilityQuery(0.8, dt, m, 1.0, 2.0)) == 1
+    q = StabilityQuery(0.8, 1.0, 1.0, 1.0, 2.0)
+    root = brentq(lambda x: _fluid_block_det(np.complex128(x), q).real, -1.9, -1.6, xtol=1e-14)
+    mat = FluidMaterial(1.0, np.sqrt(2.0))
+    rates = growth_rates([GrowthConfig(mat, m, max_stable_dt_traditional(m, mat.z, 0.8), 0.8, 2.0 * mat.z, "second")
+                          for m in (1e-6, 1e3)])
+    assert rates == pytest.approx([-root] * 2, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("lam,w", [(1.0, 1.0), (0.5, 0.0), (0.9, 0.3), (0.2, 1.6)])
