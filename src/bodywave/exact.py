@@ -31,10 +31,11 @@ so the pulse is purely right-moving in the left medium.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from math import sqrt, pi
 
-import numpy as np  # scipy is imported inside the functions that call it, off the start-up path
+import numpy as np
 
 from .materials import FluidMaterial
 
@@ -68,8 +69,8 @@ class ModelProblem:
     # -- initial data ------------------------------------------------------
 
     def displacement0(self, x):
-        from scipy.special import erf
-        return -(sqrt(pi) / (4.0 * self.beta)) * erf(self.beta * (np.asarray(x, float) - self.x0))
+        y = self.beta * (np.asarray(x, float) - self.x0)
+        return -(sqrt(pi) / (4.0 * self.beta)) * _libm(math.erf, y)
 
     def strain0(self, x):
         return -0.5 * _gaussian(self.beta, np.asarray(x, float) - self.x0)
@@ -98,27 +99,62 @@ def body_ode_forcing(prob: ModelProblem, t):
     return sum(a * _gaussian(b, c * t - s * x0) for s, c, a in _incident_waves(prob))
 
 
-def _exp_p_erfc(p, p_minus_x2, x):
-    """e^p erfc(x) with p and p - x^2 supplied separately.
+def _libm(f, x):
+    """The math-module function f at every element of x, as an array of x's shape."""
+    x = np.asarray(x, float)
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
-    For x >= 0 only the (always representable) e^{p-x^2} erfcx(x) form is
-    used; for x < 0 the complement identity needs e^p itself, which is safe
-    because p <= 0 whenever an argument goes negative in this solution.
+
+# erfc(26) = 5.7e-296 is still normal, and from 26 up the series below leaves out terms under 2e-19
+_ERFCX_EDGE = 26.0
+# (-1)^k (2k-1)!! / 2^k for k = 7 down to 0: A&S 7.1.23 in powers of u = 1/x^2
+_ERFCX_SERIES = np.cumprod([1.0] + [(1 - 2 * k) / 2 for k in range(1, 8)])[::-1]
+
+
+def _erfcx(x):
+    """The scaled complement e^(x^2) erfc(x) for x >= 0, within 4 ulp.
+
+    Below the edge, libm's erfc times e^(x^2), with x^2 split exactly into
+    hi + lo (Veltkamp/Dekker) and e^(x^2) taken as e^hi (1 + lo), so the
+    rounding of x^2 costs nothing; from the edge up, the asymptotic series
+    (1/(x sqrt(pi))) sum (-1)^k (2k-1)!!/(2x^2)^k in Horner form on
+    u = (1/x)^2, which overflows nothing up to the largest float.
     """
-    from scipy.special import erfcx
-    p, p_minus_x2, x = np.broadcast_arrays(
-        np.asarray(p, float), np.asarray(p_minus_x2, float), np.asarray(x, float)
-    )
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = np.exp(p_minus_x2[pos]) * erfcx(x[pos])
-    neg = ~pos
-    out[neg] = 2.0 * np.exp(p[neg]) - np.exp(p_minus_x2[neg]) * erfcx(-x[neg])
+    near = x < _ERFCX_EDGE
+    if near.all():
+        return _erfcx_near(x)
+    u = 1.0 / np.maximum(x, _ERFCX_EDGE)
+    far = u / sqrt(pi) * np.polyval(_ERFCX_SERIES, u * u)
+    return np.where(near, _erfcx_near(np.minimum(x, _ERFCX_EDGE)), far) if near.any() else far
+
+
+def _erfcx_near(x):
+    hi = x * x
+    t = 134217729.0 * x  # 2^27 + 1 splits x into xh + xl, each of at most 26 bits
+    xh = t - (t - x)
+    xl = x - xh
+    lo = ((xh * xh - hi) + 2.0 * xh * xl) + xl * xl  # x^2 - hi, exactly
+    return _libm(math.erfc, x) * (np.exp(hi) * (1.0 + lo))
+
+
+def _exp_p_erfc(p, p_minus_x2, x):
+    """e^p erfc(x) with p and p - x^2 supplied separately; x broadcasts to p.
+
+    Both signs take the (always representable) e^{p-x^2} erfcx(|x|); for
+    x < 0 the complement identity e^p erfc(x) = 2 e^p - e^{p-x^2} erfcx(-x)
+    needs e^p itself, which is safe because p <= 0 whenever an argument goes
+    negative in this solution.
+    """
+    out = np.exp(p_minus_x2) * _erfcx(np.abs(x))
+    neg = np.broadcast_to(np.less(x, 0.0), out.shape)
+    if neg.any():
+        out[neg] = 2.0 * np.exp(p[neg]) - out[neg]
     return out
 
 
-def _vb_response(prob: ModelProblem, t: np.ndarray, s: float, c: float, a: float) -> np.ndarray:
-    """Response of m vb' + Zt vb = a exp(-beta^2 (c t - s x0)^2) from rest (m > 0).
+def _vb_response(prob: ModelProblem, t: np.ndarray, s, c, a) -> np.ndarray:
+    """Response of m vb' + Zt vb = a exp(-beta^2 (c t - s x0)^2) from rest (m > 0);
+    s, c and a may be columns, one incident wave per row.
 
     With q = c t - s x0 and r = Zt/(2 c beta m) the integral is
     -(a sqrt(pi)/(2 c beta m)) e^P (erf A - erf B), where
@@ -128,17 +164,18 @@ def _vb_response(prob: ModelProblem, t: np.ndarray, s: float, c: float, a: float
     and e^P (erf A - erf B) = e^P erfc(B) - e^P erfc(A) is evaluated from the
     simplified exponents P - A^2 = -beta^2 q^2 and P - B^2 = -Zt t/m - beta^2 x0^2,
     so no factor overflows for any m > 0; 2 c beta m is never squared, so a
-    heavy body (r near 0) overflows nothing either, and r beta = Zt/(2 c m)
-    is formed directly, so r = 0 at a huge beta leaves no 0 * inf in P.
+    heavy body (r near 0) at most takes r and the prefactor to 0, and
+    r beta = Zt/(2 c m) is formed directly, so r = 0 at a huge beta leaves
+    no 0 * inf in P.
     """
     zt, m, b, x0 = prob.z_total, prob.m_body, prob.beta, prob.x0
     b2 = b * b
     q = c * t - s * x0
-    r = zt / (2.0 * c * m * b)
-    p = r * r - 2.0 * (zt / (2.0 * c * m)) * q
+    with np.errstate(over="ignore"):  # a denominator past the largest float: that factor is 0
+        r, rb, pref = zt / (2.0 * c * m * b), zt / (2.0 * c * m), -a * sqrt(pi) / (2.0 * c * b * m)
+    p = r * r - 2.0 * rb * q
     big_a = r - b * q
     big_b = r + b * s * x0
-    pref = -a * sqrt(pi) / (2.0 * c * b * m)
     return pref * (_exp_p_erfc(p, -zt * t / m - b2 * x0 * x0, big_b)
                    - _exp_p_erfc(p, -b2 * q * q, big_a))
 
@@ -156,10 +193,10 @@ def body_velocity_exact(prob: ModelProblem, t):
                 layer = np.exp(-zt * t_arr / m)
             out = out + (prob.velocity0(0.0) - body_ode_forcing(prob, 0.0) / zt) * layer
     else:
-        tt = np.atleast_1d(t_arr)
-        # free decay of vb(0) = V0(0), plus the response to each incident wave
-        out = prob.velocity0(0.0) * np.exp(-prob.z_total * tt / prob.m_body) + sum(
-            _vb_response(prob, tt, *wave) for wave in _incident_waves(prob))
+        tt = t_arr.reshape(-1)
+        # free decay of vb(0) = V0(0), plus the responses to both incident waves, one row each
+        s, c, a = np.array(_incident_waves(prob)).T[:, :, None]
+        out = prob.velocity0(0.0) * np.exp(-zt * tt / m) + _vb_response(prob, tt, s, c, a).sum(axis=0)
     out = out.reshape(t_arr.shape)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
@@ -168,12 +205,12 @@ def body_displacement_exact(prob: ModelProblem, t):
     """Exact body displacement U0(0) + int_0^t vb, from the body ODE integrated
     over (0, t): Zt int vb = int g - m (vb(t) - vb(0)), where each incident wave
     of g, with q = c t - s x0, integrates to a sqrt(pi)/(2 beta c) [erf(beta q)]_0^t."""
-    from scipy.special import erf
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise DomainError("t must be >= 0")
     b, x0 = prob.beta, prob.x0
-    impulse = sum(a * sqrt(pi) / (2.0 * b * c) * (erf(b * (c * t_arr - s * x0)) - erf(-b * s * x0))
+    impulse = sum(a * sqrt(pi) / (2.0 * b * c) * (_libm(math.erf, b * (c * t_arr - s * x0))
+                                                   - math.erf(-b * s * x0))
                   for s, c, a in _incident_waves(prob))
     if prob.m_body > 0.0:
         impulse = impulse - prob.m_body * (body_velocity_exact(prob, t_arr) - prob.velocity0(0.0))

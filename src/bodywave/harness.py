@@ -14,7 +14,7 @@ import numpy as np
 from .addedmass import Ellipse, Ellipsoid, Starfish, added_mass_analytic, added_mass_tensors, sample_surface
 from .coupling import CoupledRun, CoupledState
 from .coupling import step_algorithm1, step_algorithm2  # noqa: F401  looked up here by perfbench/spans.py
-from .exact import ModelProblem, body_velocity_exact, field_exact
+from .exact import ModelProblem, body_displacement_exact, body_velocity_exact, field_exact
 from .materials import FluidField1D, FluidMaterial, Grid1D
 from .rigidbody3d import BodyInertia, DIRKTableau, PartialForcing, RigidBodyState3D, dirk_step
 from .stability import (
@@ -212,6 +212,14 @@ def run_simulation(cfg: RunConfig) -> dict:
         "final": {"t": state.t, "v_body": state.v_body, "x_body": state.x_body},
         "diverged": diverged,
     }
+
+
+def _simulate(cfg: RunConfig) -> dict:
+    """run_simulation's report plus x_body_error = |x_body - (U(0, t) - U0(0))|:
+    x_body is the displacement from the body's start, U(0, t) the closed form."""
+    report, prob = run_simulation(cfg), cfg.problem()
+    exact = body_displacement_exact(prob, report["final"]["t"]) - prob.displacement0(0.0)
+    return {**report, "x_body_error": float(abs(report["final"]["x_body"] - exact))}
 
 
 # -- convergence --------------------------------------------------------------
@@ -449,7 +457,7 @@ def run_rigidbody_demo(cfg: RunConfig) -> dict:
 
 # mode -> runner; RunConfig accepts exactly these modes, in this order
 RUNNERS = {
-    "simulate1d": run_simulation,
+    "simulate1d": _simulate,
     "converge1d": run_convergence_study,
     "stability_sweep": run_stability_sweep,
     "addedmass_table": run_addedmass_table,

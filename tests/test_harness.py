@@ -202,6 +202,18 @@ def test_convergence_study_second_order_rates():
         assert 1.6 < rep["rates"][key] < 2.2, f"{key}: {rep['rates'][key]}"
 
 
+def test_simulate_reports_the_body_position_error_at_its_order():
+    """x_body_error = |x_body - (U(0, t) - U0(0))| converges at m = 1 over
+    n = 100..800: the second order's fitted rate lies in [1.8, 2.2], and the
+    first order's error falls at every halving."""
+    grids = [100 * 2**j for j in range(4)]
+    errors = {scheme: [bodywave.run_mode(RunConfig(scheme=scheme, mass=1.0, n_cells=n))["x_body_error"]
+                       for n in grids] for scheme in ("first", "second")}
+    rate = -np.polyfit(np.log(grids), np.log(errors["second"]), 1)[0]
+    assert 1.8 <= rate <= 2.2, errors["second"]
+    assert all(a > b for a, b in zip(errors["first"], errors["first"][1:])), errors["first"]
+
+
 def test_convergence_study_flags_divergence():
     # Traditional coupling far beyond its stability bound blows up and the
     # study must say so instead of reporting rates.
@@ -629,22 +641,20 @@ def test_cli_start_up_loads_no_scipy():
     assert _scipy_modules_after("import bodywave, bodywave.cli; bodywave.cli.build_parser()") == [[]]
 
 
-def test_only_the_exact_solution_loads_scipy(tmp_path):
-    """stability, addedmass and rb3d run on numpy alone (numpy.linalg is all
-    the LAPACK the rigid body needs); simulate loads scipy.special for the
-    exact solution, and still no scipy.linalg."""
+def test_no_mode_loads_scipy(tmp_path):
+    """All five modes run on numpy alone: numpy.linalg is all the LAPACK the
+    rigid body needs, and the exact solution takes erfc and erf from the math
+    module, so a fresh interpreter that runs every mode ends with no scipy
+    module loaded.  The converge run's light mass takes erfcx's far branch."""
     def run(*argv):
         out = str(tmp_path / f"{argv[0]}.out")
-        return f"bodywave.cli.main({[*argv, '--out', out]!r})"
-    numpy_only, with_exact = _scipy_modules_after(
-        "import bodywave.cli; " + "; ".join([
-            run("stability", "--mass", "1e-3", "--seed", "5"),
-            run("addedmass", "--shape", "sphere", "--resolution", "16"),
-            run("rb3d", "--mass", "0.5")]),
-        run("simulate", "--cells", "10", "--tfinal", "0.05"))
-    assert numpy_only == [], numpy_only
-    assert "scipy.special" in with_exact, with_exact
-    assert not [m for m in with_exact if m.startswith("scipy.linalg")], with_exact
+        return f"assert bodywave.cli.main({[*argv, '--out', out]!r}) == 0"
+    assert _scipy_modules_after("import bodywave.cli; " + "; ".join([
+        run("simulate", "--cells", "10", "--tfinal", "0.05"),
+        run("converge", "--mass", "1e-6", "--cells", "10", "--levels", "2", "--tfinal", "0.05"),
+        run("stability", "--mass", "1e-3", "--seed", "5"),
+        run("addedmass", "--shape", "sphere", "--resolution", "16"),
+        run("rb3d", "--mass", "0.5")])) == [[]]
 
 
 @pytest.mark.parametrize("argv, out", [
