@@ -60,15 +60,16 @@ SCHEMES = {1: Scheme((1.0, 0.0), 1.0, 0.0), 2: Scheme((1.5, -0.5), 0.5, 1.0)}
 
 def _interface(chars: Characteristics, alphas, scheme: Scheme) -> tuple[tuple, tuple]:
     """A record's constants, built once: for `_edges` the flat indices of cells
-    1-2 of rows uL, wL, uR, wR, the edge weights and per side (s c, z - alpha,
-    z + alpha); for `_fill` the flat ghosts of rows wL, uR, wR (uL's is 0), r
-    and per side (s, alpha, s z, 1/(2cz)); left side first."""
+    1-2 of rows uL, wL, uR, wR (flat rows 0, 2, 1, 3: the record is family-major),
+    the edge weights and per side (s c, z - alpha, z + alpha); for `_fill` the
+    flat ghosts of rows wL, uR, wR (uL's is 0), r and per side (s, alpha, s z,
+    1/(2cz)); left side first."""
     m = chars.x.shape[-1]
     (cl, ml, pl, *fill_l), (cr, mr, pr, *fill_r) = [
         (g.outward * mat.c, mat.z - a, mat.z + a, g.outward, a, g.outward * mat.z,
          1.0 / (2.0 * mat.c * mat.z)) for g, mat, a in zip(chars.grids, chars.mats, alphas)]
-    return ((np.arange(4)[:, None] * m + [1, 2]).ravel(), *scheme.edge, cl, ml, pl, cr, mr, pr), \
-        (m, 2 * m, 3 * m, scheme.reflect, *fill_l, *fill_r)
+    return ((np.array([0, 2, 1, 3])[:, None] * m + [1, 2]).ravel(), *scheme.edge, cl, ml, pl, cr, mr, pr), \
+        (2 * m, m, 3 * m, scheme.reflect, *fill_l, *fill_r)
 
 
 def _edges(flat, gather: tuple) -> tuple:

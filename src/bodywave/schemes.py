@@ -11,15 +11,19 @@ one virtual cell past the far end.  With lam = c dt/dx:
     Lax-Wendroff:  x' = cw x_{k-1} + (1 - lam^2) x + ce x_{k+1},
                    (cw, ce) = (lam/2)(lam + 1, lam - 1) for u, reversed for w
 
-The virtual far cell copies the last cell (zeroth-order extrapolation).  The
-ghost is read, never written (couplers own it); kernels write interior
-columns only.  `Characteristics.stack` puts B records of one shape on a batch
-axis, x of shape (B, sides, 2, n + 2), and `part` views a contiguous run of
-its members as a record that steps alone.  Each kernel operation is one ufunc
-call over the whole record as one flat run of rows, on per-element
-coefficients, views and scratch built once per record, so one call steps all
-B, each at its own Courant numbers, bit-identically.  A FluidField1D is
-converted in and out; a new field returns, ghost unchanged.
+The virtual far cell copies the last cell (zeroth-order extrapolation).  A
+record's buffer is family-major (rows uL, uR, wL, wR), and x views it as
+(sides, 2, n + 2).  `Characteristics.stack` puts B records of one shape on a
+batch axis, x of shape (B, sides, 2, n + 2), and `part` views a contiguous
+run of its members as a record that steps alone.  Each kernel operation is
+one ufunc call over the whole record as one flat run of rows (upwind's last
+two, one per family block), on per-element coefficients, views and scratch
+built once per record, so one call steps all B, each at its own Courant
+numbers, bit-identically.  Kernels write every column but the record's first
+and last: identity (Lax-Wendroff) or zero (upwind) coefficients keep the
+ghost and far columns bit-identical, except for the sign of a zero, and a
+finite one with a non-finite neighbour becomes NaN (couplers own the ghosts).
+A FluidField1D is converted in and out; a new field returns, ghost unchanged.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 from math import isfinite
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .materials import FluidField1D, FluidMaterial
 
@@ -54,51 +57,57 @@ class Characteristics:
         self.grids, self.mats, self.grid = tuple(f.grid for f in fields), tuple(mats), fields[0].grid
         if any(g.n_cells != self.grid.n_cells for g in self.grids):
             raise ValueError("all sides need the same n_cells")
-        self._x = np.empty((len(fields), 2, self.grid.n_cells + 2))
+        lam = np.array([_courant(g, m, dt) for g, m in zip(self.grids, self.mats)])
+        half, half2, sign = 0.5 * lam, 0.5 * lam * lam, np.array([[1.0], [-1.0]])
+        # per row (family, side): upwind -lam (u) / +lam (w), Lax-Wendroff cw, c0, ce
+        self.rows = np.stack([-sign * lam, half2 + sign * half, np.tile(1.0 - lam ** 2, (2, 1)),
+                              half2 - sign * half], -1).reshape(-1, 4)
+        self._scratch(np.empty((2, len(fields), self.grid.n_cells + 2)))
         for i, f in enumerate(fields):
             phys = self.physical(i)
             phys[0], phys[1] = f.to_characteristics(self.mats[i])
-        lam = np.array([_courant(g, m, dt) for g, m in zip(self.grids, self.mats)])[:, None]
-        half, half2, sign = 0.5 * lam, 0.5 * lam * lam, np.array([1.0, -1.0])
-        # per row (side, family): upwind -lam (u) / +lam (w), Lax-Wendroff cw, c0, ce
-        self.rows = np.stack([-sign * lam, half2 + sign * half, (1.0 - lam ** 2).repeat(2, axis=1),
-                              half2 - sign * half], -1).reshape(-1, 4)
-        self._scratch()
 
     @classmethod
     def stack(cls, members) -> "Characteristics":
         """Steppable `members` of one shape copied onto a batch axis, with
         their coefficients and own scratch; `grid`, the first's, sizes work."""
-        return cls._record(members[0].grid, np.stack([m.x for m in members]),
+        return cls._record(members[0].grid, np.stack([m.x.swapaxes(-3, -2) for m in members]),
                            np.concatenate([m.rows for m in members]))
 
     def part(self, start: int, stop: int) -> "Characteristics":
         """Members start..stop - 1 of a stack as a record on the stack's own
         buffer, with their coefficients and own scratch."""
         per = len(self.rows) // len(self.x)  # coefficient rows per member
-        return self._record(self.grid, self.x[start:stop], self.rows[per * start:per * stop])
+        return self._record(self.grid, self.x[start:stop].swapaxes(-3, -2), self.rows[per * start:per * stop])
 
     @classmethod
-    def _record(cls, grid, x, rows) -> "Characteristics":
+    def _record(cls, grid, buf, rows) -> "Characteristics":
         ch = cls.__new__(cls)
-        ch.grid, ch._x, ch.rows = grid, x, rows
-        ch._scratch()
+        ch.grid, ch.rows = grid, rows
+        ch._scratch(buf)
         return ch
 
     # the state, read-only: its flat views are built once, in _scratch (write into x[...])
     x = property(lambda self: self._x)
 
-    def _scratch(self) -> None:
-        """The flat views of x that steppers and couplers use, and per-element
-        coefficients and scratch over the flat record, built once."""
-        m, b, f = self.x.shape[-1], self.x.itemsize, self.x.reshape(-1)
-        self.flat, self.shifts = f, (f[:-2], f[1:-1], f[2:], f[:-1], f[1:])
-        self.inner, self.edge = self.x.reshape(-1, 2, m)[..., 1:-1], (f[m - 1::m], f[m - 2::m])
-        coef, (t, u) = np.repeat(self.rows.T, m, axis=1), np.empty((2, self.x.size))
-        self.lam, self.lw = coef[0, 1:], tuple(coef[1:, 1:-1])
-        # upwind t[j] = -+lam (x[j] - x[j-1]): u at flat j adds t[j], w adds t[j + 1]
-        self.diffs = t[1:], as_strided(t[1:], self.inner.shape, (2 * m * b, (m + 1) * b, b))
-        self.tmp = t[1:-1], u[1:-1], t.reshape(-1, 2, m)[..., 1:-1], u.reshape(-1, 2, m)[..., 1:-1]
+    def _scratch(self, buf) -> None:
+        """x, the family-major C-contiguous `buf` (..., 2, sides, n + 2) viewed as
+        (..., sides, 2, n + 2), the flat views of buf that steppers and couplers
+        use, and per-element coefficients and scratch over it, built once."""
+        self._x, f, (s, m) = buf.swapaxes(-3, -2), buf.reshape(-1), buf.shape[-2:]
+        self.flat, self.edge = f, (f[m - 1::m], f[m - 2::m])
+        self.shifts = f[:-2], f[1:-1], f[2:], f[:-1], f[1:]
+        coef, (t, u) = np.repeat(self.rows.T, m, axis=1), np.empty((2, f.size))
+        # ghost and far columns keep their values: Lax-Wendroff's (cw, c0, ce) is (0, 1, 0)
+        # there, upwind's lam 0 at u's columns 0 and n + 1 and at w's 0 and 1 (w at k adds t[k + 1])
+        coef[1:].reshape(3, -1, m)[..., ::m - 1] = np.array([0.0, 1.0, 0.0])[:, None, None]
+        up = coef[0].reshape(-1, 2, s, m)
+        up[:, 0, :, ::m - 1], up[:, 1, :, :2] = 0.0, 0.0
+        self.lam, self.lw, self.tmp = coef[0, 1:], tuple(coef[1:, 1:-1]), (t[1:-1], u[1:-1])
+        # upwind t[j] = -+lam (x[j] - x[j-1]): per member, the u block at flat j adds
+        # t[j] (except at its first column), the w block t[j + 1] (except at its last)
+        xs, ts, half = f.reshape(*buf.shape[:-3], -1), t.reshape(*buf.shape[:-3], -1), s * m
+        self.diffs = t[1:], ((xs[..., 1:half], ts[..., 1:half]), (xs[..., half:-1], ts[..., half + 1:]))
 
     def physical(self, i: int) -> np.ndarray:
         """View of side i's (a, b) in physical array order, ghost included."""
@@ -112,19 +121,20 @@ class Characteristics:
 
 
 def _upwind(ch):
-    (_, _, _, xw, xc), (d, d_inner) = ch.shifts, ch.diffs
+    (_, _, _, xw, xc), (d, ((u, du), (w, dw))) = ch.shifts, ch.diffs
     np.subtract(xc, xw, out=d)
     d *= ch.lam
-    np.add(ch.inner, d_inner, out=ch.inner)
+    u += du
+    w += dw
 
 
 def _lax_wendroff(ch):
-    (xw, xc, xe, _, _), (cw, c0, ce), (t, u, t_inner, u_inner) = ch.shifts, ch.lw, ch.tmp
+    (xw, xc, xe, _, _), (cw, c0, ce), (t, u) = ch.shifts, ch.lw, ch.tmp
     np.multiply(xw, cw, out=t)
     np.multiply(xc, c0, out=u)
     t += u
     np.multiply(xe, ce, out=u)
-    np.add(t_inner, u_inner, out=ch.inner)
+    np.add(t, u, out=xc)
 
 
 def _step(kernel, field, mat, dt):

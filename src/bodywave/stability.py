@@ -259,7 +259,8 @@ def _stacked_rates(runs: list[CoupledRun], n_steps: int) -> list[float]:
     parts = [(step, stack.part(i, j)) for step, i, j in
              ((coupling.upwind_step, 0, n1), (coupling.lax_wendroff_step, n1, b)) if i < j]
     # a member's row of `buf` is (ghosts, v_body, flux, cells); C y reads the last ten and writes the first six
-    buf, prod, mag = np.empty((b, 14)), np.empty((b, 6, 10)), np.empty(stack.x.shape)
+    # mag takes x's memory order (family-major), so |x| is one contiguous pass
+    buf, prod, mag = np.empty((b, 14)), np.empty((b, 6, 10)), np.empty_like(stack.x)
     buf[:, 4:6] = [[run.v_body, run.flux] for run in runs]
     cmat = np.array([coupling.interface_matrix(run) for run in runs])
     y, out, body = buf[:, None, 4:], buf[:, :6], buf[:, 4:6]

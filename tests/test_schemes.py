@@ -9,7 +9,7 @@ which the flat per-element kernels must reproduce exactly.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bodywave.materials import FluidMaterial, Grid1D, FluidField1D
 from bodywave.schemes import Characteristics, CflViolation, lax_wendroff_step, upwind_step
@@ -188,6 +188,8 @@ def _broadcast_step(x, lam, scheme):
     st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(1e-3, 1.0)), min_size=1, max_size=4),
     seed=st.integers(0, 2**31))
 @settings(max_examples=60, derandomize=True, deadline=None)
+@example(n=3, members=[(0.9, 0.3, 0.25)], seed=7)  # the zeroed lam columns of w are adjacent
+@example(n=5, members=[(1.0, 1.0, 0.5), (0.05, 1.0, 1e-3), (1.0, 0.6, 1.0), (0.4, 0.05, 0.1)], seed=11)
 def test_flat_kernels_equal_the_broadcasting_kernels_bitwise(n, members, seed):
     """Stacks of 1-4 records (per-side c, own dt with lam <= 1) and one
     record alone step exactly as the broadcasting kernels step them, over
@@ -223,4 +225,33 @@ def test_a_records_state_cannot_be_rebound():
         with pytest.raises(AttributeError):
             record.x = record.x.copy()
         record.x[...] = 0.5
-        assert np.all(record.flat == 0.5) and np.all(record.inner == 0.5)
+        assert np.all(record.flat == 0.5) and np.all(record.x[..., 1:-1] == 0.5)
+
+
+@pytest.mark.parametrize("stepper", [upwind_step, lax_wendroff_step])
+def test_a_kernel_writes_a_single_record_in_contiguous_runs(stepper):
+    """Every array that a kernel's ufunc calls write on one record is
+    C-contiguous: a strided write over the interior columns costs about
+    twice a flat one.  Every array the record holds is viewed as a subclass
+    that logs the outputs of each ufunc call it enters."""
+    writes = []
+
+    class Logged(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
+            writes.extend(out)
+            plain = [a.view(np.ndarray) if isinstance(a, np.ndarray) else a for a in (*inputs, *out)]
+            return getattr(ufunc, method)(*plain[:len(inputs)], out=tuple(plain[len(inputs):]), **kwargs)
+
+    def logged(value):
+        if isinstance(value, np.ndarray):
+            return value.view(Logged)
+        return tuple(map(logged, value)) if isinstance(value, tuple) else value
+
+    mats = (FluidMaterial(1.0, 1.3), FluidMaterial(2.0, 0.7))
+    ch = Characteristics((_random_field("left"), _random_field("right")), mats, 0.01)
+    want = ch.x.copy()
+    vars(ch).update({name: logged(value) for name, value in vars(ch).items()})
+    stepper(ch)
+    _broadcast_step(want, np.array([[m.c * 0.01 / 0.05] for m in mats]), "upwind" if stepper is upwind_step else "lw")
+    assert np.array_equal(ch.x, want)  # the logged record still steps
+    assert writes and all(w.flags.c_contiguous for w in writes), [w.shape for w in writes]
