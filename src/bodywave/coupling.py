@@ -22,13 +22,14 @@ order selects the interior stepper and a scheme record (SCHEMES):
 
 The body update is implicit in the interface stresses, which keeps the loop
 stable for any mass ratio; it reduces to a scalar solve per step.  The
-interface rule is written once, over a record's flat view: `_edges` gathers
-cells 1-2 of both sides and gives phi_e, `_fill` forms sigma_I and writes the
-four ghosts.  `couple` and a new run's ghosts and starting flux use them,
-with a record's constants built once by `_interface`.  `couple` is linear, so
-`interface_matrix` probes (and spends) a run with unit inputs as a 6 x 10 matrix,
-and a (B, 2, 2, n + 2) stack of runs of both orders, each at unit c and z, steps
-by one stencil call per order and one batched product (`stability`).
+interface rule is written once, over a record's flat view at its own indices
+(`Characteristics.at`): `_edges` gathers cells 1-2 of both sides and gives
+phi_e, `_fill` forms sigma_I and writes the four ghosts.  `couple` and a new
+run's ghosts and starting flux use them, with a record's constants built once
+by `_interface`.  `couple` is linear, so `interface_matrix` probes (and
+spends) a run with unit inputs as a 6 x 10 matrix, and a (B, 2, 2, n + 2)
+stack of runs of both orders, each at unit c and z, steps by one stencil
+call per order and one batched product (`stability`).
 """
 
 from __future__ import annotations
@@ -59,17 +60,15 @@ SCHEMES = {1: Scheme((1.0, 0.0), 1.0, 0.0), 2: Scheme((1.5, -0.5), 0.5, 1.0)}
 
 
 def _interface(chars: Characteristics, alphas, scheme: Scheme) -> tuple[tuple, tuple]:
-    """A record's constants, built once: for `_edges` the flat indices of cells
-    1-2 of rows uL, wL, uR, wR (flat rows 0, 2, 1, 3: the record is family-major),
-    the edge weights and per side (s c, z - alpha, z + alpha); for `_fill` the
-    flat ghosts of rows wL, uR, wR (uL's is 0), r and per side (s, alpha, s z,
-    1/(2cz)); left side first."""
-    m = chars.x.shape[-1]
+    """A record's constants, built once from its flat indices (`chars.at`): for
+    `_edges` those of cells 1-2 of rows uL, wL, uR, wR, the edge weights and per
+    side (s c, z - alpha, z + alpha); for `_fill` those of the four ghosts, r and
+    per side (s, alpha, s z, 1/(2cz)); left side first."""
     (cl, ml, pl, *fill_l), (cr, mr, pr, *fill_r) = [
         (g.outward * mat.c, mat.z - a, mat.z + a, g.outward, a, g.outward * mat.z,
          1.0 / (2.0 * mat.c * mat.z)) for g, mat, a in zip(chars.grids, chars.mats, alphas)]
-    return ((np.array([0, 2, 1, 3])[:, None] * m + [1, 2]).ravel(), *scheme.edge, cl, ml, pl, cr, mr, pr), \
-        (2 * m, m, 3 * m, scheme.reflect, *fill_l, *fill_r)
+    return (chars.at[..., 1:3].ravel(), *scheme.edge, cl, ml, pl, cr, mr, pr), \
+        (*chars.at[..., 0].ravel().tolist(), scheme.reflect, *fill_l, *fill_r)
 
 
 def _edges(flat, gather: tuple) -> tuple:
@@ -87,10 +86,10 @@ def _edges(flat, gather: tuple) -> tuple:
 def _fill(flat, ghosts: tuple, cells, phi_l: float, phi_r: float, v: float) -> None:
     """With sigma_I = s (phi_e - alpha v) per side, set the four ghosts to
     (1 + r) chars(v, sigma_I) - r chars(cell 1), as four scalar stores."""
-    wl, ur, wr, r, sl, al, zl, kl, sr, ar, zr, kr = ghosts
+    ul, wl, ur, wr, r, sl, al, zl, kl, sr, ar, zr, kr = ghosts
     ul1, _, wl1, _, ur1, _, wr1, _ = cells
     sig_l, sig_r, zvl, zvr, q = sl * (phi_l - al * v), sr * (phi_r - ar * v), zl * v, zr * v, 1.0 + r
-    flat[0] = q * (kl * (sig_l - zvl)) - r * ul1
+    flat[ul] = q * (kl * (sig_l - zvl)) - r * ul1
     flat[wl] = q * (kl * (sig_l + zvl)) - r * wl1
     flat[ur] = q * (kr * (sig_r - zvr)) - r * ur1
     flat[wr] = q * (kr * (sig_r + zvr)) - r * wr1
@@ -168,7 +167,7 @@ def interface_matrix(run: CoupledRun) -> np.ndarray:
     rows uL, wL, uR, wR) to (their ghosts, v_body, flux), probed by 10 calls with
     unit inputs on the run itself, which this spends, so that `_edges` and `_fill`
     stay the only statement of the rule."""
-    flat, at, ghosts, cols = run.chars.flat, run.gather[0], [0, *run.ghosts[:3]], []
+    flat, at, ghosts, cols = run.chars.flat, run.gather[0], list(run.ghosts[:4]), []
     for j in range(10):
         run.v_body, run.flux, flat[at] = float(j == 0), float(j == 1), np.arange(2, 10) == j
         run.couple()

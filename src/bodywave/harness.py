@@ -154,7 +154,8 @@ def run_simulation(cfg: RunConfig) -> dict:
     """One coupled run against the closed-form solution; max/L1 error report.
 
     The step is cfl * dx / max(c) shrunk to land exactly on t_final; the body
-    velocity error is the max over the whole time history.
+    velocity error is the max over the whole time history; x_body_error is
+    |x_body - (U(0, t) - U0(0))| at the end, U the closed-form displacement.
     """
     prob = cfg.problem()
     mat_l, mat_r = cfg.materials()
@@ -201,6 +202,7 @@ def run_simulation(cfg: RunConfig) -> dict:
     else:
         errors = dict.fromkeys(ERROR_KEYS, float("inf"))
         diverged = True
+    x_exact = body_displacement_exact(prob, state.t) - prob.displacement0(0.0)
     return {
         "config": cfg.to_dict(),
         "dx": dx,
@@ -211,15 +213,8 @@ def run_simulation(cfg: RunConfig) -> dict:
         "errors": errors,
         "final": {"t": state.t, "v_body": state.v_body, "x_body": state.x_body},
         "diverged": diverged,
+        "x_body_error": float(abs(state.x_body - x_exact)),
     }
-
-
-def _simulate(cfg: RunConfig) -> dict:
-    """run_simulation's report plus x_body_error = |x_body - (U(0, t) - U0(0))|:
-    x_body is the displacement from the body's start, U(0, t) the closed form."""
-    report, prob = run_simulation(cfg), cfg.problem()
-    exact = body_displacement_exact(prob, report["final"]["t"]) - prob.displacement0(0.0)
-    return {**report, "x_body_error": float(abs(report["final"]["x_body"] - exact))}
 
 
 # -- convergence --------------------------------------------------------------
@@ -457,7 +452,7 @@ def run_rigidbody_demo(cfg: RunConfig) -> dict:
 
 # mode -> runner; RunConfig accepts exactly these modes, in this order
 RUNNERS = {
-    "simulate1d": _simulate,
+    "simulate1d": run_simulation,
     "converge1d": run_convergence_study,
     "stability_sweep": run_stability_sweep,
     "addedmass_table": run_addedmass_table,

@@ -5,25 +5,28 @@ or both sides in one array, each viewed from the body outward
 (`Grid1D.outward`), so one code path serves both sides.  x[i, 0] is side i's
 outgoing family u (a on the right, b on the left), x[i, 1] its incoming
 family w; column 0 is the ghost, columns 1..n the interior and column n + 1
-one virtual cell past the far end.  With lam = c dt/dx:
+one padding column past the far end.  With lam = c dt/dx:
 
     upwind:        u' = u - lam (u - u_{k-1}),   w' = w + lam (w_{k+1} - w)
     Lax-Wendroff:  x' = cw x_{k-1} + (1 - lam^2) x + ce x_{k+1},
                    (cw, ce) = (lam/2)(lam + 1, lam - 1) for u, reversed for w
 
-The virtual far cell copies the last cell (zeroth-order extrapolation).  A
-record's buffer is family-major (rows uL, uR, wL, wR), and x views it as
-(sides, 2, n + 2).  `Characteristics.stack` puts B records of one shape on a
-batch axis, x of shape (B, sides, 2, n + 2), and `part` views a contiguous
-run of its members as a record that steps alone.  Each kernel operation is
-one ufunc call over the whole record as one flat run of rows (upwind's last
-two, one per family block), on per-element coefficients, views and scratch
-built once per record, so one call steps all B, each at its own Courant
-numbers, bit-identically.  Kernels write every column but the record's first
-and last: identity (Lax-Wendroff) or zero (upwind) coefficients keep the
-ghost and far columns bit-identical, except for the sign of a zero, and a
-finite one with a non-finite neighbour becomes NaN (couplers own the ghosts).
-A FluidField1D is converted in and out; a new field returns, ghost unchanged.
+The far end extrapolates at zeroth order (x_{n+1} = x_n), folded into cell
+n's coefficients: Lax-Wendroff's ce joins its c0, and upwind's w adds
+nothing.  A record's buffer is family-major (rows uL, uR, wL, wR), x views
+it as (sides, 2, n + 2), and `at` maps x's indices to flat ones for
+couplers.  `Characteristics.stack` puts B records of one shape on a batch
+axis, x of shape (B, sides, 2, n + 2), and `part` views a contiguous run of
+its members as a record that steps alone.  Each kernel operation is one
+ufunc call over the whole record as one flat run of rows (upwind's last two,
+one per family block), on per-element coefficients, views and scratch built
+once per record, so one call steps all B, each at its own Courant numbers,
+bit-identically.  Kernels write every column but the record's first and
+last: identity (Lax-Wendroff) or zero (upwind) coefficients keep the ghost
+and far columns bit-identical, except for the sign of a zero, and a finite
+one with a non-finite neighbour becomes NaN.  Couplers own the ghosts; the
+far column, zeroed at the start, enters no update.  A FluidField1D is
+converted in and out; a new field returns, ghost unchanged.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ class Characteristics:
         # per row (family, side): upwind -lam (u) / +lam (w), Lax-Wendroff cw, c0, ce
         self.rows = np.stack([-sign * lam, half2 + sign * half, np.tile(1.0 - lam ** 2, (2, 1)),
                               half2 - sign * half], -1).reshape(-1, 4)
-        self._scratch(np.empty((2, len(fields), self.grid.n_cells + 2)))
+        self._scratch(np.zeros((2, len(fields), self.grid.n_cells + 2)))
         for i, f in enumerate(fields):
             phys = self.physical(i)
             phys[0], phys[1] = f.to_characteristics(self.mats[i])
@@ -92,17 +95,19 @@ class Characteristics:
 
     def _scratch(self, buf) -> None:
         """x, the family-major C-contiguous `buf` (..., 2, sides, n + 2) viewed as
-        (..., sides, 2, n + 2), the flat views of buf that steppers and couplers
-        use, and per-element coefficients and scratch over it, built once."""
+        (..., sides, 2, n + 2), `at`, x's flat indices, the flat views of buf that
+        steppers use, and per-element coefficients and scratch over it, built once."""
         self._x, f, (s, m) = buf.swapaxes(-3, -2), buf.reshape(-1), buf.shape[-2:]
-        self.flat, self.edge = f, (f[m - 1::m], f[m - 2::m])
+        self.flat, self.at = f, np.arange(f.size).reshape(buf.shape).swapaxes(-3, -2)
         self.shifts = f[:-2], f[1:-1], f[2:], f[:-1], f[1:]
         coef, (t, u) = np.repeat(self.rows.T, m, axis=1), np.empty((2, f.size))
-        # ghost and far columns keep their values: Lax-Wendroff's (cw, c0, ce) is (0, 1, 0)
-        # there, upwind's lam 0 at u's columns 0 and n + 1 and at w's 0 and 1 (w at k adds t[k + 1])
-        coef[1:].reshape(3, -1, m)[..., ::m - 1] = np.array([0.0, 1.0, 0.0])[:, None, None]
-        up = coef[0].reshape(-1, 2, s, m)
-        up[:, 0, :, ::m - 1], up[:, 1, :, :2] = 0.0, 0.0
+        # per row: ghost and far columns keep their values, with (cw, c0, ce) (0, 1, 0) and lam 0
+        # there and at w's column 1 (w at k adds t[k + 1]); at cell n, ce joins c0 and w adds t[n + 1] at lam 0
+        per = coef.reshape(4, -1, m)
+        per[2, :, -2] += per[3, :, -2]
+        per[3, :, -2] = 0.0
+        per[..., ::m - 1] = np.array([0.0, 0.0, 1.0, 0.0])[:, None, None]
+        per[0].reshape(-1, 2, s, m)[:, 1, :, 1] = 0.0
         self.lam, self.lw, self.tmp = coef[0, 1:], tuple(coef[1:, 1:-1]), (t[1:-1], u[1:-1])
         # upwind t[j] = -+lam (x[j] - x[j-1]): per member, the u block at flat j adds
         # t[j] (except at its first column), the w block t[j + 1] (except at its last)
@@ -139,7 +144,6 @@ def _lax_wendroff(ch):
 
 def _step(kernel, field, mat, dt):
     ch = field if isinstance(field, Characteristics) else Characteristics((field,), (mat,), dt)
-    np.copyto(*ch.edge)  # the far cell copies the last
     kernel(ch)
     if ch is field:
         return field

@@ -426,7 +426,7 @@ def test_straight_line_couple_equals_the_helper_path(order, coupling, mass, cust
     run, oracle = (CoupledRun(order, state, *mats, mass, dt, *alphas) for _ in range(2))
     _initial_ghosts_by_helpers(oracle, state, alphas)
     assert run.flux == oracle.flux
-    assert np.array_equal(run.chars.x[..., :-1], oracle.chars.x[..., :-1])  # the far cell is set by a step
+    assert np.array_equal(run.chars.x[..., :-1], oracle.chars.x[..., :-1])  # the far column is padding
     stepper = upwind_step if order == 1 else lax_wendroff_step
     for _ in range(6):
         run.step()

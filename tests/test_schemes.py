@@ -90,7 +90,7 @@ def test_unit_courant_is_exact_shift(side, stepper):
         # a moves +x (toward the ghost), b moves -x (toward the far end)
         assert np.allclose(a2[1:n], a[0 : n - 1], atol=1e-14)
         assert np.allclose(b2[0:n], b[1 : n + 1], atol=1e-14)
-        assert np.isclose(a2[0], a[0], atol=1e-14)  # far virtual cell copies
+        assert np.isclose(a2[0], a[0], atol=1e-14)  # the far end extrapolates
     else:
         assert np.allclose(a2[1:], a[:-1], atol=1e-14)
         assert np.allclose(b2[1:n], b[2 : n + 1], atol=1e-14)
@@ -164,23 +164,30 @@ def test_a_part_of_a_stack_steps_its_members_in_place(stepper):
 
 def _broadcast_step(x, lam, scheme):
     """One step of x, shape (..., sides, 2, n + 2), in place by the
-    broadcasting kernels, lam of shape (..., sides, 1)."""
-    x[..., -1] = x[..., -2]
+    broadcasting kernels, lam of shape (..., sides, 1).  The far end folds
+    into cell n: upwind's w there adds lam 0 times its difference to the far
+    column, and Lax-Wendroff's cell n takes (c0 + ce) x_n and 0 times the far
+    column.  Ghost and far columns are left as they are."""
     t, u = np.empty((2,) + x[..., 1:-1].shape)
     if scheme == "upwind":
-        t = t[..., 0, :]
+        t, lam_w = t[..., 0, :], np.repeat(lam, x.shape[-1] - 2, axis=-1)
+        lam_w[..., -1] = 0.0
         np.subtract(x[..., 0, 1:-1], x[..., 0, :-2], out=t)
         t *= lam
         x[..., 0, 1:-1] -= t
         np.subtract(x[..., 1, 2:], x[..., 1, 1:-1], out=t)
-        t *= lam
+        t *= lam_w
         x[..., 1, 1:-1] += t
         return
     half, half2, sign = 0.5 * lam[..., None], 0.5 * lam[..., None] * lam[..., None], np.array([[1.0], [-1.0]])
-    np.multiply(x[..., :-2], half2 + sign * half, out=t)
-    np.multiply(x[..., 1:-1], 1.0 - lam[..., None] ** 2, out=u)
+    cw, c0, ce = np.broadcast_arrays(half2 + sign * half, 1.0 - lam[..., None] ** 2, half2 - sign * half, t)[:3]
+    c0, ce = c0.copy(), ce.copy()
+    c0[..., -1] += ce[..., -1]
+    ce[..., -1] = 0.0
+    np.multiply(x[..., :-2], cw, out=t)
+    np.multiply(x[..., 1:-1], c0, out=u)
     t += u
-    np.multiply(x[..., 2:], half2 - sign * half, out=u)
+    np.multiply(x[..., 2:], ce, out=u)
     np.add(t, u, out=x[..., 1:-1])
 
 
@@ -213,6 +220,27 @@ def test_flat_kernels_equal_the_broadcasting_kernels_bitwise(n, members, seed):
             _broadcast_step(want, lam, scheme)
             _broadcast_step(want_alone, lam[0], scheme)
         assert np.array_equal(stack.x, want) and np.array_equal(alone.x, want_alone), scheme
+
+
+@pytest.mark.parametrize("stepper", [upwind_step, lax_wendroff_step])
+def test_the_far_column_is_inert(stepper):
+    """A record starts with zero far columns.  One whose far columns hold
+    arbitrary finite values steps its ghosts and interiors bit-identically to
+    a zero-padded twin, single and stacked, and both keep their far values
+    (+0 for the twin): the far end lives in cell n's coefficients."""
+    mats, fields = (FluidMaterial(1.0, 1.3), FluidMaterial(2.0, 0.7)), (_random_field("left"), _random_field("right"))
+    junk, twin = Characteristics(fields, mats, 0.02), Characteristics(fields, mats, 0.02)
+    assert np.array_equal(twin.x[..., -1], np.zeros((2, 2)))
+    far = 1e3 * RNG.standard_normal((2, 2))
+    junk.x[..., -1] = far
+    for pair in ((junk, twin), (Characteristics.stack([junk, junk]), Characteristics.stack([twin, twin]))):
+        for _ in range(5):
+            for record in pair:
+                stepper(record)
+        (a, b), pads = pair, np.broadcast_to(far, pair[0].x.shape[:-1])
+        assert np.array_equal(a.x[..., :-1], b.x[..., :-1])
+        assert np.array_equal(a.x[..., -1], pads)
+        assert np.all(b.x[..., -1] == 0.0) and not np.any(np.signbit(b.x[..., -1]))
 
 
 def test_a_records_state_cannot_be_rebound():
