@@ -11,22 +11,23 @@ one padding column past the far end.  With lam = c dt/dx:
     Lax-Wendroff:  x' = cw x_{k-1} + (1 - lam^2) x + ce x_{k+1},
                    (cw, ce) = (lam/2)(lam + 1, lam - 1) for u, reversed for w
 
-The far end extrapolates at zeroth order (x_{n+1} = x_n), folded into cell
-n's coefficients: Lax-Wendroff's ce joins its c0, and upwind's w adds
-nothing.  A record's buffer is family-major (rows uL, uR, wL, wR), x views
-it as (sides, 2, n + 2), and `at` maps x's indices to flat ones for
-couplers.  `Characteristics.stack` puts B records of one shape on a batch
-axis, x of shape (B, sides, 2, n + 2), and `part` views a contiguous run of
-its members as a record that steps alone.  Each kernel operation is one
-ufunc call over the whole record as one flat run of rows (upwind's last two,
-one per family block), on per-element coefficients, views and scratch built
-once per record, so one call steps all B, each at its own Courant numbers,
-bit-identically.  Kernels write every column but the record's first and
-last: identity (Lax-Wendroff) or zero (upwind) coefficients keep the ghost
-and far columns bit-identical, except for the sign of a zero, and a finite
-one with a non-finite neighbour becomes NaN.  Couplers own the ghosts; the
-far column, zeroed at the start, enters no update.  A FluidField1D is
-converted in and out; a new field returns, ghost unchanged.
+The far end extrapolates at zeroth order (x_{n+1} = x_n), folded into cell n's
+coefficients: Lax-Wendroff's ce joins its c0, and upwind's w adds nothing.  A
+record's buffer is family-major (rows uL, uR, wL, wR), x views it as (sides,
+2, n + 2), and `at` maps x's indices to flat ones for couplers.
+`Characteristics.stack` puts B records of one shape on a batch axis, x of
+shape (B, sides, 2, n + 2), and `part` views a contiguous run of its members
+as a record that steps alone.  Each kernel operation is one ufunc call over
+the whole record as one flat run of rows (a write: one run per member, or per
+family block), on per-element coefficients, views and scratch built once per
+record, so one call steps all B, each at its own Courant numbers,
+bit-identically.  Each member's columns but its first and last are written
+from its own, identity (Lax-Wendroff) or zero (upwind) coefficients keeping
+the ghost and far columns but for a zero's sign.  The far column, zeroed at
+the start, enters cell n times 0, so a ghost past the float range turns NaN
+the far column before it, then that row's cell n, within its member.  Couplers
+own the ghosts; a FluidField1D is converted in and out, and a new field
+returns, ghost unchanged.
 """
 
 from __future__ import annotations
@@ -90,16 +91,16 @@ class Characteristics:
         ch._scratch(buf)
         return ch
 
-    # the state, read-only: its flat views are built once, in _scratch (write into x[...])
+    # the state, read-only (_scratch builds its flat views once; write into x[...]), and its flat indices
     x = property(lambda self: self._x)
+    at = property(lambda self: np.arange(self.flat.size).reshape(self.x.swapaxes(-3, -2).shape).swapaxes(-3, -2))
 
     def _scratch(self, buf) -> None:
         """x, the family-major C-contiguous `buf` (..., 2, sides, n + 2) viewed as
-        (..., sides, 2, n + 2), `at`, x's flat indices, the flat views of buf that
-        steppers use, and per-element coefficients and scratch over it, built once."""
+        (..., sides, 2, n + 2), the flat views of buf that steppers and couplers
+        use, and per-element coefficients and scratch over it, built once."""
         self._x, f, (s, m) = buf.swapaxes(-3, -2), buf.reshape(-1), buf.shape[-2:]
-        self.flat, self.at = f, np.arange(f.size).reshape(buf.shape).swapaxes(-3, -2)
-        self.shifts = f[:-2], f[1:-1], f[2:], f[:-1], f[1:]
+        self.flat, self.shifts = f, (f[:-2], f[1:-1], f[2:], f[:-1], f[1:])
         coef, (t, u) = np.repeat(self.rows.T, m, axis=1), np.empty((2, f.size))
         # per row: ghost and far columns keep their values, with (cw, c0, ce) (0, 1, 0) and lam 0
         # there and at w's column 1 (w at k adds t[k + 1]); at cell n, ce joins c0 and w adds t[n + 1] at lam 0
@@ -108,10 +109,10 @@ class Characteristics:
         per[3, :, -2] = 0.0
         per[..., ::m - 1] = np.array([0.0, 0.0, 1.0, 0.0])[:, None, None]
         per[0].reshape(-1, 2, s, m)[:, 1, :, 1] = 0.0
-        self.lam, self.lw, self.tmp = coef[0, 1:], tuple(coef[1:, 1:-1]), (t[1:-1], u[1:-1])
-        # upwind t[j] = -+lam (x[j] - x[j-1]): per member, the u block at flat j adds
-        # t[j] (except at its first column), the w block t[j + 1] (except at its last)
-        xs, ts, half = f.reshape(*buf.shape[:-3], -1), t.reshape(*buf.shape[:-3], -1), s * m
+        # per member, all but its first and last column take Lax-Wendroff's t + u, or upwind's
+        # t[j] = -+lam (x[j] - x[j-1]) at flat j in the u block and at j - 1 in the w block
+        xs, ts, us, half = *(a.reshape(*buf.shape[:-3], -1) for a in (f, t, u)), s * m
+        self.lam, self.lw = coef[0, 1:], (*coef[1:, 1:-1], t[1:-1], u[1:-1], *(a[..., 1:-1] for a in (xs, ts, us)))
         self.diffs = t[1:], ((xs[..., 1:half], ts[..., 1:half]), (xs[..., half:-1], ts[..., half + 1:]))
 
     def physical(self, i: int) -> np.ndarray:
@@ -134,12 +135,12 @@ def _upwind(ch):
 
 
 def _lax_wendroff(ch):
-    (xw, xc, xe, _, _), (cw, c0, ce), (t, u) = ch.shifts, ch.lw, ch.tmp
+    (xw, xc, xe, _, _), (cw, c0, ce, t, u, x, tm, um) = ch.shifts, ch.lw
     np.multiply(xw, cw, out=t)
     np.multiply(xc, c0, out=u)
     t += u
     np.multiply(xe, ce, out=u)
-    np.add(t, u, out=xc)
+    np.add(tm, um, out=x)
 
 
 def _step(kernel, field, mat, dt):

@@ -38,11 +38,10 @@ CONTOUR_START, CONTOUR_CAP, CONTOUR_MAX_TURN = 64, 2 * 65536, np.pi / 4
 GROWTH_AMPLITUDE = 1e-3  # size of the random initial data of a growth run
 UNIT = FluidMaterial(1.0, 1.0)  # the material of every growth run, posed in its own variables
 # A growth stack is rescaled by exact powers of two, so its rates do not move:
-# each member to its norm's exponent whenever the stack's largest entry leaves
-# [RESCALE_LOW, RESCALE_HIGH], kept narrow so that |C| |y| stays below the largest
-# float.  A member decays no further than the constant-state part that its steps
-# keep (eigenvalue 1), so none reaches the subnormals between rescales.
-RESCALE_LOW, RESCALE_HIGH = 2.0 ** -32, 2.0 ** 32
+# each member to its norm's exponent every RESCALE_PERIOD steps (decaying members
+# stay normal floats) and whenever the stack's largest entry leaves [RESCALE_LOW,
+# RESCALE_HIGH], kept narrow so that |C| |y| stays below the largest float.
+RESCALE_LOW, RESCALE_HIGH, RESCALE_PERIOD = 2.0 ** -32, 2.0 ** 32, 16
 
 
 @dataclass(frozen=True)
@@ -276,7 +275,7 @@ def _stacked_rates(runs: list[CoupledRun], n_steps: int) -> list[float]:
         np.add.reduce(prod, axis=-1, out=out)
         np.copyto(stack.x[..., 0], ghosts)
         top = np.abs(stack.x, out=mag).max()
-        if k in logs or not RESCALE_LOW <= top <= RESCALE_HIGH:
+        if k in logs or k % RESCALE_PERIOD == 0 or not RESCALE_LOW <= top <= RESCALE_HIGH:
             inner[..., 0, :] += inner[..., 1, :]
             mant, ex = np.frexp(np.maximum(inner[..., 0, :].max(axis=(-2, -1)), np.abs(body[:, 0])))
             if k in logs:

@@ -243,6 +243,24 @@ def test_the_far_column_is_inert(stepper):
         assert np.all(b.x[..., -1] == 0.0) and not np.any(np.signbit(b.x[..., -1]))
 
 
+@pytest.mark.parametrize("stepper", [upwind_step, lax_wendroff_step])
+def test_a_non_finite_ghost_stays_in_its_member(stepper):
+    """Stacked around a member whose four ghosts are inf, a finite member steps
+    bit-identically to itself alone and stays finite: a kernel writes each
+    member from that member's own columns."""
+    mats, fields = (FluidMaterial(1.0, 1.3), FluidMaterial(2.0, 0.7)), (_random_field("left"), _random_field("right"))
+    alone, bad = Characteristics(fields, mats, 0.02), Characteristics(fields, mats, 0.02)
+    bad.x[..., 0] = np.inf
+    stack = Characteristics.stack([alone, bad, alone])
+    with np.errstate(invalid="ignore"):  # inf - inf in the member with inf ghosts
+        for _ in range(5):
+            stepper(stack)
+            stepper(alone)
+    assert not np.all(np.isfinite(stack.x[1]))
+    assert np.all(np.isfinite(alone.x))
+    assert np.array_equal(stack.x[0], alone.x) and np.array_equal(stack.x[2], alone.x)
+
+
 def test_a_records_state_cannot_be_rebound():
     """x is read-only, for a record and a stack alike: the flat views that
     steppers and couplers use are built from it once, so a rebound x would
