@@ -19,7 +19,9 @@ The files under tests/golden/ hold, for the reference setup:
 - `converge.json`: run_convergence_study reports (levels, ratios, rates,
   diverged levels) for both schemes under projection coupling (m = 1, 1e-6),
   n = 50, three levels, plus a first-order traditional run at m = 1e-6 to
-  t = 2 that diverges on both of its two levels.
+  t = 2 that diverges on both of its two levels;
+- `cli_help.json`: the `--help` text of the top-level parser and of each
+  subcommand's, formatted at 80 columns.
 
 Tolerances: error norms 1e-10 relative, final body values 1e-10 relative
 or 1e-13 absolute (massless runs end near a zero crossing of v_body), field
@@ -32,15 +34,20 @@ series' largest magnitude (the axes' orthogonality drift against the unit
 scale of the axes themselves), the same for the gyroscopic DIRK histories,
 the displacement series 1e-12 of each series' largest magnitude, and the
 convergence reports with identical keys, flags, levels and positions of
-non-finite values, and finite values 1e-12 relative.
+non-finite values, and finite values 1e-12 relative, and the help texts
+identical.
 
 Regenerate (only when a change of output is intended and explained) with
 
     PYTHONPATH=src python tests/test_golden.py [file.json ...]
 """
 
+import contextlib
+import io
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -58,6 +65,7 @@ from bodywave import (
     step_algorithm1,
     step_algorithm2,
 )
+from bodywave.cli import SUBCOMMAND_MODES, build_parser
 from bodywave.harness import (
     run_addedmass_table,
     run_convergence_study,
@@ -338,6 +346,21 @@ def test_convergence_study_matches_golden(case):
     _assert_report_matches(converge_outputs_for(case), _load("converge.json")[_conv_key(*case)])
 
 
+def cli_help_outputs() -> dict:
+    texts = {}
+    for argv in ([], *([name] for name in SUBCOMMAND_MODES)):
+        out = io.StringIO()
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}), contextlib.redirect_stdout(out):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([*argv, "--help"])
+        texts[" ".join(["bodywave", *argv])] = out.getvalue()
+    return texts
+
+
+def test_cli_help_matches_golden():
+    assert cli_help_outputs() == _load("cli_help.json")
+
+
 GOLDEN_BUILDERS = {
     "simulate.json": simulate_outputs,
     "states.json": state_outputs,
@@ -347,6 +370,7 @@ GOLDEN_BUILDERS = {
     "dirk_gyro.json": dirk_gyro_outputs,
     "displacement.json": displacement_outputs,
     "converge.json": converge_outputs,
+    "cli_help.json": cli_help_outputs,
 }
 
 
