@@ -9,9 +9,11 @@ arm factor Yn = y x n (y = r - center):
 
 assembled into a 6x6 composite, the weighted Gram product of the 6-vector
 field g = [n ; Yn], which is symmetric positive semi-definite.  The
-quadrature nodes come as one record of arrays.  Planar shapes embed in 3D
-with n3 = y3 = 0, so a single assembly path serves both; closed forms
-exist for the circle and the sphere.
+quadrature nodes come as one record of arrays: the periodic trapezoid rule
+on curves, and on ellipsoids that rule in theta times the Gauss-Legendre
+rule in u = cos(polar angle), computed by Golub-Welsch from numpy.linalg.
+Planar shapes embed in 3D with n3 = y3 = 0, so a single assembly path serves
+both; closed forms exist for the circle and the sphere.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from sys import float_info
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 
 class DegenerateGeometry(ValueError, ArithmeticError):
@@ -173,8 +174,12 @@ def _sample_starfish(shape: Starfish, n: int):
 
 
 def _theta_u_grid(n: int):
-    """n theta nodes on [0, 2 pi), n Gauss-Legendre u nodes, flattened (n, n) weights."""
-    u, gw = leggauss(n)
+    """n theta nodes on [0, 2 pi), n Gauss-Legendre u nodes, flattened (n, n) weights.  The
+    Legendre rule is Golub-Welsch's: the eigenvalues of the Jacobi matrix (off-diagonal
+    k / sqrt(4 k^2 - 1)) and 2 v_0^2 from the first components of its unit eigenvectors."""
+    k = np.arange(1.0, n)
+    u, vecs = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    gw = 2.0 * vecs[0] ** 2
     return 2.0 * np.pi * np.arange(n) / n, u, np.outer(np.full(n, 2.0 * np.pi / n), gw).ravel()
 
 

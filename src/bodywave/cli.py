@@ -30,25 +30,26 @@ SUBCOMMAND_MODES = {
 }
 
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)  # the flags every subcommand takes
+    common.add_argument("--config", help="JSON config file; flags override its keys")
+    common.add_argument("--out", help="output path (.json report or .csv table)")
+    common.add_argument("--scheme", choices=SCHEMES)
+    common.add_argument("--coupling", choices=COUPLINGS)
+    common.add_argument("--alpha-left", type=float, dest="alpha_left")
+    common.add_argument("--alpha-right", type=float, dest="alpha_right")
+    common.add_argument("--mass", type=float)
+    common.add_argument("--cfl", type=float)
+    common.add_argument("--cells", type=int, dest="n_cells")
+    common.add_argument("--levels", type=int)
+    common.add_argument("--tfinal", type=float, dest="t_final")
+    common.add_argument("--seed", type=int)
     parser = argparse.ArgumentParser(
         prog="bodywave",
         description="Partitioned fluid/rigid-body model problems: runs, sweeps, tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, mode in SUBCOMMAND_MODES.items():
-        p = sub.add_parser(name, help=f"run mode {mode}")
-        p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--out", help="output path (.json report or .csv table)")
-        p.add_argument("--scheme", choices=SCHEMES)
-        p.add_argument("--coupling", choices=COUPLINGS)
-        p.add_argument("--alpha-left", type=float, dest="alpha_left")
-        p.add_argument("--alpha-right", type=float, dest="alpha_right")
-        p.add_argument("--mass", type=float)
-        p.add_argument("--cfl", type=float)
-        p.add_argument("--cells", type=int, dest="n_cells")
-        p.add_argument("--levels", type=int)
-        p.add_argument("--tfinal", type=float, dest="t_final")
-        p.add_argument("--seed", type=int)
+        p = sub.add_parser(name, help=f"run mode {mode}", parents=[common])
         if name == "addedmass":
             p.add_argument("--shape", choices=SHAPES)
             p.add_argument("--resolution", type=int)

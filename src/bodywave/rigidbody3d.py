@@ -9,10 +9,10 @@ State y = (x_b, v_b, omega, E) obeys
 
 with the added-mass tensors on the left-hand side.  Each DIRK stage solves
 the implicit system by Newton iteration on the (v, omega) stage slopes; the
-E row is linear given omega and the position row is explicit, so the full
-21-unknown stage system reduces by block elimination.  Because the
-added-mass terms are implicit the step remains well defined as m_b and A
-go to zero, provided the composite tensor is nonsingular.
+E row is linear given omega, with a closed-form solution, and the position
+row is explicit, so the 21-unknown stage system reduces by block elimination.
+Because the added-mass terms are implicit the step remains well defined as
+m_b and A go to zero, provided the composite tensor is nonsingular.
 """
 
 from __future__ import annotations
@@ -37,18 +37,12 @@ class NonphysicalPressure(ValueError, ArithmeticError):
     """Surface projection produced a non-positive pressure."""
 
 
-def cross_matrix(w: np.ndarray) -> np.ndarray:
-    """Cross(w): the matrix with Cross(w) a = w x a."""
-    w0, w1, w2 = np.asarray(w, dtype=float).tolist()
-    return np.array([[0.0, -w2, w1], [w2, 0.0, -w0], [-w1, w0, 0.0]])
-
-
 _EYE3 = np.eye(3)
 
 
 def _drift(E: np.ndarray) -> float:
     """Orthogonality drift of the axes E, max |E^T E - I|."""
-    return float(np.max(np.abs(E.T @ E - _EYE3)))
+    return float(np.abs(E.T @ E - _EYE3).max())
 
 
 @dataclass(frozen=True)
@@ -81,12 +75,6 @@ class RigidBodyState3D:
 
     def orthogonality_drift(self) -> float:
         return self._e_drift
-
-
-def _reorthonormalize(E: np.ndarray) -> np.ndarray:
-    """Nearest orthogonal matrix: the polar factor U V^T of E = U S V^T."""
-    u, _, vt = np.linalg.svd(E)
-    return u @ vt
 
 
 @dataclass(frozen=True)
@@ -179,6 +167,31 @@ class DIRKTableau:
         return cls(a, np.array([0.5, 0.5]), np.array([g, 1.0 - g]), order=3)
 
 
+def _gyroscopic(a, w0, w1, w2, h):
+    """The torque w x Aw and its Jacobian block h (Cross(w) A - Cross(Aw)) in Python
+    floats, from the rows a of A: a product past the float range reads inf or nan, quietly."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    p0, p1, p2 = (a00 * w0 + a01 * w1 + a02 * w2, a10 * w0 + a11 * w1 + a12 * w2,
+                  a20 * w0 + a21 * w1 + a22 * w2)
+    torque = (w1 * p2 - w2 * p1, w2 * p0 - w0 * p2, w0 * p1 - w1 * p0)
+    block = ((h * (w1 * a20 - w2 * a10), h * (w1 * a21 - w2 * a11 + p2), h * (w1 * a22 - w2 * a12 - p1)),
+             (h * (w2 * a00 - w0 * a20 - p2), h * (w2 * a01 - w0 * a21), h * (w2 * a02 - w0 * a22 + p0)),
+             (h * (w0 * a10 - w1 * a00 + p1), h * (w0 * a11 - w1 * a01 - p0), h * (w0 * a12 - w1 * a02)))
+    return torque, block
+
+
+def _axes_slope(w, e, h):
+    """The E row's stage slope (I - h W)^-1 W E, W = Cross(w).  W^3 = -|w|^2 W makes it
+    W (E + h W E) / s^2 = (Cross(c) / s + h (c c^T - |c|^2 I)) E with s = hypot(1, h |w|) and
+    c = w / s.  Each |h c_j| <= 1, so no entry overflows where the slope does not."""
+    s = math.hypot(1.0, h * math.hypot(*w))
+    c0, c1, c2 = w[0] / s, w[1] / s, w[2] / s
+    b0, b1, b2, d0, d1, d2 = h * c0, h * c1, h * c2, c0 / s, c1 / s, c2 / s
+    return np.array([[-(b1 * c1 + b2 * c2), b0 * c1 - d2, b0 * c2 + d1],
+                     [b0 * c1 + d2, -(b0 * c0 + b2 * c2), b1 * c2 - d0],
+                     [b0 * c2 - d1, b1 * c2 + d0, -(b0 * c0 + b1 * c1)]]) @ e
+
+
 def _solve_stage(A, forcing, lin, gamma_dt, u_base):
     """Newton solve for the stage slopes k = (k_v, k_w) of the momentum rows
 
@@ -187,28 +200,22 @@ def _solve_stage(A, forcing, lin, gamma_dt, u_base):
     u = u_base + gamma_dt k = (v, w), A_m the 6x6 composite,
     given the linear part lin = L = gamma_dt A_m + diag(m I, A).  The constant
     part A_m u_base - (F~, T~) is built once; each iteration adds only the
-    gyroscopic term Cross(w) A w and its Jacobian.  Returns k and Cross(w)."""
+    gyroscopic term w x A w and its Jacobian block.  Returns k and the stage w."""
     comp = forcing.tensors.composite
     forcing_6 = np.concatenate([forcing.f_tilde, forcing.t_tilde])
     g_const = comp @ u_base - forcing_6
-    omega_base = u_base[3:]
+    u, a = u_base.tolist(), A.tolist()
 
     def residual(k):
-        omg = omega_base + gamma_dt * k[3:]
-        w_mat, a_omg = cross_matrix(omg), A @ omg
-        g = g_const + lin @ k
-        g[3:] += w_mat @ a_omg
-        return g, w_mat, a_omg
-
-    def jacobian(w_mat, a_omg):
-        jac = lin.copy()
-        jac[3:, 3:] += gamma_dt * (w_mat @ A - cross_matrix(a_omg))
-        return jac
+        w = [w_b + gamma_dt * k_w for w_b, k_w in zip(u[3:], k[3:].tolist())]
+        torque, block = _gyroscopic(a, *w, gamma_dt)
+        g, jac = g_const + lin @ k, lin.copy()
+        g[3:] += torque
+        jac[3:, 3:] += block
+        return g, jac, w
 
     k = np.zeros(6)
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge omega overflows here: refused below
-        g, w_mat, a_omg = residual(k)
-        jac = jacobian(w_mat, a_omg)
+    g, jac, w = residual(k)
     if not np.isfinite(jac).all():  # before LAPACK, which would print its own error lines
         raise SingularStage("stage matrix is not finite (condition number inf)")
     sv = np.linalg.svd(jac, compute_uv=False)  # descending singular values
@@ -216,21 +223,21 @@ def _solve_stage(A, forcing, lin, gamma_dt, u_base):
         with np.errstate(all="ignore"):
             cond = sv[0] / sv[-1]
         raise SingularStage(f"stage matrix is singular (condition number {cond:.3e})")
-    v_max, w_max = max(map(abs, u_base[:3].tolist())), max(map(abs, omega_base.tolist()))
+    v_max, w_max = max(map(abs, u[:3])), max(map(abs, u[3:]))
     scale = max(1.0, *map(abs, forcing_6.tolist()), float(np.abs(comp).max()) * (v_max + w_max))
-    for it in range(25):
+    for _ in range(25):
         g_list = g.tolist()
         if not all(map(math.isfinite, g_list)):
             raise NewtonDivergence("stage residual became non-finite")
         if max(map(abs, g_list)) <= 1e-12 * scale:
-            return k, w_mat
+            return k, w
         try:
-            step = np.linalg.solve(jac if it == 0 else jacobian(w_mat, a_omg), -g)
+            step = np.linalg.solve(jac, -g)
         except np.linalg.LinAlgError:
             raise SingularStage("stage Jacobian solve failed: Singular matrix") from None
         k = k + step
-        g, w_mat, a_omg = residual(k)
-    raise NewtonDivergence(f"no convergence in 25 iterations (|G| = {np.max(np.abs(g)):.3e})")
+        g, jac, w = residual(k)
+    raise NewtonDivergence(f"no convergence in 25 iterations (|G| = {np.abs(g).max():.3e})")
 
 
 def dirk_step(
@@ -254,20 +261,18 @@ def dirk_step(
         forcing = forcing_provider(t + c[i] * dt)
         if forcing.tensors is not tensors:  # L needs only the (read-only) tensors: build it once
             tensors, lin = forcing.tensors, gdt * forcing.tensors.composite
-            lin[range(3), range(3)] += inertia.mass
+            lin[:3, :3] += inertia.mass * _EYE3
             lin[3:, 3:] += inertia.A
         base = y0 + dt * (a[i, :i] @ slopes[:i])
-        k, w_mat = _solve_stage(inertia.A, forcing, lin, gdt, base[3:9])
-        # E row: k_e = W (e_base + gdt k_e) is linear; I - gdt W is always
-        # nonsingular (eigenvalues 1, 1 +- i gdt |omega|)
-        k_e = np.linalg.solve(_EYE3 - gdt * w_mat, w_mat @ base[9:].reshape(3, 3))
+        k, w = _solve_stage(inertia.A, forcing, lin, gdt, base[3:9])
         slopes[i, :3] = base[3:6] + gdt * k[:3]
         slopes[i, 3:9] = k
-        slopes[i, 9:] = k_e.ravel()
+        slopes[i, 9:] = _axes_slope(w, base[9:].reshape(3, 3), gdt).ravel()
     y1 = y0 + dt * (b @ slopes)
     e1 = y1[9:].reshape(3, 3)
-    if _drift(e1) > 1e-10:
-        e1 = _reorthonormalize(e1)
+    if _drift(e1) > 1e-10:  # to the nearest orthogonal matrix: the polar factor U V^T of E = U S V^T
+        u, _, vt = np.linalg.svd(e1)
+        e1 = u @ vt
     return RigidBodyState3D(y1[:3], y1[3:6], y1[6:9], e1)
 
 

@@ -24,7 +24,6 @@ from bodywave.rigidbody3d import (
     DIRKTableau,
     PartialForcing,
     RigidBodyState3D,
-    cross_matrix,
     dirk_step,
     project_surface_state,
 )
@@ -36,7 +35,7 @@ from bodywave.stability import (
 )
 from test_coupling import _quiescent
 from test_exact import _standard, _stress0
-from test_rigidbody3d import _dirk1, _massless
+from test_rigidbody3d import _dirk1, _massless, cross_matrix
 
 FIELD_KEYS = ("v_max", "sigma_max", "v_body_max")
 

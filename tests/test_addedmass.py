@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from bodywave.addedmass import (
@@ -85,6 +86,17 @@ def test_sphere_area_and_unit_normals():
     for i in range(0, len(quad), 37):
         assert abs(np.linalg.norm(quad.normals[i]) - 1.0) < 1e-10
         assert quad.weights[i] > 0.0
+
+
+@pytest.mark.parametrize("n", [8, 32, 64, 128])
+def test_golub_welsch_rule_matches_leggauss(n):
+    """The ellipsoid's u nodes and weights, by Golub-Welsch, agree with numpy's
+    Gauss-Legendre rule to 1e-14."""
+    th, u, weights = _theta_u_grid(n)
+    x, w = leggauss(n)
+    assert np.abs(u - x).max() <= 1e-14
+    assert np.abs(weights.reshape(n, n) / (2.0 * np.pi / n) - w).max() <= 1e-14
+    assert np.array_equal(th, 2.0 * np.pi * np.arange(n) / n)
 
 
 def test_normals_point_outward_for_star_shaped_bodies():

@@ -622,11 +622,11 @@ def test_cli_json_to_stdout_appends_to_redirected_file(tmp_path):
 
 
 def _scipy_modules_after(*steps: str) -> list:
-    """The scipy modules loaded after each of `steps` has run, in turn, in
-    one fresh interpreter: one sorted list per step."""
+    """The scipy and numpy.polynomial modules loaded after each of `steps`
+    has run, in turn, in one fresh interpreter: one sorted list per step."""
     env = dict(os.environ, PYTHONPATH=str(Path(bodywave.__file__).parents[1]))
-    report = ("\nprint('scipy modules:', json.dumps(sorted("
-              "m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+    report = ("\nprint('scipy modules:', json.dumps(sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial'))))\n")
     probe = "import json, sys\n" + "".join(step + report for step in steps)
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=120)
@@ -636,16 +636,18 @@ def _scipy_modules_after(*steps: str) -> list:
 
 
 def test_cli_start_up_loads_no_scipy():
-    """scipy is imported by the functions that call it, so building the CLI
-    parser costs no scipy import."""
+    """scipy is imported by the functions that call it, and the ellipsoid's
+    Gauss-Legendre rule comes from numpy.linalg, so building the CLI parser
+    costs no scipy or numpy.polynomial import."""
     assert _scipy_modules_after("import bodywave, bodywave.cli; bodywave.cli.build_parser()") == [[]]
 
 
 def test_no_mode_loads_scipy(tmp_path):
     """All five modes run on numpy alone: numpy.linalg is all the LAPACK the
-    rigid body needs, and the exact solution takes erfc and erf from the math
-    module, so a fresh interpreter that runs every mode ends with no scipy
-    module loaded.  The converge run's light mass takes erfcx's far branch."""
+    rigid body and the ellipsoid's quadrature rule need, and the exact solution
+    takes erfc and erf from the math module, so a fresh interpreter that runs
+    every mode ends with no scipy or numpy.polynomial module loaded.  The
+    converge run's light mass takes erfcx's far branch."""
     def run(*argv):
         out = str(tmp_path / f"{argv[0]}.out")
         return f"assert bodywave.cli.main({[*argv, '--out', out]!r}) == 0"

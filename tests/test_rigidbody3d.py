@@ -26,10 +26,17 @@ from bodywave.rigidbody3d import (
     PartialForcing,
     RigidBodyState3D,
     SingularStage,
-    cross_matrix,
+    _axes_slope,
+    _gyroscopic,
     dirk_step,
     project_surface_state,
 )
+
+
+def cross_matrix(w: np.ndarray) -> np.ndarray:
+    """Cross(w): the matrix with Cross(w) a = w x a."""
+    w0, w1, w2 = np.asarray(w, dtype=float).tolist()
+    return np.array([[0.0, -w2, w1], [w2, 0.0, -w0], [-w1, w0, 0.0]])
 
 
 def _random_psd_tensors(rng, bump=0.5):
@@ -500,6 +507,43 @@ def test_huge_angular_velocity_is_refused_quietly(capfd):
         dirk_step(state, BodyInertia(1.0, np.diag([10.0, 1.0, 1.0])),
                   _still_forcing(AddedMassTensors(np.eye(6))), DIRKTableau.dirk3(), 0.1)
     assert capfd.readouterr() == ("", "")
+
+
+def test_huge_spin_about_an_axis_steps_quietly():
+    """At omega = (1e200, 0, 0) with A = I the step ends finite and with no
+    warning (the suite turns a RuntimeWarning into an error): the closed-form
+    axes row is scaled by s = hypot(1, h |omega|), where the unscaled
+    W (E + h W E) / (1 + h^2 |omega|^2) overflows from |omega| of about 1e154."""
+    state = RigidBodyState3D(np.zeros(3), np.zeros(3), np.array([1e200, 0.0, 0.0]), np.eye(3))
+    out = dirk_step(state, BodyInertia(1.0, np.eye(3)),
+                    _still_forcing(AddedMassTensors(np.eye(6))), DIRKTableau.dirk3(), 0.1)
+    assert all(np.isfinite(getattr(out, name)).all() for name in ("x", "v", "omega", "E"))
+
+
+def test_closed_form_axes_row_matches_the_solve():
+    """The E row's stage slope equals (I - h W)^-1 W E solved by LAPACK, to
+    1e-14 of its largest entry, on random omega and E with h |omega| <= 1."""
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        h, w, e = 0.1 * rng.random(), rng.standard_normal(3), rng.standard_normal((3, 3))
+        w *= 10.0 ** rng.uniform(-6.0, 0.0) / (h * np.linalg.norm(w))
+        want = np.linalg.solve(np.eye(3) - h * cross_matrix(w), cross_matrix(w) @ e)
+        assert np.abs(_axes_slope(w.tolist(), e, h) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_gyroscopic_term_matches_the_matrix_form():
+    """The float torque w x Aw and Jacobian block h (Cross(w) A - Cross(Aw))
+    equal their matrix forms on random A and omega.  Newton converges with a
+    wrong block too, only more slowly, so the goldens cannot catch one."""
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        m, w, h = rng.standard_normal((3, 3)), rng.standard_normal(3), rng.random()
+        A = m @ m.T
+        torque, block = _gyroscopic(A.tolist(), *w.tolist(), h)
+        scale = np.abs(A).max() * np.abs(w).max()
+        assert np.abs(np.array(torque) - cross_matrix(w) @ A @ w).max() <= 1e-14 * scale * np.abs(w).max()
+        want = h * (cross_matrix(w) @ A - cross_matrix(A @ w))
+        assert np.abs(np.array(block) - want).max() <= 1e-14 * h * scale
 
 
 def test_non_finite_forcing_raises_divergence():
