@@ -512,8 +512,9 @@ def test_huge_angular_velocity_is_refused_quietly(capfd):
 def test_huge_spin_about_an_axis_steps_quietly():
     """At omega = (1e200, 0, 0) with A = I the step ends finite and with no
     warning (the suite turns a RuntimeWarning into an error): the closed-form
-    axes row is scaled by s = hypot(1, h |omega|), where the unscaled
-    W (E + h W E) / (1 + h^2 |omega|^2) overflows from |omega| of about 1e154."""
+    axes row is scaled by s = hypot(1, h |omega|), h = gamma dt, where the
+    unscaled W (E + h W E) / (1 + h^2 |omega|^2) overflows from |omega| of
+    about 1e154."""
     state = RigidBodyState3D(np.zeros(3), np.zeros(3), np.array([1e200, 0.0, 0.0]), np.eye(3))
     out = dirk_step(state, BodyInertia(1.0, np.eye(3)),
                     _still_forcing(AddedMassTensors(np.eye(6))), DIRKTableau.dirk3(), 0.1)
