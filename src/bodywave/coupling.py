@@ -57,6 +57,7 @@ class Scheme(NamedTuple):
 
 
 SCHEMES = {1: Scheme((1.0, 0.0), 1.0, 0.0), 2: Scheme((1.5, -0.5), 0.5, 1.0)}
+ORDERS = {"first": 1, "second": 2}  # the scheme names that configs take, and their orders
 
 
 def _interface(chars: Characteristics, alphas, scheme: Scheme) -> tuple[tuple, tuple]:

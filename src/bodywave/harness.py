@@ -12,12 +12,13 @@ from sys import float_info
 import numpy as np
 
 from .addedmass import Ellipse, Ellipsoid, Starfish, added_mass_analytic, added_mass_tensors, sample_surface
-from .coupling import CoupledRun, CoupledState
+from .coupling import ORDERS, CoupledRun, CoupledState
 from .coupling import step_algorithm1, step_algorithm2  # noqa: F401  looked up here by perfbench/spans.py
 from .exact import ModelProblem, body_displacement_exact, body_velocity_exact, field_exact
 from .materials import FluidField1D, FluidMaterial, Grid1D
 from .rigidbody3d import BodyInertia, DIRKTableau, PartialForcing, RigidBodyState3D, dirk_step
 from .stability import (
+    INNER_RADIUS,
     GrowthConfig,
     StabilityQuery,
     count_unstable_modes,
@@ -29,9 +30,8 @@ from .stability import (
     second_order_determinant,
 )
 
-SCHEMES = ("first", "second")
+SCHEMES = tuple(ORDERS)
 COUPLINGS = ("traditional", "projection", "custom")
-SHAPES = ("ellipse", "sphere", "ellipsoid", "starfish", "all")
 MAX_CELLS = 2 ** 20  # cap on a 1D run's finest grid per side: n_cells, times 2**(levels - 1) in converge1d
 MAX_STEPS = 2 ** 20  # cap on the steps of a 1D run's finest level, t_final / dt
 _FIELD_TYPES = {"str": str, "int": Integral, "float": Real}  # bool is Integral: refused separately
@@ -160,7 +160,7 @@ def run_simulation(cfg: RunConfig) -> dict:
     prob = cfg.problem()
     mat_l, mat_r = cfg.materials()
     alpha_l, alpha_r = cfg.alphas()
-    order = 1 if cfg.scheme == "first" else 2
+    order = ORDERS[cfg.scheme]
 
     dx = cfg.domain_length / cfg.n_cells
     dt = cfg.cfl * dx / max(mat_l.c, mat_r.c)
@@ -273,8 +273,8 @@ SWEEP_ROWS = (
 
 
 def _predict(scheme: str, coupling: str, q: StabilityQuery) -> tuple[str | float, bool]:
-    """Closed-form max |A| (or "unbounded") at first order, the number of
-    growing modes at second order; and the predicted verdict."""
+    """Closed-form max |A| (or "unbounded") at first order, the number of modes with
+    |A| > INNER_RADIUS at second order; and the verdict, stable if no |A| passes it."""
     if scheme == "second":
         n_unstable = count_unstable_modes(second_order_determinant, q)
         return f"{n_unstable} unstable modes", n_unstable == 0
@@ -282,15 +282,15 @@ def _predict(scheme: str, coupling: str, q: StabilityQuery) -> tuple[str | float
     rep = roots(q)
     if rep.unbounded:
         return "unbounded", False
-    return rep.max_modulus, rep.stable
+    return rep.max_modulus, rep.max_modulus <= INNER_RADIUS
 
 
 def run_stability_sweep(cfg: RunConfig) -> dict:
     """Predicted amplification vs measured growth over SWEEP_ROWS: schemes,
     couplings and step sizes (multiples of the traditional stability bound).
 
-    measured_stable uses a 1% margin on the per-step rate; rows land well off
-    the stability boundary so the verdicts are unambiguous.
+    Both verdicts share one margin, INNER_RADIUS (1 % on |A| or the per-step rate);
+    rows land well off the stability boundary so the verdicts are unambiguous.
     """
     if not cfg.mass >= float_info.min:
         raise ValueError(f"the stability sweep needs mass > 0 and normal (>= {float_info.min:g}), got "
@@ -311,9 +311,8 @@ def run_stability_sweep(cfg: RunConfig) -> dict:
     for (scheme, coupling, _, _), g, measured in zip(SWEEP_ROWS, growth, growth_rates(growth)):
         mass, dt = g.mass, g.dt
         predicted, pred_stable = _predict(scheme, coupling, StabilityQuery(lam, dt, mass, z, g.alpha))
-        rate_compared = (measured is not None and isinstance(predicted, float)
-                         and predicted > 1.01 and not pred_stable)
-        meas_stable = measured is not None and measured <= 1.01  # a refusal is unstable
+        rate_compared = measured is not None and isinstance(predicted, float) and not pred_stable
+        meas_stable = measured is not None and measured <= INNER_RADIUS  # a refusal is unstable
         agree = meas_stable == pred_stable and (
             not rate_compared or abs(measured - predicted) <= 0.05 * predicted)
         rows.append({
@@ -366,6 +365,7 @@ ADDED_MASS_REFERENCES = (
       "aww_33": (None, None), "symmetry_drift": (0.0, 1e-12),
       "min_eigenvalue": (lambda value: max(value, 0.0), 1e-12)}),
 )
+SHAPES = (*dict.fromkeys(shape for shape, *_ in ADDED_MASS_REFERENCES), "all")  # in table order
 
 
 # Largest per-dimension count for the table's ellipsoids, a measured choice:

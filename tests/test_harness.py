@@ -30,7 +30,7 @@ from bodywave.coupling import SingularBodyUpdate
 from bodywave.exact import DomainError
 from bodywave.rigidbody3d import NewtonDivergence, NonphysicalPressure, SingularStage
 from bodywave.schemes import CflViolation, Characteristics
-from bodywave.stability import ContourFailure
+from bodywave.stability import INNER_RADIUS, ContourFailure, StabilityQuery
 from bodywave.harness import (
     ADDED_MASS_REFERENCES,
     COUPLINGS,
@@ -41,6 +41,7 @@ from bodywave.harness import (
     SCHEMES,
     SWEEP_ROWS,
     RunConfig,
+    _predict,
     run_addedmass_table,
     run_convergence_study,
     run_rigidbody_demo,
@@ -274,6 +275,31 @@ def test_sweep_marks_the_rows_whose_rate_is_compared(sweep_1e3):
     for r in compared:
         assert r["mass"] > 0.0 and not r["predicted_stable"]
         assert abs(r["measured_rate"] - r["predicted"]) <= 0.05 * r["predicted"]
+
+
+def test_a_first_order_root_inside_the_margin_is_predicted_stable():
+    """At lambda = 0.5, m = z = 1 and dt = 1.0004 x the traditional bound 7,
+    the first-order root has |A| = 1.0055: past 1, but not past INNER_RADIUS.
+    The prediction calls it stable, as the second-order count (which sees no
+    root inside that radius) and the measured rate judge such a root."""
+    predicted, stable = _predict("first", "traditional", StabilityQuery(0.5, 1.0004 * 7.0, 1.0, 1.0, 0.0))
+    assert 1.0 < predicted <= INNER_RADIUS and stable
+
+
+@pytest.mark.parametrize("overrides", [
+    {"mass": 1e-3, "seed": 5}, {"mass": 1.0, "seed": 5}, {"mass": 1e-6, "seed": 5},
+    {"cfl": 1.0}, {"cfl": 1e-300, "mass": 1e-300},
+], ids=["golden-1e-3", "golden-1", "golden-1e-6", "cfl-1", "cfl-1e-300"])
+def test_sweep_verdicts_read_one_margin(overrides):
+    """Every verdict of the sweep reads INNER_RADIUS: a first-order root is
+    stable up to it, a measured rate likewise, and a rate is compared exactly
+    where a finite predicted root lies past it."""
+    for r in run_stability_sweep(RunConfig(mode="stability_sweep", **overrides))["rows"]:
+        measured, predicted = r["measured_rate"], r["predicted"]
+        root = isinstance(predicted, float)
+        assert r["rate_compared"] == (measured is not None and root and predicted > INNER_RADIUS), r
+        assert r["measured_stable"] == (measured is not None and measured <= INNER_RADIUS), r
+        assert not root or r["predicted_stable"] == (predicted <= INNER_RADIUS), r
 
 
 # -- added-mass table and demo ----------------------------------------------------

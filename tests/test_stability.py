@@ -104,9 +104,9 @@ def test_boundary_step_gives_marginal_root():
     bound = max_stable_dt_traditional(m, z, lam)
     rep = roots_first_order_traditional(StabilityQuery(lam, bound, m, z, 0.0))
     assert min(abs(r + 1.0) for r in rep.roots) < 1e-12
-    assert abs(rep.max_modulus - 1.0) < 1e-12 and rep.stable
+    assert abs(rep.max_modulus - 1.0) < 1e-12
     rep2 = roots_first_order_traditional(StabilityQuery(lam, 1.001 * bound, m, z, 0.0))
-    assert rep2.max_modulus > 1.0 + 1e-5 and not rep2.stable
+    assert rep2.max_modulus > 1.0 + 1e-5
 
 
 def test_complex_pair_modulus_squared_is_one_minus_half_lambda():
@@ -135,7 +135,7 @@ def test_real_regime_roots_stay_below_one():
 def test_massless_traditional_reports_unbounded():
     q = StabilityQuery(0.9, 1e-3, 0.0, 1.0, 0.0)
     rep = roots_first_order_traditional(q)
-    assert rep.unbounded and not rep.stable
+    assert rep.unbounded
     assert rep.max_modulus is None
     assert rep.roots == (complex(1.0 - 0.45),)
 
@@ -152,7 +152,7 @@ def test_projection_stable_for_random_queries():
         rep = roots_first_order_projection(
             StabilityQuery(lam[i], dt[i], mass[i], z[i], z[i])
         )
-        assert rep.stable and rep.max_modulus < 1.0
+        assert rep.max_modulus < 1.0
 
 
 @pytest.mark.parametrize("field,value", [
@@ -504,7 +504,7 @@ def test_traditional_bound_predicts_measured_growth():
             predicted = roots_first_order_traditional(q)
             cfg = GrowthConfig(mat, m, dt, lam, 0.0, "first", n_cells=60, seed=11)
             rate = empirical_growth_rate(cfg, n_steps=400)
-            if predicted.stable:
+            if predicted.max_modulus <= INNER_RADIUS:
                 assert rate <= 1.0 + 1e-6, f"lam={lam} mult={mult}: rate={rate}"
             else:
                 assert rate > 1.05, f"lam={lam} mult={mult}: rate={rate}"
@@ -547,7 +547,7 @@ def test_second_order_traditional_grows_below_first_order_bound():
     m, lam = 1e-3, 0.8
     dt = 0.5 * max_stable_dt_traditional(m, mat.z, lam)
     q = StabilityQuery(lam, dt, m, mat.z, 0.0)
-    assert roots_first_order_traditional(q).stable
+    assert roots_first_order_traditional(q).max_modulus < 1.0
     assert count_unstable_modes(second_order_determinant, q) == 2
     cfg = GrowthConfig(mat, m, dt, lam, 0.0, "second", n_cells=100, seed=0)
     rate = empirical_growth_rate(cfg, n_steps=600)
@@ -584,20 +584,27 @@ def test_growth_rate_is_scale_free(scheme, coupling, factor):
 RATE_RTOL = 5e-14
 
 
+def _run_norm(run) -> float:
+    """growth_rates' norm of a run: the largest of |v_body| and c (|u| + |w|)
+    over both interiors, at the run's own c."""
+    interior = run.chars.x[:, :, 1:-1]
+    peak = (np.abs(interior[:, 0]) + np.abs(interior[:, 1])).max()
+    return max(run.chars.mats[0].c * float(peak), abs(run.v_body))
+
+
 def _single_rate(config: GrowthConfig, n_steps: int):
     """The growth measurement of one run stepped on its own, unstacked, through
     scalar couple() calls and a division by the norm after every step: the
-    independent reference that growth_rates must match to RATE_RTOL."""
+    independent reference that growth_rates must match to RATE_RTOL.  It takes
+    the unstepped norm as 1, so it is no reference at n_steps = 1."""
     try:
         run = _growth_run(config)
     except SingularBodyUpdate:
         return None
-    interior, c = run.chars.x[:, :, 1:-1], run.chars.mats[0].c  # the run's own c, in its own variables
     logs = []
     for _ in range(n_steps):
         run.step()
-        peak = (np.abs(interior[:, 0]) + np.abs(interior[:, 1])).max()
-        norm = max(c * float(peak), abs(run.v_body))
+        norm = _run_norm(run)
         if norm == 0.0:
             return 0.0
         logs.append(np.log(norm))
@@ -707,6 +714,34 @@ def test_refused_and_resting_members_leave_the_stack_alone(monkeypatch):
     for i in (0, 3, 4):
         assert rates[i] == growth_rates([configs[i]], 40)[0] and rates[i] > 0.0, i
         assert rates[i] == pytest.approx(_single_rate(configs[i], 40), rel=RATE_RTOL, abs=0.0), i
+
+
+def test_a_one_step_run_reads_its_first_norm_ratio():
+    """A one-step tail starts at the unstepped state, whose norm is measured as
+    every later level's is (the size of the seeded draws), not taken as 1: each
+    one-step rate of the m = 1 sweep runs is N_1 / N_0 of its run, about 1.40
+    and 7.35 on the first-order traditional rows at 0.5x and 2x the bound."""
+    configs = _sweep_configs(1.0)
+    for config, rate in zip(configs, growth_rates(configs, 1), strict=True):
+        if config.mass == 0.0 and config.alpha == 0.0:
+            assert rate is None
+            continue
+        run = _growth_run(config)
+        start = _run_norm(run)
+        run.step()
+        assert rate == pytest.approx(_run_norm(run) / start, rel=RATE_RTOL, abs=0.0), config
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_subnormal_draws_read_their_unit_twins_rates():
+    """At c = 1e307 and z = 1 a growth run's draws, divided by c, start near
+    1e-310, below the normal floats, so the first rescale's exponent is past
+    the range of a float factor 2**-ex.  Each sweep run still reads the rate
+    of its twin at unit c (the same lambda, alpha/z and m/(z dt)) to
+    RATE_RTOL, and warns nothing."""
+    tiny, unit = (growth_rates(_sweep_configs(1.0, mat=mat))
+                  for mat in (FluidMaterial(1e-307, 1e307), FluidMaterial(1.0, 1.0)))
+    _assert_rates_match(tiny, unit)
 
 
 @pytest.mark.parametrize("scheme", ["first", "second"])
